@@ -26,8 +26,8 @@ from .algebra import TruncatedFunction, r_norm_partial
 from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
                      ZeroDerivative)
 from .rounding import (abs_bounds, add_up, div_up, dn, exp_up, frac_bounds,
-                       log_dn, mul_dn, mul_up, poly_eval_up, sub_dn, sub_up,
-                       up, weight_bounds)
+                       log_dn, mul_dn, mul_up, poly_eval_up, pow_up, sub_dn,
+                       sub_up, up, weight_bounds)
 from .roots import poly_derivative, poly_eval
 from .semigroup import size_bounds
 from .solver import ConvPolynomial
@@ -67,13 +67,11 @@ class NormCertificate:
 def _norms(T: ConvPolynomial, rho, norm_bounds):
     """Round-up window norms ||a_j||_rho, optionally dominated by user bounds."""
     norms = [r_norm_partial(c, float(rho), include_zero=True) for c in T.coeffs]
-    scope = WINDOW_EXACT
     if norm_bounds is not None:
         if len(norm_bounds) != len(norms):
             raise ValueError("need one norm bound per coefficient")
         norms = [max(w, float(b)) for w, b in zip(norms, norm_bounds)]
-        scope = USER_BOUND
-    return norms, scope
+    return norms
 
 
 def _abs_fprime_dn(T: ConvPolynomial, z0) -> float:
@@ -93,7 +91,7 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     z0 = _anchor_value(T, z0)
     d = T.degree
     fp_dn = _abs_fprime_dn(T, z0)
-    norms, _ = _norms(T, rho, norm_bounds)
+    norms = _norms(T, rho, norm_bounds)
     if not any(norms):
         raise AllCoefficientsZero("all coefficient norms vanish; nothing to certify")
     abs_z0_up = abs_bounds(z0)[1]
@@ -105,17 +103,10 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
             continue
         for i in range(2, j + 1):
             term = mul_up(a0_abs[j], float(math.comb(j, i)))
-            term = mul_up(term, _pow_up(abs_z0_up, j - i))
+            term = mul_up(term, pow_up(abs_z0_up, j - i))
             P[i] = add_up(P[i], div_up(term, fp_dn))
     Q = tuple(div_up(nj, fp_dn) for nj in norms)
     return tuple(P), Q
-
-
-def _pow_up(x: float, e: int) -> float:
-    acc = 1.0
-    for _ in range(e):
-        acc = mul_up(acc, x)
-    return acc
 
 
 def _anchor_value(T: ConvPolynomial, z0):
@@ -188,7 +179,7 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
     rho = Fraction(rho)
     z0 = _anchor_value(T, z0)
     P, Q = build_PQ(T, z0, rho, norm_bounds)
-    _, scope = _norms(T, rho, norm_bounds)
+    scope = WINDOW_EXACT if norm_bounds is None else USER_BOUND
     abs_z0_up = abs_bounds(z0)[1]
     t_star, C_raw = maximize_R(P, Q, abs_z0_up)
     C = min(C_raw, 1.0)

@@ -322,11 +322,10 @@ def run_problem(problem: Problem) -> dict:
         doc["skipped_roots"] = [{
             "root": format_scalar(root.value), "reason": reason,
         } for root, reason in result.skipped]
+        residuals = [solver.residual(T, g) for _, g in result.solutions]
         doc["residual"] = {
-            "all_exact_zero": all(solver.residual(T, g).is_zero()
-                                  for _, g in result.solutions),
-            "max_abs": max((solver.residual(T, g).max_abs()
-                            for _, g in result.solutions), default=0.0),
+            "all_exact_zero": all(res.is_zero() for res in residuals),
+            "max_abs": max((res.max_abs() for res in residuals), default=0.0),
         }
         return doc
 
@@ -457,8 +456,7 @@ def _render_table(rows, title):
 # entry points
 
 
-def run(spec_path: str, fmt: str = "table", out_path=None, threads: int = 1,
-        tolerance=None):
+def run(spec_path: str, threads: int = 1, tolerance=None):
     """Load, validate and execute a spec file; returns (document, exit_code)."""
     try:
         with open(spec_path) as fh:
@@ -524,8 +522,7 @@ def main(argv=None) -> int:
                       help="double-mode comparison tolerance")
     args = parser.parse_args(argv)
 
-    doc, code = run(args.spec, fmt=args.format, out_path=args.out,
-                    threads=args.threads, tolerance=args.tolerance)
+    doc, code = run(args.spec, threads=args.threads, tolerance=args.tolerance)
     if "error" in doc:
         sys.stderr.write(f"error: {doc['error']}\n")
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"

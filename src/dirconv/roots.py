@@ -187,19 +187,28 @@ def _deflate_exact(coeffs, root):
     return out
 
 
+def tau_root(f_coeffs) -> float:
+    """Double-mode root gate: z passes as a root of f when |f(z)| <= tau_root,
+    and approximate roots closer than tau_root are merged into one."""
+    return 1e-8 * (1.0 + max(abs(complex(c)) for c in f_coeffs))
+
+
+def tau_simple(f_coeffs) -> float:
+    """Double-mode simplicity gate: a root z is simple when |f'(z)| > tau_simple."""
+    return 1e-6 * max(abs(complex(c)) for c in f_coeffs)
+
+
 def find_roots(f_coeffs, exact: bool):
     """All roots of the anchor polynomial, flagged simple/exact.
 
     ``f_coeffs`` is the list a_0(0), ..., a_d(0) (already trimmed of
     leading zeros by the caller).  Simplicity is decided exactly where
-    the root is exact and through the gate |f'(z)| > tau_simple
-    otherwise, with tau_simple = 1e-6 * max|a_j(0)|.
+    the root is exact and through the gate |f'(z)| > tau_simple(f)
+    otherwise.
     """
     d = len(f_coeffs) - 1
-    scale = max(abs(complex(c) if isinstance(c, QC) else complex(c))
-                for c in f_coeffs)
-    tau_root = 1e-8 * (1.0 + scale)
-    tau_simple = 1e-6 * scale
+    root_gate = tau_root(f_coeffs)
+    simple_gate = tau_simple(f_coeffs)
 
     fprime = poly_derivative(f_coeffs)
     roots: list[Root] = []
@@ -213,22 +222,22 @@ def find_roots(f_coeffs, exact: bool):
     if m0:
         zero = Fraction(0) if exact else 0j
         roots.append(Root(zero, m0, _is_simple(f_coeffs, fprime, zero, m0,
-                                               exact, tau_simple), exact))
+                                               exact, simple_gate), exact))
 
     if exact:
         work, exact_roots = _exact_roots(work)
         for val, mult in exact_roots:
             roots.append(Root(val, mult,
                               _is_simple(f_coeffs, fprime, val, mult, True,
-                                         tau_simple), True))
+                                         simple_gate), True))
 
     if len(work) > 1:
         approx = durand_kerner([complex(c) if isinstance(c, QC) else complex(c)
                                 for c in work])
-        for center, mult in cluster(approx, tau_root):
+        for center, mult in cluster(approx, root_gate):
             simple = mult == 1 and abs(
                 complex(poly_eval([complex(c) if isinstance(c, QC) else complex(c)
-                                   for c in fprime], center))) > tau_simple
+                                   for c in fprime], center))) > simple_gate
             roots.append(Root(center, mult, simple, False))
 
     roots.sort(key=_root_sort_key)
@@ -282,14 +291,14 @@ def _normalize(v):
     return v
 
 
-def _is_simple(f_coeffs, fprime, value, mult, exact, tau_simple):
+def _is_simple(f_coeffs, fprime, value, mult, exact, gate):
     if mult != 1:
         return False
     if exact and not isinstance(value, complex):
         return bool(poly_eval([_as_qc(c) for c in fprime], _as_qc(value)))
     fp = poly_eval([complex(c) if isinstance(c, QC) else complex(c)
                     for c in fprime], complex(value))
-    return abs(fp) > tau_simple
+    return abs(fp) > gate
 
 
 def _value_sort_key(v):

@@ -62,12 +62,6 @@ def div_up(a, b):
     return up(a / b)
 
 
-def div_dn(a, b):
-    if a == 0.0:
-        return 0.0
-    return dn(a / b)
-
-
 def exp_up(x: float) -> float:
     if x == 0.0:
         return 1.0
@@ -167,15 +161,9 @@ def poly_eval_up(coeffs, x_up: float) -> float:
     return acc
 
 
-def sum_up(terms) -> float:
-    acc = 0.0
-    for t in terms:
-        acc = add_up(acc, t)
-    return acc
-
-
-def sum_dn(terms) -> float:
-    acc = 0.0
-    for t in terms:
-        acc = add_dn(acc, t)
+def pow_up(x: float, e: int) -> float:
+    """Upper bound of x^e for x >= 0 by e round-up products."""
+    acc = 1.0
+    for _ in range(e):
+        acc = mul_up(acc, x)
     return acc

@@ -147,30 +147,6 @@ def double_value(x) -> complex:
     return complex(x)
 
 
-def to_complex(x) -> complex:
-    return complex(x) if not isinstance(x, QC) else complex(x)
-
-
-def real_part(x):
-    if isinstance(x, QC):
-        return x.re
-    if isinstance(x, complex):
-        return x.real
-    return x
-
-
-def imag_part(x):
-    if isinstance(x, QC):
-        return x.im
-    if isinstance(x, complex):
-        return x.imag
-    return 0
-
-
-def is_zero(x) -> bool:
-    return not x
-
-
 # -- lossless text forms -----------------------------------------------------
 
 def format_rational(q) -> str:

@@ -363,15 +363,6 @@ class Enumeration:
         return [(s, tuple(ix)) for s, ix in out]
 
     @cached_property
-    def level_of(self):
-        """Element index -> level number."""
-        lv = [0] * len(self.elements)
-        for n, (_, ixs) in enumerate(self.levels):
-            for i in ixs:
-                lv[i] = n
-        return lv
-
-    @cached_property
     def decomp(self):
         """For each element index t, all ordered pairs (i, j) with e_i + e_j = e_t.
 
@@ -408,9 +399,6 @@ class Enumeration:
         if len(self.elements) < 2:
             raise OnlyZero("window contains no non-zero element")
         return self.elements[1].size
-
-    def size_bounds_of(self, i) -> tuple[float, float]:
-        return size_bounds(self.elements[i].size)
 
 
 def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumeration:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from .algebra import TruncatedFunction
 from .certificate import NormCertificate
 from .errors import OutOfHalfPlane
-from .rounding import (abs_bounds, add_dn, add_up, mul_dn, mul_up, sub_up,
-                       weight_bounds)
+from .rounding import (abs_bounds, add_dn, add_up, mul_dn, mul_up, pow_up,
+                       sub_up, weight_bounds)
 from .semigroup import size_bounds
 from .solver import ConvPolynomial
 
@@ -160,12 +160,12 @@ def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
         scale = 0.0
         for j, a in enumerate(avals):
             ta = _coeff_tail(coeff_tails, j, pt)
-            allowance = add_up(allowance, mul_up(ta, _pow_up_f(gmag, j)))
+            allowance = add_up(allowance, mul_up(ta, pow_up(gmag, j)))
             if j >= 1:
                 allowance = add_up(
                     allowance,
-                    mul_up(mul_up(abs(a) * j, _pow_up_f(gmag, j - 1)), tg))
-            scale = add_up(scale, mul_up(abs(a), _pow_up_f(max(1.0, abs(gval)), j)))
+                    mul_up(mul_up(abs(a) * j, pow_up(gmag, j - 1)), tg))
+            scale = add_up(scale, mul_up(abs(a), pow_up(max(1.0, abs(gval)), j)))
         allowance = add_up(allowance, mul_up(fuzz, scale))
         ok = resid <= allowance
         ratio = resid / allowance if allowance > 0 else math.inf
@@ -180,10 +180,3 @@ def _coeff_tail(coeff_tails, j, pt) -> float:
     if callable(coeff_tails):
         return float(coeff_tails(j, pt if len(pt) > 1 else pt[0]))
     return float(coeff_tails[j])
-
-
-def _pow_up_f(x: float, e: int) -> float:
-    acc = 1.0
-    for _ in range(e):
-        acc = mul_up(acc, x)
-    return acc

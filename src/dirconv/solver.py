@@ -7,28 +7,33 @@ values are forced one element at a time in the window order, because
 every term of (T g)(x) either contains g(x) linearly with total
 coefficient f'(z0) or only touches strictly smaller sizes.
 
-The per-element pass below keeps all convolution powers g^{*j} up to
-date incrementally, so a full solve costs O(d) values per decomposition
-pair instead of one full convolution per size level.  ``residual``
-deliberately recomputes T g through plain convolutions, giving an
-independent check of the recursion.
+A square system in unknowns g_1, ..., g_m is the same recursion with
+the base-point Jacobian J in place of f'(z0), and a scalar equation is
+the system with m = 1 and J = [[f'(z0)]].  One sweep serves both.  It
+keeps one product table per distinct prefix of the monomials' factor
+sequences, so g, g^{*2}, g^{*3} form one chain and each table costs one
+product per decomposition pair.  At each element it evaluates every
+table and equation with the unknown values masked out, applies J^{-1}
+once, and completes each table by the linear term that the base point
+fixes.
 
-``solve_system`` extends the same sweep to square systems of polynomial
-equations in several unknowns, anchored at a base point where the
-Jacobian of the scalarized system is invertible.
+``residual`` and ``system_residual`` share one evaluator that
+recomputes the equations through plain convolutions, building each
+power g_l^{*e} once; it is an independent check of the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (DEFAULT_TOLERANCE, TruncatedFunction, check_compatible,
-                      coerce_pair, convolve, power, unit)
+                      convolve, unit)
 from .errors import (DegenerateConstant, InconsistentBasePoint, NoSimpleRoots,
                      NotASimpleRoot, PreconditionFailed, SingularJacobian,
                      ZeroPolynomial)
-from .roots import find_roots, poly_derivative, poly_eval
+from .roots import find_roots, poly_derivative, poly_eval, tau_root, tau_simple
 from .scalars import double_value, exact_value
 
 
@@ -131,15 +136,6 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
     return RootReport(tuple(f), len(trimmed) - 1, tuple(roots), T.exact)
 
 
-def _tau_root(f_coeffs) -> float:
-    scale = max(abs(complex(c)) for c in f_coeffs)
-    return 1e-8 * (1.0 + scale)
-
-
-def _tau_simple(f_coeffs) -> float:
-    return 1e-6 * max(abs(complex(c)) for c in f_coeffs)
-
-
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     """The unique solution g of T g = 0 with g(0) = z0, for a simple root z0.
 
@@ -155,62 +151,18 @@ def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
         fp = poly_eval(fprime, z0)
         if not fp:
             raise NotASimpleRoot(f"f'({z0!r}) = 0; root is not simple")
+        inv_fp = 1 / fp
     else:
         z0 = double_value(z0)
         fc = [complex(c) for c in f]
-        if abs(poly_eval(fc, z0)) > _tau_root(fc):
+        if abs(poly_eval(fc, z0)) > tau_root(fc):
             raise NotASimpleRoot(f"|f({z0!r})| exceeds the root tolerance")
         fp = poly_eval([complex(c) for c in fprime], z0)
-        if abs(fp) <= _tau_simple(fc):
+        if abs(fp) <= tau_simple(fc):
             raise NotASimpleRoot(f"|f'({z0!r})| below the simplicity gate")
-    return _solve_anchored(T, z0, fp)
-
-
-def _solve_anchored(T: ConvPolynomial, z0, fprime_z0) -> TruncatedFunction:
-    enum = T.enum
-    d = T.degree
-    exact = T.exact
-    zero = Fraction(0) if exact else 0j
-    inv_fp = (1 / fprime_z0) if exact else (1.0 / fprime_z0)
-    a = [c.values for c in T.coeffs]
-    n = len(enum)
-
-    z0pow = [Fraction(1) if exact else 1 + 0j]
-    for _ in range(d):
-        z0pow.append(z0pow[-1] * z0)
-
-    g = [zero] * n
-    g[0] = z0
-    # P[j] tracks g^{*j}; entries become final in the window order
-    P = [[zero] * n for _ in range(d + 1)]
-    P[0][0] = z0pow[0]
-    for j in range(1, d + 1):
-        P[j][0] = z0pow[j]
-
-    dec = enum.decomp
-    for t in range(1, n):
-        pairs = dec[t]
-        mid_gP = [zero] * (d + 1)
-        mid_aP = [zero] * (d + 1)
-        for u, v in pairs:
-            if u == 0 or u == t:
-                continue
-            gu = g[u]
-            for j in range(1, d + 1):
-                mid_gP[j] = mid_gP[j] + gu * P[j - 1][v]
-                mid_aP[j] = mid_aP[j] + a[j][u] * P[j][v]
-        # the masked powers exclude every appearance of the unknown g(t)
-        pmask = [zero] * (d + 1)
-        for j in range(1, d + 1):
-            pmask[j] = z0 * pmask[j - 1] + mid_gP[j]
-        h = a[0][t]
-        for j in range(1, d + 1):
-            h = h + a[j][0] * pmask[j] + a[j][t] * z0pow[j] + mid_aP[j]
-        gt = -(inv_fp * h)
-        g[t] = gt
-        for j in range(1, d + 1):
-            P[j][t] = pmask[j] + j * z0pow[j - 1] * gt
-    return TruncatedFunction(enum, g, exact)
+        inv_fp = 1.0 / fp
+    terms = [(c.values, (0,) * j) for j, c in enumerate(T.coeffs)]
+    return _sweep(T.enum, [terms], (z0,), [[inv_fp]], T.exact)[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
@@ -219,16 +171,8 @@ def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
     Independent of the incremental bookkeeping in :func:`solve`, so it
     doubles as a cross-check of the recursion.
     """
-    a0, g = coerce_pair(T.coeffs[0], g)
-    out = a0
-    p = unit(g.enum, g.exact)
-    for j in range(1, T.degree + 1):
-        p = convolve(p, g)
-        aj = T.coeffs[j]
-        if aj.exact and not g.exact:
-            aj = aj.to_double()
-        out = out + convolve(aj, p)
-    return out
+    terms = [(c, (j,)) for j, c in enumerate(T.coeffs)]
+    return _convolution_values([terms], (g,))[0]
 
 
 def _obstructions(T: ConvPolynomial, report: RootReport, tol: float):
@@ -383,11 +327,12 @@ class PolySystem:
         return all(t.coeff.exact for eq in self.equations for t in eq)
 
 
-def _linear_solve(A, rhs_cols, exact):
-    """Gaussian elimination returning the solution columns; None if singular."""
+def _inverse(A, exact):
+    """Gauss-Jordan inverse of a square matrix, as rows; None if singular."""
     n = len(A)
-    M = [list(row) + list(extra) for row, extra in zip(A, rhs_cols)]
-    width = len(M[0])
+    zero = Fraction(0) if exact else 0j
+    M = [list(row) + [zero + 1 if r == c else zero for c in range(n)]
+         for r, row in enumerate(A)]
     for col in range(n):
         if exact:
             piv = next((r for r in range(col, n) if M[r][col]), None)
@@ -405,35 +350,12 @@ def _linear_solve(A, rhs_cols, exact):
             if r != col and M[r][col]:
                 factor = M[r][col]
                 M[r] = [v - factor * w for v, w in zip(M[r], M[col])]
-    return [row[n:width] for row in M]
+    return [row[n:] for row in M]
 
 
-def _jacobian(S: PolySystem, zero):
-    zp_cache = {}
-
-    def zpow(l, e):
-        if e < 0:
-            return None
-        key = (l, e)
-        if key not in zp_cache:
-            zp_cache[key] = S.z0[l] ** e if e else (zero + 1)
-        return zp_cache[key]
-
-    def mono_value(t: Monomial, diff_l=None):
-        v = t.coeff.values[0]
-        for l, e in enumerate(t.exponents):
-            if l == diff_l:
-                if e == 0:
-                    return zero
-                v = v * e * zpow(l, e - 1)
-            else:
-                v = v * zpow(l, e)
-        return v
-
-    F0 = [sum((mono_value(t) for t in eq), zero) for eq in S.equations]
-    J = [[sum((mono_value(t, diff_l=l) for t in eq), zero)
-          for l in range(S.m)] for eq in S.equations]
-    return F0, J
+def _factors(t: Monomial) -> tuple:
+    """The factor sequence of a monomial: (0, 0, 1) for g_1 * g_1 * g_2."""
+    return tuple(l for l, e in enumerate(t.exponents) for _ in range(e))
 
 
 def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
@@ -442,10 +364,10 @@ def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
     """The unique m-tuple of window functions solving the system with the
     prescribed values at 0, given an invertible base-point Jacobian.
 
-    The sweep mirrors :func:`solve`: at each element x the unknown
-    values (g_1(x), ..., g_m(x)) enter every equation linearly with the
-    base-point Jacobian as coefficient matrix, and all other terms only
-    use strictly smaller sizes.
+    The sweep is the one behind :func:`solve`: at each element x the
+    unknown values (g_1(x), ..., g_m(x)) enter every equation linearly
+    with the base-point Jacobian as coefficient matrix, and all other
+    terms only use strictly smaller sizes.
     """
     if S.m > max_unknowns:
         raise PreconditionFailed(f"system has {S.m} unknowns; limit {max_unknowns}")
@@ -454,100 +376,31 @@ def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
             if t.total_degree() > max_degree:
                 raise PreconditionFailed(
                     f"monomial degree {t.total_degree()} exceeds limit {max_degree}")
-    enum = S.enum
     exact = S.exact
     zero = Fraction(0) if exact else 0j
     z0 = tuple(exact_value(z) if exact else double_value(z) for z in S.z0)
-    S = PolySystem(S.m, S.equations, z0)
+    equations = [[(t.coeff.values, _factors(t)) for t in eq] for eq in S.equations]
 
-    F0, J = _jacobian(S, zero)
+    index, _, at0, grad = _prefix_tree(equations, z0, zero)
+    F0 = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
     for i, v in enumerate(F0):
         bad = bool(v) if exact else abs(complex(v)) > tol * _system_scale(S)
         if bad:
             raise InconsistentBasePoint(
                 f"equation {i} does not vanish at the base point: F_i = {v!r}")
-    identity = [[(zero + 1) if r == c else zero for c in range(S.m)]
-                for r in range(S.m)]
-    Jinv_cols = _linear_solve(J, identity, exact)
-    if Jinv_cols is None:
+    J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
+          for l in range(S.m)] for eq in equations]
+    Jinv = _inverse(J, exact)
+    if Jinv is None:
         raise SingularJacobian("base-point Jacobian is singular")
     if not exact:
         norm_J = max(sum(abs(complex(v)) for v in row) for row in J)
-        norm_Jinv = max(sum(abs(complex(v)) for v in row) for row in Jinv_cols)
+        norm_Jinv = max(sum(abs(complex(v)) for v in row) for row in Jinv)
         if norm_J * norm_Jinv > 1.0 / tau_cond:
             raise SingularJacobian(
                 f"Jacobian condition estimate {norm_J * norm_Jinv:.3e} "
                 f"exceeds 1/{tau_cond}")
-
-    n = len(enum)
-    gvals = [[zero] * n for _ in range(S.m)]
-    for l in range(S.m):
-        gvals[l][0] = z0[l]
-
-    # one shared product chain per distinct factor sequence
-    chains = {}
-    for eq in S.equations:
-        for t in eq:
-            fs = tuple(l for l, e in enumerate(t.exponents) for _ in range(e))
-            if fs not in chains and fs:
-                chains[fs] = None
-    for fs in chains:
-        depth = len(fs)
-        Q = [[zero] * n for _ in range(depth + 1)]
-        Q[0][0] = zero + 1
-        for p in range(1, depth + 1):
-            Q[p][0] = Q[p - 1][0] * z0[fs[p - 1]]
-        chains[fs] = Q
-    empty_chain = [[zero] * n]
-    empty_chain[0][0] = zero + 1
-
-    def chain_of(t: Monomial):
-        fs = tuple(l for l, e in enumerate(t.exponents) for _ in range(e))
-        return fs, (chains[fs] if fs else empty_chain)
-
-    dec = enum.decomp
-    for x in range(1, n):
-        pairs = dec[x]
-        interior = [(u, v) for u, v in pairs if u != 0 and u != x]
-        masked = {}
-        for fs, Q in chains.items():
-            depth = len(fs)
-            qm = [zero] * (depth + 1)
-            for p in range(1, depth + 1):
-                s = qm[p - 1] * z0[fs[p - 1]]
-                gl = gvals[fs[p - 1]]
-                Qprev = Q[p - 1]
-                for u, v in interior:
-                    s = s + Qprev[u] * gl[v]
-                qm[p] = s
-            masked[fs] = qm
-        known = []
-        for eq in S.equations:
-            k = zero
-            for t in eq:
-                fs, Q = chain_of(t)
-                depth = len(fs)
-                cv = t.coeff.values
-                qm_top = masked[fs][depth] if fs else zero
-                k = k + cv[0] * qm_top + cv[x] * Q[depth][0]
-                Qtop = Q[depth]
-                for u, v in interior:
-                    k = k + cv[u] * Qtop[v]
-            known.append(k)
-        sol = _linear_solve(J, [[-k] for k in known], exact)
-        if sol is None:  # cannot happen: J was inverted above
-            raise SingularJacobian("Jacobian became singular mid-sweep")
-        for l in range(S.m):
-            gvals[l][x] = sol[l][0]
-        for fs, Q in chains.items():
-            for p in range(1, len(fs) + 1):
-                gl = gvals[fs[p - 1]]
-                Qprev = Q[p - 1]
-                s = zero
-                for u, v in pairs:
-                    s = s + Qprev[u] * gl[v]
-                Q[p][x] = s
-    return tuple(TruncatedFunction(enum, gvals[l], exact) for l in range(S.m))
+    return _sweep(S.enum, equations, z0, Jinv, exact)
 
 
 def _system_scale(S: PolySystem) -> float:
@@ -557,14 +410,106 @@ def _system_scale(S: PolySystem) -> float:
 
 def system_residual(S: PolySystem, gs) -> list:
     """Each equation evaluated by plain convolutions; the independent check."""
+    return _convolution_values(
+        [[(t.coeff, t.exponents) for t in eq] for eq in S.equations], gs)
+
+
+# ---------------------------------------------------------------------------
+# the sweep and the convolution check shared by equations and systems
+
+
+def _prefix_tree(equations, z0, zero):
+    """Every distinct prefix of the terms' factor sequences, parents first.
+
+    Returns (index, nodes, at0, grad): ``index`` maps a prefix to its
+    node number, node 0 is the empty product and node k > 0 is
+    (parent node, last factor l), the product of its parent with g_l;
+    ``at0[k]`` is the node's value at the base point and ``grad[k][l]``
+    its partial derivative in z_l there.
+    """
+    index, nodes, at0, grad = {(): 0}, [None], [zero + 1], [[zero] * len(z0)]
+    for eq in equations:
+        for _, fs in eq:
+            for n in range(1, len(fs) + 1):
+                if fs[:n] in index:
+                    continue
+                k, l = index[fs[:n - 1]], fs[n - 1]
+                index[fs[:n]] = len(nodes)
+                nodes.append((k, l))
+                at0.append(at0[k] * z0[l])
+                dk = [d * z0[l] for d in grad[k]]
+                dk[l] = dk[l] + at0[k]
+                grad.append(dk)
+    return index, nodes, at0, grad
+
+
+def _dot(a, b, us, vs):
+    """The sum of a[u] * b[v] over the paired positions of us and vs."""
+    return sum(map(mul, map(a.__getitem__, us), map(b.__getitem__, vs)))
+
+
+def _sweep(enum, equations, z0, Jinv, exact):
+    """The window functions g_1, ..., g_m that the equations force.
+
+    ``equations`` lists, per equation, its terms as (coefficient values,
+    factor sequence); ``z0`` holds the values at 0 and ``Jinv`` the
+    inverse of the base-point Jacobian.
+    """
+    zero = Fraction(0) if exact else 0j
+    m, n = len(z0), len(enum)
+    index, nodes, at0, grad = _prefix_tree(equations, z0, zero)
+    terms = [[(c, index[fs]) for c, fs in eq] for eq in equations]
+    linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
+    G = [[zero] * n for _ in range(m)]
+    Q = [[zero] * n for _ in nodes]   # Q[k] = product table of node k
+    for l in range(m):
+        G[l][0] = z0[l]
+    for k in range(len(nodes)):
+        Q[k][0] = at0[k]
+    dec = enum.decomp
+    for x in range(1, n):
+        # (0, x) opens and (x, 0) closes every pair list; the pairs in
+        # between only touch elements smaller than x
+        inner = dec[x][1:-1]
+        us = [u for u, _ in inner]
+        vs = [v for _, v in inner]
+        # table values at x with every g_l(x) taken as 0; the unit
+        # table (node 0) vanishes off 0, so its products drop out
+        masked = [zero] * len(nodes)
+        for k in range(1, len(nodes)):
+            p, l = nodes[k]
+            masked[k] = masked[p] * z0[l]
+            if p:
+                masked[k] += _dot(Q[p], G[l], us, vs)
+        known = []
+        for eq in terms:
+            acc = zero
+            for c, k in eq:
+                acc += c[x] * at0[k]
+                if k:
+                    acc += c[0] * masked[k] + _dot(c, Q[k], us, vs)
+            known.append(acc)
+        gx = [-sum(map(mul, row, known)) for row in Jinv]
+        for l in range(m):
+            G[l][x] = gx[l]
+        for k in range(1, len(nodes)):
+            Q[k][x] = masked[k] + sum(d * gx[l] for l, d in linear[k])
+    return tuple(TruncatedFunction(enum, g, exact) for g in G)
+
+
+def _convolution_values(equations, gs) -> list:
+    """Each equation, given as (coefficient, exponents) terms, evaluated
+    at gs by plain convolutions; every power g_l^{*e} is built once."""
+    powers = [[g] for g in gs]   # powers[l][e - 1] = g_l^{*e}
     out = []
-    for eq in S.equations:
+    for eq in equations:
         acc = None
-        for t in eq:
-            term = t.coeff
-            for l, e in enumerate(t.exponents):
+        for term, exponents in eq:
+            for l, e in enumerate(exponents):
+                while len(powers[l]) < e:
+                    powers[l].append(convolve(powers[l][-1], gs[l]))
                 if e:
-                    term = convolve(term, power(gs[l], e))
+                    term = convolve(term, powers[l][e - 1])
             acc = term if acc is None else acc + term
         out.append(acc)
     return out

@@ -234,12 +234,43 @@ def test_factorization_precondition(od20):
 # -- systems ---------------------------------------------------------------------
 
 def test_system_m1_matches_solve(od20):
-    T = sqrt_one_equation(od20)
-    g = dc.solve(T, 1)
-    S = dc.PolySystem(1, ((dc.Monomial(-dc.one(od20), (0,)),
-                           dc.Monomial(dc.unit(od20), (2,))),), (1,))
-    h, = dc.solve_system(S)
-    assert h == g
+    for exact in (True, False):
+        T = sqrt_one_equation(od20, exact)
+        g = dc.solve(T, 1)
+        S = dc.PolySystem(1, ((dc.Monomial(-dc.one(od20, exact), (0,)),
+                               dc.Monomial(dc.unit(od20, exact), (2,))),), (1,))
+        h, = dc.solve_system(S)
+        if exact:
+            assert h == g
+        else:
+            scale = g.max_abs()
+            assert all(abs(a - b) <= 1e-12 * scale
+                       for a, b in zip(h.values, g.values))
+
+
+@pytest.mark.parametrize("window", ["lat2", "gens23"])
+def test_system_shared_factor_prefixes(window, request):
+    # g1*g2*g3, g1*g2 and g1*g1 share factor prefixes; with an invertible
+    # Jacobian at (1, 1, 1) an exactly vanishing residual fixes the solution
+    enum = request.getfixturevalue(window)
+    rng = random.Random(27)
+
+    def coeff(at_zero):
+        r = random_exact_function(enum, rng)
+        return dc.from_values(enum, (Fraction(at_zero),) + r.values[1:])
+
+    S = dc.PolySystem(3, (
+        (dc.Monomial(coeff(1), (1, 1, 1)), dc.Monomial(coeff(1), (1, 1, 0)),
+         dc.Monomial(coeff(-2), (0, 0, 0))),
+        (dc.Monomial(coeff(1), (2, 0, 0)), dc.Monomial(coeff(-1), (0, 0, 1)),
+         dc.Monomial(coeff(0), (0, 0, 0))),
+        (dc.Monomial(coeff(1), (0, 0, 1)), dc.Monomial(coeff(1), (1, 1, 0)),
+         dc.Monomial(coeff(-2), (0, 0, 0)))), (1, 1, 1))
+    gs = dc.solve_system(S)
+    assert all(g.exact and g.values[0] == 1 for g in gs)
+    assert not all(g == dc.constant(enum, 1) for g in gs)
+    for res in dc.system_residual(S, gs):
+        assert res.is_zero()
 
 
 def test_system_coupled_pair(od20):
