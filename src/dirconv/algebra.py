@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import BackendMismatch, NotInvertible
-from .rounding import abs_bounds, add_up, mul_up, weight_bounds
+from .rounding import abs_bounds, add_up, mul_dn, mul_up, weight_bounds
 from .scalars import double_value, exact_value
 from .semigroup import Enumeration, size_bounds
 
@@ -228,6 +228,18 @@ def invert(g: TruncatedFunction, tol: float = DEFAULT_TOLERANCE) -> TruncatedFun
 # norms
 
 
+def weighted_terms(g: TruncatedFunction, r: float):
+    """Directed bounds of |g(x)| e^(-r|x|), one element at a time.
+
+    Yields (size, round-down term, round-up term) in window order; every
+    norm, partial sum and tail of the package is summed from these.
+    """
+    for e, v in zip(g.enum.elements, g.values):
+        w_lo, w_hi = weight_bounds(r, *size_bounds(e.size))
+        a_lo, a_hi = abs_bounds(v)
+        yield e.size, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
+
+
 def r_norm_partial(g: TruncatedFunction, r, m=None, include_zero: bool = False) -> float:
     """Round-up partial sum of |g(x)| e^(-r|x|) over 0 < |x| <= m.
 
@@ -236,17 +248,12 @@ def r_norm_partial(g: TruncatedFunction, r, m=None, include_zero: bool = False) 
     partial sum into a partial r-norm.  The result is always an upper
     bound of the exact sum.
     """
-    r = float(r)
     total = 0.0
-    for i, e in enumerate(g.enum.elements):
-        if m is not None and e.size > m:
+    for i, (size, _, hi) in enumerate(weighted_terms(g, float(r))):
+        if m is not None and size > m:
             break
-        if i == 0 and not include_zero:
-            continue
-        lo, hi = size_bounds(e.size)
-        w_hi = weight_bounds(r, lo, hi)[1]
-        a_hi = abs_bounds(g.values[i])[1]
-        total = add_up(total, mul_up(a_hi, w_hi))
+        if i or include_zero:
+            total = add_up(total, hi)
     return total
 
 

@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import TruncatedFunction, r_norm_partial
+from .algebra import TruncatedFunction, r_norm_partial, weighted_terms
 from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
                      ZeroDerivative)
 from .rounding import (abs_bounds, add_up, div_up, dn, exp_up, frac_bounds,
                        log_dn, mul_dn, mul_up, poly_eval_up, pow_up, sub_dn,
-                       sub_up, up, weight_bounds)
+                       sub_up, up)
 from .roots import poly_derivative, poly_eval
 from .semigroup import size_bounds
 from .solver import ConvPolynomial
@@ -60,9 +60,6 @@ class NormCertificate:
     scope: str
     abs_z0: float              # round-up |z0|
 
-    def m1_bounds(self):
-        return size_bounds(self.m1)
-
 
 def _norms(T: ConvPolynomial, rho, norm_bounds):
     """Round-up window norms ||a_j||_rho, optionally dominated by user bounds."""
@@ -88,7 +85,7 @@ def _abs_fprime_dn(T: ConvPolynomial, z0) -> float:
 
 def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     """The two comparison polynomials as round-up coefficient tuples."""
-    z0 = _anchor_value(T, z0)
+    z0 = T.anchor_value(z0)
     d = T.degree
     fp_dn = _abs_fprime_dn(T, z0)
     norms = _norms(T, rho, norm_bounds)
@@ -109,12 +106,6 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     return tuple(P), Q
 
 
-def _anchor_value(T: ConvPolynomial, z0):
-    from .scalars import double_value, exact_value
-
-    return exact_value(z0) if T.exact else double_value(z0)
-
-
 def _ratio_down(P, Q, abs_z0_up, t: float) -> float:
     num = sub_dn(t, poly_eval_up(P, up(t)))
     den = poly_eval_up(Q, add_up(abs_z0_up, t))
@@ -128,7 +119,7 @@ GRID_LO = 1e-6
 GRID_HI = 1e6
 
 
-def maximize_R(P, Q, abs_z0, grid_points=GRID_POINTS, lo=GRID_LO, hi=GRID_HI):
+def maximize_R(P, Q, abs_z0):
     """Near-maximizer of R(t) = (t - P(t)) / Q(|z0| + t) over t > 0.
 
     A log-spaced grid locates the best bracket and golden-section
@@ -137,16 +128,16 @@ def maximize_R(P, Q, abs_z0, grid_points=GRID_POINTS, lo=GRID_LO, hi=GRID_HI):
     t -> infinity) the edge value is accepted as is.  R is always
     evaluated rounded down, so the returned value is certified.
     """
-    la, lb = math.log(lo), math.log(hi)
-    ts = [math.exp(la + (lb - la) * i / (grid_points - 1)) for i in range(grid_points)]
+    la, lb = math.log(GRID_LO), math.log(GRID_HI)
+    ts = [math.exp(la + (lb - la) * i / (GRID_POINTS - 1)) for i in range(GRID_POINTS)]
     vals = [_ratio_down(P, Q, abs_z0, t) for t in ts]
-    best = max(range(grid_points), key=lambda i: vals[i])
+    best = max(range(GRID_POINTS), key=lambda i: vals[i])
     if vals[best] <= 0.0:
         raise NoPositiveR("the damping ratio is non-positive at every sampled t")
     best_t, best_v = ts[best], vals[best]
-    if best == grid_points - 1:
+    if best == GRID_POINTS - 1:
         return best_t, best_v
-    a = ts[best - 1] if best > 0 else lo
+    a = ts[best - 1] if best > 0 else GRID_LO
     b = ts[best + 1]
     inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv_golden * (b - a)
@@ -177,7 +168,7 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
     inequality e^{-(r-rho) m1} <= C holds in round-up arithmetic.
     """
     rho = Fraction(rho)
-    z0 = _anchor_value(T, z0)
+    z0 = T.anchor_value(z0)
     P, Q = build_PQ(T, z0, rho, norm_bounds)
     scope = WINDOW_EXACT if norm_bounds is None else USER_BOUND
     abs_z0_up = abs_bounds(z0)[1]
@@ -224,12 +215,11 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     levels = enum.levels
     sums = [0.0]
     acc = 0.0
-    for size, idxs in levels[1:]:
-        for i in idxs:
-            lo, hi = size_bounds(size)
-            w_hi = weight_bounds(r, lo, hi)[1]
-            a_hi = abs_bounds(g.values[i])[1]
-            acc = add_up(acc, mul_up(a_hi, w_hi))
+    terms = weighted_terms(g, r)
+    next(terms)   # S_r(m) leaves out x = 0
+    for _, idxs in levels[1:]:
+        for _ in idxs:
+            acc = add_up(acc, next(terms)[2])
         sums.append(acc)
 
     rho_hi = frac_bounds(cert.rho)[1]

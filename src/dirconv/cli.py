@@ -272,6 +272,7 @@ def _residual_doc(T, g):
 
 
 def _series_doc(values):
+    """Entries for SeriesValue or PointCheck rows; ``tail`` may be None."""
     out = []
     for sv in values:
         entry = {
@@ -329,51 +330,33 @@ def run_problem(problem: Problem) -> dict:
         }
         return doc
 
-    if ttype == "certify":
-        z0 = problem.root()
-        g = solver.solve(T, z0)
-        cert = certificate.certify(T, z0, problem.rho(), problem.norm_bounds())
-        report = certificate.validate(cert, g)
-        doc["root_report"] = _root_report_doc(solver.initial_polynomial(T))
-        doc["solution"] = _function_table(g)
-        doc["certificate"] = _certificate_doc(cert)
-        doc["validation"] = {
-            "ok": report.ok,
-            "sum_margin": report.sum_margin,
-            "recursive_margin": report.recursive_margin,
-        }
-        doc["residual"] = _residual_doc(T, g)
-        return doc
-
-    # verify: solve + certify + validate + scalar equation at the points
+    # certify and verify: solve, certify, validate
     z0 = problem.root()
     g = solver.solve(T, z0)
     cert = certificate.certify(T, z0, problem.rho(), problem.norm_bounds())
     report = certificate.validate(cert, g)
-    points = problem.points()
-    vr = series.verify_scalar_equation(T, g, points, cert=cert)
     doc["certificate"] = _certificate_doc(cert)
     doc["validation"] = {
         "ok": report.ok,
         "sum_margin": report.sum_margin,
         "recursive_margin": report.recursive_margin,
     }
-    doc["scalar_equation"] = {
-        "all_ok": vr.all_ok,
-        "worst_ratio": vr.worst_ratio,
-        "points": [{
-            "s": [format_scalar(c) for c in pc.s],
-            "residual": pc.residual,
-            "allowance": pc.allowance,
-            "ok": pc.ok,
-        } for pc in vr.points],
-    }
-    svs = []
-    for p in points:
-        sv = series.evaluate(g, p)
-        svs.append(series.SeriesValue(sv.value, sv.s, sv.window,
-                                      series.tail_bound(g, cert, p)))
-    doc["series"] = _series_doc(svs)
+    if ttype == "certify":
+        doc["root_report"] = _root_report_doc(solver.initial_polynomial(T))
+        doc["solution"] = _function_table(g)
+    else:
+        vr = series.verify_scalar_equation(T, g, problem.points(), cert=cert)
+        doc["scalar_equation"] = {
+            "all_ok": vr.all_ok,
+            "worst_ratio": vr.worst_ratio,
+            "points": [{
+                "s": [format_scalar(c) for c in pc.s],
+                "residual": pc.residual,
+                "allowance": pc.allowance,
+                "ok": pc.ok,
+            } for pc in vr.points],
+        }
+        doc["series"] = _series_doc(vr.points)
     doc["residual"] = _residual_doc(T, g)
     return doc
 

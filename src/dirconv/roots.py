@@ -43,7 +43,12 @@ def _trim(coeffs):
     return out
 
 
-def durand_kerner(coeffs, tol_scale=1e-14, max_iter=500):
+#: Durand-Kerner's step tolerance, relative to the monic scale, and sweep cap
+DK_TOL_SCALE = 1e-14
+DK_MAX_ITER = 500
+
+
+def durand_kerner(coeffs):
     """All complex roots of a polynomial with complex double coefficients.
 
     Deterministic: fixed initial configuration (powers of 0.4 + 0.9i),
@@ -57,10 +62,10 @@ def durand_kerner(coeffs, tol_scale=1e-14, max_iter=500):
     lead = coeffs[-1]
     monic = [c / lead for c in coeffs]
     scale = max(abs(c) for c in monic)
-    tol = tol_scale * max(1.0, scale)
+    tol = DK_TOL_SCALE * max(1.0, scale)
     seed = 0.4 + 0.9j
     roots = [seed ** (k + 1) for k in range(n)]
-    for _ in range(max_iter):
+    for _ in range(DK_MAX_ITER):
         moved = 0.0
         for i in range(n):
             zi = roots[i]
@@ -232,12 +237,10 @@ def find_roots(f_coeffs, exact: bool):
                                          simple_gate), True))
 
     if len(work) > 1:
-        approx = durand_kerner([complex(c) if isinstance(c, QC) else complex(c)
-                                for c in work])
+        approx = durand_kerner(work)
         for center, mult in cluster(approx, root_gate):
             simple = mult == 1 and abs(
-                complex(poly_eval([complex(c) if isinstance(c, QC) else complex(c)
-                                   for c in fprime], center))) > simple_gate
+                poly_eval([complex(c) for c in fprime], center)) > simple_gate
             roots.append(Root(center, mult, simple, False))
 
     roots.sort(key=_root_sort_key)
@@ -296,13 +299,12 @@ def _is_simple(f_coeffs, fprime, value, mult, exact, gate):
         return False
     if exact and not isinstance(value, complex):
         return bool(poly_eval([_as_qc(c) for c in fprime], _as_qc(value)))
-    fp = poly_eval([complex(c) if isinstance(c, QC) else complex(c)
-                    for c in fprime], complex(value))
+    fp = poly_eval([complex(c) for c in fprime], complex(value))
     return abs(fp) > gate
 
 
 def _value_sort_key(v):
-    z = complex(v) if isinstance(v, QC) else complex(v)
+    z = complex(v)
     return (z.real, z.imag)
 
 

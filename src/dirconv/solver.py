@@ -76,6 +76,10 @@ class ConvPolynomial:
         """The values a_j(0), constant term first."""
         return [c.values[0] for c in self.coeffs]
 
+    def anchor_value(self, z0):
+        """z0 as a scalar of the equation's mode."""
+        return exact_value(z0) if self.exact else double_value(z0)
+
 
 @dataclass(frozen=True)
 class RootReport:
@@ -85,10 +89,6 @@ class RootReport:
     degree: int
     roots: tuple
     exact: bool
-
-    @property
-    def fprime_coeffs(self):
-        return tuple(poly_derivative(list(self.f_coeffs)))
 
     @property
     def simple_roots(self):
@@ -144,8 +144,8 @@ def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     """
     f = T.anchor_coeffs()
     fprime = poly_derivative(f)
+    z0 = T.anchor_value(z0)
     if T.exact:
-        z0 = exact_value(z0)
         if poly_eval(f, z0):
             raise NotASimpleRoot(f"f({z0!r}) != 0; not a root")
         fp = poly_eval(fprime, z0)
@@ -153,7 +153,6 @@ def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
             raise NotASimpleRoot(f"f'({z0!r}) = 0; root is not simple")
         inv_fp = 1 / fp
     else:
-        z0 = double_value(z0)
         fc = [complex(c) for c in f]
         if abs(poly_eval(fc, z0)) > tau_root(fc):
             raise NotASimpleRoot(f"|f({z0!r})| exceeds the root tolerance")
@@ -235,8 +234,7 @@ def solve_all(T: ConvPolynomial, tol: float = DEFAULT_TOLERANCE) -> SolveAllResu
     return SolveAllResult(tuple(solutions), skipped, report)
 
 
-def factorization_check(T: ConvPolynomial, solutions,
-                        tol: float = DEFAULT_TOLERANCE):
+def factorization_check(T: ConvPolynomial, solutions):
     """Check T g = a_d * (g - g_1) * ... * (g - g_d) coefficientwise.
 
     Requires the anchor polynomial to have degree d with d simple roots
@@ -279,7 +277,7 @@ def factorization_check(T: ConvPolynomial, solutions,
                       for x, y in zip(lhs.values, rhs.values))
             worst = max(worst, dev)
             scale = max(1.0, rhs.max_abs())
-            if dev > tol * scale:
+            if dev > DEFAULT_TOLERANCE * scale:
                 ok = False
     return ok, worst
 
@@ -358,9 +356,14 @@ def _factors(t: Monomial) -> tuple:
     return tuple(l for l, e in enumerate(t.exponents) for _ in range(e))
 
 
-def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
-                 tau_cond: float = 1e-10, max_degree: int = 8,
-                 max_unknowns: int = 8):
+#: limits of :func:`solve_system`: unknowns, monomial degree, and the
+#: reciprocal of the largest accepted double-mode Jacobian condition estimate
+MAX_UNKNOWNS = 8
+MAX_DEGREE = 8
+TAU_COND = 1e-10
+
+
+def solve_system(S: PolySystem):
     """The unique m-tuple of window functions solving the system with the
     prescribed values at 0, given an invertible base-point Jacobian.
 
@@ -369,13 +372,13 @@ def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
     with the base-point Jacobian as coefficient matrix, and all other
     terms only use strictly smaller sizes.
     """
-    if S.m > max_unknowns:
-        raise PreconditionFailed(f"system has {S.m} unknowns; limit {max_unknowns}")
+    if S.m > MAX_UNKNOWNS:
+        raise PreconditionFailed(f"system has {S.m} unknowns; limit {MAX_UNKNOWNS}")
     for eq in S.equations:
         for t in eq:
-            if t.total_degree() > max_degree:
+            if t.total_degree() > MAX_DEGREE:
                 raise PreconditionFailed(
-                    f"monomial degree {t.total_degree()} exceeds limit {max_degree}")
+                    f"monomial degree {t.total_degree()} exceeds limit {MAX_DEGREE}")
     exact = S.exact
     zero = Fraction(0) if exact else 0j
     z0 = tuple(exact_value(z) if exact else double_value(z) for z in S.z0)
@@ -383,8 +386,9 @@ def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
 
     index, _, at0, grad = _prefix_tree(equations, z0, zero)
     F0 = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
+    tol = DEFAULT_TOLERANCE * _system_scale(S)
     for i, v in enumerate(F0):
-        bad = bool(v) if exact else abs(complex(v)) > tol * _system_scale(S)
+        bad = bool(v) if exact else abs(complex(v)) > tol
         if bad:
             raise InconsistentBasePoint(
                 f"equation {i} does not vanish at the base point: F_i = {v!r}")
@@ -396,10 +400,10 @@ def solve_system(S: PolySystem, tol: float = DEFAULT_TOLERANCE,
     if not exact:
         norm_J = max(sum(abs(complex(v)) for v in row) for row in J)
         norm_Jinv = max(sum(abs(complex(v)) for v in row) for row in Jinv)
-        if norm_J * norm_Jinv > 1.0 / tau_cond:
+        if norm_J * norm_Jinv > 1.0 / TAU_COND:
             raise SingularJacobian(
                 f"Jacobian condition estimate {norm_J * norm_Jinv:.3e} "
-                f"exceeds 1/{tau_cond}")
+                f"exceeds 1/{TAU_COND}")
     return _sweep(S.enum, equations, z0, Jinv, exact)
 
 

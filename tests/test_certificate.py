@@ -172,6 +172,20 @@ def test_validate_rejects_corrupted_certificate(od100):
         dc.validate(bad, g)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "double"])
+@pytest.mark.parametrize("window", ["od100", "lat2"])
+def test_validate_partial_sums_are_r_norm_partials(window, exact, request):
+    # both read one weighted pass, so the floats agree bit for bit
+    enum = request.getfixturevalue(window)
+    T = sqrt_one(enum) if exact else sqrt_one(enum).to_double()
+    g = dc.solve(T, 1)
+    cert = dc.certify(T, 1)
+    sums = dc.validate(cert, g).partial_sums
+    assert len(sums) == len(enum.levels) and sums[-1] > 0.0
+    for n, (size, _) in enumerate(enum.levels):
+        assert sums[n] == dc.r_norm_partial(g, cert.r, m=size)
+
+
 def test_monotone_in_q_coefficients():
     # growing any norm input weakly lowers the ratio wherever it is positive
     P = (0.0, 0.0, 0.5)

@@ -4,6 +4,8 @@ import json
 import pytest
 
 import dirconv.cli as cli
+from dirconv import certificate, series, solver
+from dirconv.scalars import format_scalar
 
 from oracles import sieve_mobius
 
@@ -158,15 +160,34 @@ def test_eval_task(tmp_path):
     assert abs(v - math.pi ** 2 / 6) < 1e-3
 
 
-def test_verify_task(tmp_path):
+def test_verify_task(tmp_path, monkeypatch):
     spec = copy.deepcopy(SQRT_SPEC)
     doc0, _ = run_spec(tmp_path, {**spec, "task": {"type": "certify", "root": 1}})
     r = doc0["certificate"]["r"]
-    spec["task"] = {"type": "verify", "root": 1, "points": [r + 1.0]}
+    points = [r + 1.0, {"re": r + 2.0, "im": 3.0}]
+    spec["task"] = {"type": "verify", "root": 1, "points": points}
+    calls = {"evaluate": 0, "tail_bound": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(series, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(series, name, counted)
     doc, code = run_spec(tmp_path, spec)
+    # per point one evaluation of g and of each of the 3 coefficients;
+    # the tail bound does not depend on the point and is computed once
+    assert calls == {"evaluate": 8, "tail_bound": 1}
+    monkeypatch.undo()
     assert code == 0
     assert doc["scalar_equation"]["all_ok"] is True
-    assert doc["series"][0]["tail_bound"] >= 0
+
+    problem = cli.Problem(spec)
+    T = solver.ConvPolynomial(tuple(problem.coefficients))
+    g = solver.solve(T, 1)
+    cert = certificate.certify(T, 1)
+    assert len(doc["series"]) == 2
+    for entry, p in zip(doc["series"], problem.points()):
+        assert entry["value"] == format_scalar(series.evaluate(g, p).value)
+        assert entry["tail_bound"] == series.tail_bound(g, cert, p) >= 0
 
 
 def test_table_rendering(tmp_path):
@@ -253,7 +274,11 @@ def test_certify_with_rho_and_norm_bounds(tmp_path):
 
 def test_verify_task_refuses_points_below_certified_rate(tmp_path):
     spec = copy.deepcopy(SQRT_SPEC)
-    spec["task"] = {"type": "verify", "root": 1, "points": [0.25]}
+    spec["task"] = {"type": "certify", "root": 1}
+    r = run_spec(tmp_path, spec)[0]["certificate"]["r"]
+    spec["task"] = {"type": "verify", "root": 1, "points": [r + 1.0, 0.25]}
     doc, code = run_spec(tmp_path, spec)
     assert code == 2
-    assert "OutOfHalfPlane" in doc["diagnostic"]
+    assert doc["diagnostic"] == (
+        "OutOfHalfPlane: point ((0.25+0j),) below the certified half-plane "
+        f"r + margin = {r}")
