@@ -24,11 +24,10 @@ from fractions import Fraction
 
 from .algebra import TruncatedFunction, r_norm_partial, weighted_terms
 from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
-                     ZeroDerivative)
+                     NotASimpleRoot)
 from .rounding import (abs_bounds, add_up, div_up, dn, exp_up, frac_bounds,
                        log_dn, mul_dn, mul_up, poly_eval_up, pow_up, sub_dn,
                        sub_up, up)
-from .roots import poly_derivative, poly_eval
 from .semigroup import size_bounds
 from .solver import ConvPolynomial
 
@@ -71,23 +70,13 @@ def _norms(T: ConvPolynomial, rho, norm_bounds):
     return norms
 
 
-def _abs_fprime_dn(T: ConvPolynomial, z0) -> float:
-    f = T.anchor_coeffs()
-    fp = poly_eval(poly_derivative(f), z0)
-    lo = abs_bounds(fp)[0]
-    if T.exact:
-        if not fp:
-            raise ZeroDerivative("f'(z0) = 0; no certificate at this anchor")
-    elif lo <= 0.0:
-        raise ZeroDerivative("|f'(z0)| is numerically zero; no certificate")
-    return lo
-
-
 def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     """The two comparison polynomials as round-up coefficient tuples."""
-    z0 = T.anchor_value(z0)
+    z0, fp = T.anchor(z0)
     d = T.degree
-    fp_dn = _abs_fprime_dn(T, z0)
+    fp_dn = abs_bounds(fp)[0]
+    if fp_dn <= 0.0:
+        raise NotASimpleRoot("|f'(z0)| is numerically zero; no certificate")
     norms = _norms(T, rho, norm_bounds)
     if not any(norms):
         raise AllCoefficientsZero("all coefficient norms vanish; nothing to certify")
@@ -168,7 +157,7 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
     inequality e^{-(r-rho) m1} <= C holds in round-up arithmetic.
     """
     rho = Fraction(rho)
-    z0 = T.anchor_value(z0)
+    z0 = T.anchor(z0)[0]
     P, Q = build_PQ(T, z0, rho, norm_bounds)
     scope = WINDOW_EXACT if norm_bounds is None else USER_BOUND
     abs_z0_up = abs_bounds(z0)[1]

@@ -19,7 +19,8 @@ import time
 from . import algebra, certificate, series, solver
 from .algebra import DEFAULT_TOLERANCE, TruncatedFunction
 from .errors import DirconvError, MathematicalRefusal, SpecError
-from .scalars import format_rational, format_scalar, parse_rational
+from .scalars import (format_rational, format_scalar, parse_rational,
+                      parse_scalar)
 from .semigroup import (Lattice, OrdinaryDirichlet, RationalGenerators,
                         enumerate_semigroup)
 
@@ -93,10 +94,10 @@ def _parse_function(obj, enum, exact, path):
                 return algebra.one(enum, exact)
             raise SpecError(f"unknown builtin {name!r}", path)
         if kind == "const":
-            return algebra.constant(enum, _scalar(obj["const"], exact), exact)
+            return algebra.constant(enum, parse_scalar(obj["const"], exact), exact)
         if kind == "indicator":
             ident = _ident(obj["indicator"], enum, path)
-            value = _scalar(obj.get("value", 1), exact)
+            value = parse_scalar(obj.get("value", 1), exact)
             return algebra.indicator(enum, ident, value, exact)
         pairs = []
         for row, entry in enumerate(obj["table"]):
@@ -104,7 +105,7 @@ def _parse_function(obj, enum, exact, path):
                 raise SpecError("table rows are [element, value] pairs",
                                 f"{path}.table[{row}]")
             ident = _ident(entry[0], enum, f"{path}.table[{row}]")
-            pairs.append((ident, _scalar(entry[1], exact)))
+            pairs.append((ident, parse_scalar(entry[1], exact)))
         return algebra.from_pairs(enum, pairs, exact)
     except SpecError:
         raise
@@ -125,12 +126,6 @@ def _ident(raw, enum, path):
         raise SpecError(f"element {raw!r} lies outside the enumerated window",
                         path)
     return ident
-
-
-def _scalar(raw, exact):
-    from .scalars import parse_scalar
-
-    return parse_scalar(raw, exact)
 
 
 def _parse_point(raw, k, path):
@@ -201,7 +196,7 @@ class Problem:
     def root(self):
         if "root" not in self.task:
             raise SpecError(f"task {self.task_type!r} needs a root", "task.root")
-        return _scalar(self.task["root"], self.exact)
+        return parse_scalar(self.task["root"], self.exact)
 
     def points(self):
         pts = self.task.get("points")
@@ -228,7 +223,7 @@ def _element_row(enum, i, value):
     e = enum[i]
     return {
         "id": enum.backend.ident_json(e.ident),
-        "coords": enum.backend.ident_json(e.coords),
+        "coords": enum.backend.ident_json(e.ident),
         "size": float(e.size),
         "value": format_scalar(value),
     }
@@ -285,14 +280,18 @@ def _series_doc(values):
     return out
 
 
-def run_problem(problem: Problem) -> dict:
-    """Execute the task; returns the result document (without timing)."""
-    doc = {
+def _header(problem: Problem) -> dict:
+    """The fields that result and refusal documents share."""
+    return {
         "backend": {"kind": problem.backend.kind, "k": problem.backend.k},
         "mode": "exact" if problem.exact else "double",
         "task": problem.task_type,
-        "window_size": len(problem.enum),
     }
+
+
+def run_problem(problem: Problem) -> dict:
+    """Execute the task; returns the result document (without timing)."""
+    doc = {**_header(problem), "window_size": len(problem.enum)}
     ttype = problem.task_type
     if ttype == "invert":
         g = algebra.invert(problem.coefficients[0], tol=problem.tolerance)
@@ -330,10 +329,11 @@ def run_problem(problem: Problem) -> dict:
         }
         return doc
 
-    # certify and verify: solve, certify, validate
-    z0 = problem.root()
+    # certify and verify: read every task field, then solve, certify, validate
+    z0, rho, norm_bounds = problem.root(), problem.rho(), problem.norm_bounds()
+    points = problem.points() if ttype == "verify" else None
     g = solver.solve(T, z0)
-    cert = certificate.certify(T, z0, problem.rho(), problem.norm_bounds())
+    cert = certificate.certify(T, z0, rho, norm_bounds)
     report = certificate.validate(cert, g)
     doc["certificate"] = _certificate_doc(cert)
     doc["validation"] = {
@@ -345,7 +345,7 @@ def run_problem(problem: Problem) -> dict:
         doc["root_report"] = _root_report_doc(solver.initial_polynomial(T))
         doc["solution"] = _function_table(g)
     else:
-        vr = series.verify_scalar_equation(T, g, problem.points(), cert=cert)
+        vr = series.verify_scalar_equation(T, g, points, cert=cert)
         doc["scalar_equation"] = {
             "all_ok": vr.all_ok,
             "worst_ratio": vr.worst_ratio,
@@ -383,9 +383,8 @@ def render(doc: dict, fmt: str = "table") -> str:
         for r in doc["root_report"]["roots"]:
             lines.append(f"  value={_fmt_val(r['value']):<24} "
                          f"multiplicity={r['multiplicity']} simple={r['simple']}")
-    for key, title in (("solution", "solution"),):
-        if key in doc:
-            lines.extend(_render_table(doc[key], title))
+    if "solution" in doc:
+        lines.extend(_render_table(doc["solution"], "solution"))
     if "solutions" in doc:
         for sol in doc["solutions"]:
             lines.extend(_render_table(sol["table"],
@@ -466,11 +465,9 @@ def run(spec_path: str, threads: int = 1, tolerance=None):
     except (ValueError, TypeError, KeyError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}", "spec_sha256": spec_hash}, 1
     except MathematicalRefusal as exc:
-        doc = {"task": raw.get("task", {}).get("type"),
-               "backend": {"kind": raw["semigroup"]["kind"],
-                           "k": raw["semigroup"].get("k", 1)},
-               "mode": raw.get("arithmetic", {}).get("mode", "exact"),
-               "diagnostic": _refusal_text(exc)}
+        # Problem() turns library errors into SpecError, so a refusal
+        # always comes from a parsed problem
+        doc = {**_header(problem), "diagnostic": _refusal_text(exc)}
         elapsed = 0.0
         code = 2
     except DirconvError as exc:

@@ -82,8 +82,8 @@ class PreconditionFailed(DirconvError):
 
 # -- certificate -------------------------------------------------------------
 
-class ZeroDerivative(MathematicalRefusal):
-    """The anchor polynomial has zero derivative at the requested root."""
+#: the refusal for f'(z0) = 0, kept under its certificate-side name
+ZeroDerivative = NotASimpleRoot
 
 
 class AllCoefficientsZero(MathematicalRefusal):
@@ -97,13 +97,12 @@ class NoPositiveR(MathematicalRefusal):
 class CertificateViolated(DirconvError):
     """A certificate check failed; indicates a bug or an under-reported norm.
 
-    Carries the offending level and the partial validation report.
+    Carries the offending level.
     """
 
-    def __init__(self, message, level=None, report=None):
+    def __init__(self, message, level=None):
         super().__init__(message)
         self.level = level
-        self.report = report
 
 
 # -- series ------------------------------------------------------------------

@@ -96,7 +96,7 @@ def frac_bounds(q) -> tuple[float, float]:
         return dn(f), up(f)
     f = float(q)  # round-to-nearest
     if math.isinf(f):
-        return (f, f) if f > 0 else (f, f)
+        return f, f
     if Fraction(f) == q:
         return f, f
     return dn(f), up(f)

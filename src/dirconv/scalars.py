@@ -110,9 +110,6 @@ class QC:
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
-    def conjugate(self):
-        return QC(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
         return self.re * self.re + self.im * self.im

@@ -94,14 +94,13 @@ def size_bounds(size) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Element:
-    """One semigroup element: exact identity, coordinates, exact size.
+    """One semigroup element: exact identity and exact size.
 
-    For the ordinary-Dirichlet backend ``coords`` equals ``ident``; the
-    integer tuple stands for its componentwise logarithms.
+    For the ordinary-Dirichlet backend the integer tuple ``ident``
+    stands for its componentwise logarithms.
     """
 
     ident: tuple
-    coords: tuple
     size: object  # int | Fraction | LogInt, homogeneous per backend
 
     def __repr__(self):
@@ -130,7 +129,7 @@ class Lattice:
         return tuple(x + y for x, y in zip(a, b))
 
     def make_element(self, ident) -> Element:
-        return Element(ident, ident, sum(ident))
+        return Element(ident, sum(ident))
 
     def validate_ident(self, raw):
         t = tuple(int(v) for v in raw)
@@ -147,14 +146,8 @@ class Lattice:
             return []
         return [t for t in _tuples_sum_at_most(self.k, int(n))]
 
-    def grow_bound(self, bound):
-        return (bound + 1) * 2
-
     def initial_bound(self):
         return 4
-
-    def signature(self):
-        return ("lattice", self.k)
 
 
 def _tuples_sum_at_most(k, n):
@@ -185,7 +178,7 @@ class OrdinaryDirichlet:
         return tuple(x * y for x, y in zip(a, b))
 
     def make_element(self, ident) -> Element:
-        return Element(ident, ident, LogInt(math.prod(ident)))
+        return Element(ident, LogInt(math.prod(ident)))
 
     def validate_ident(self, raw):
         t = tuple(int(v) for v in raw)
@@ -203,14 +196,8 @@ class OrdinaryDirichlet:
             return []
         return [t for t in _tuples_product_at_most(self.k, n)]
 
-    def grow_bound(self, bound):
-        return bound * 2
-
     def initial_bound(self):
         return 4
-
-    def signature(self):
-        return ("ordinary-dirichlet", self.k)
 
 
 def _tuples_product_at_most(k, n):
@@ -261,7 +248,7 @@ class RationalGenerators:
         return tuple(x + y for x, y in zip(a, b))
 
     def make_element(self, ident) -> Element:
-        return Element(ident, ident, sum(ident, Fraction(0)))
+        return Element(ident, sum(ident, Fraction(0)))
 
     def validate_ident(self, raw):
         t = tuple(parse_rational(c) for c in raw)
@@ -292,15 +279,8 @@ class RationalGenerators:
                 heapq.heappush(heap, (nsize, nxt))
         return out
 
-    def grow_bound(self, bound):
-        return bound * 2
-
     def initial_bound(self):
         return min(sum(g, Fraction(0)) for g in self.generators) * 8
-
-    def signature(self):
-        return ("rational-generators",
-                tuple(tuple(format_rational(c) for c in g) for g in self.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +318,8 @@ class Enumeration:
 
     @property
     def signature(self):
-        return (self.backend.signature(), self.truncation)
+        """Equal backends with equal truncations enumerate equal windows."""
+        return (self.backend, self.truncation)
 
     def index_of(self, x) -> int:
         ident = x.ident if isinstance(x, Element) else x
@@ -418,7 +399,7 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
         if size_bound < 0:
             raise EmptyTruncation(f"size bound {size_bound} is negative")
         idents = backend.idents_up_to(size_bound)
-        truncation = ("size_bound", _truncation_key(size_bound))
+        truncation = ("size_bound", size_bound)
     else:
         n = int(max_elements)
         if n < 1:
@@ -426,7 +407,7 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
         bound = backend.initial_bound()
         idents = backend.idents_up_to(bound)
         while len(idents) < n:
-            bound = backend.grow_bound(bound)
+            bound *= 2
             new = backend.idents_up_to(bound)
             if len(new) == len(idents):  # semigroup exhausted below any bound?
                 break
@@ -440,12 +421,6 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
     if not elements:
         raise EmptyTruncation("window is empty")
     return Enumeration(backend, elements, truncation)
-
-
-def _truncation_key(bound):
-    if isinstance(bound, Fraction):
-        return format_rational(bound)
-    return bound
 
 
 def min_positive_size(enum: Enumeration):

@@ -144,11 +144,9 @@ def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
             tg = float(g_tail(arg))
         elif cert is not None:
             sigma = min(c.real for c in pt)
-            # the wording is pinned by the CLI's golden refusal documents
             if sigma < cert.r:
                 raise OutOfHalfPlane(
-                    f"point {pt} below the certified half-plane r + margin = "
-                    f"{cert.r}")
+                    f"point {pt} below the certified half-plane r = {cert.r}")
             if cert_tail is None:
                 cert_tail = tail_bound(g, cert, pt)
             tg = cert_tail

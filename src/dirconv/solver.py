@@ -76,9 +76,30 @@ class ConvPolynomial:
         """The values a_j(0), constant term first."""
         return [c.values[0] for c in self.coeffs]
 
-    def anchor_value(self, z0):
-        """z0 as a scalar of the equation's mode."""
-        return exact_value(z0) if self.exact else double_value(z0)
+    def anchor(self, z0):
+        """(z0, f'(z0)) in the equation's mode, for a simple root z0 of f.
+
+        Exact mode demands f(z0) = 0 and f'(z0) != 0 exactly; double mode
+        applies the gates |f(z0)| <= tau_root, |f'(z0)| > tau_simple.
+        """
+        f = self.anchor_coeffs()
+        fprime = poly_derivative(f)
+        if self.exact:
+            z0 = exact_value(z0)
+            if poly_eval(f, z0):
+                raise NotASimpleRoot(f"f({z0!r}) != 0; not a root")
+            fp = poly_eval(fprime, z0)
+            if not fp:
+                raise NotASimpleRoot(f"f'({z0!r}) = 0; root is not simple")
+            return z0, fp
+        z0 = double_value(z0)
+        fc = [complex(c) for c in f]
+        if abs(poly_eval(fc, z0)) > tau_root(fc):
+            raise NotASimpleRoot(f"|f({z0!r})| exceeds the root tolerance")
+        fp = poly_eval([complex(c) for c in fprime], z0)
+        if abs(fp) <= tau_simple(fc):
+            raise NotASimpleRoot(f"|f'({z0!r})| below the simplicity gate")
+        return z0, fp
 
 
 @dataclass(frozen=True)
@@ -137,31 +158,11 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
 
 
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
-    """The unique solution g of T g = 0 with g(0) = z0, for a simple root z0.
-
-    Exact mode demands f(z0) = 0 and f'(z0) != 0 exactly; double mode
-    applies the gates |f(z0)| <= tau_root, |f'(z0)| > tau_simple.
-    """
-    f = T.anchor_coeffs()
-    fprime = poly_derivative(f)
-    z0 = T.anchor_value(z0)
-    if T.exact:
-        if poly_eval(f, z0):
-            raise NotASimpleRoot(f"f({z0!r}) != 0; not a root")
-        fp = poly_eval(fprime, z0)
-        if not fp:
-            raise NotASimpleRoot(f"f'({z0!r}) = 0; root is not simple")
-        inv_fp = 1 / fp
-    else:
-        fc = [complex(c) for c in f]
-        if abs(poly_eval(fc, z0)) > tau_root(fc):
-            raise NotASimpleRoot(f"|f({z0!r})| exceeds the root tolerance")
-        fp = poly_eval([complex(c) for c in fprime], z0)
-        if abs(fp) <= tau_simple(fc):
-            raise NotASimpleRoot(f"|f'({z0!r})| below the simplicity gate")
-        inv_fp = 1.0 / fp
+    """The unique solution g of T g = 0 with g(0) = z0, for a simple root
+    z0 that passes the gates of :meth:`ConvPolynomial.anchor`."""
+    z0, fp = T.anchor(z0)
     terms = [(c.values, (0,) * j) for j, c in enumerate(T.coeffs)]
-    return _sweep(T.enum, [terms], (z0,), [[inv_fp]], T.exact)[0]
+    return _sweep(T.enum, [terms], (z0,), [[1 / fp]], T.exact)[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:

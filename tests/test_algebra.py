@@ -127,6 +127,29 @@ def test_backend_mismatch(od20, lat8):
         dc.convolve(dc.one(od20), dc.one(lat8))
 
 
+def test_equal_backends_give_compatible_windows():
+    pairs = [
+        (dc.enumerate_semigroup(
+            dc.RationalGenerators((("1/2", "0"), ("0", "1/3"))), size_bound=3),
+         dc.enumerate_semigroup(
+            dc.RationalGenerators(((Fraction(1, 2), 0), (0, Fraction(1, 3)))),
+            size_bound=Fraction(3))),
+        (dc.enumerate_semigroup(dc.Lattice(2), size_bound=5),
+         dc.enumerate_semigroup(dc.Lattice(2), size_bound=5)),
+        (dc.enumerate_semigroup(dc.OrdinaryDirichlet(2), max_elements=30),
+         dc.enumerate_semigroup(dc.OrdinaryDirichlet(2), max_elements=30)),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        f, g = dc.one(a), dc.one(b)
+        assert f == g and hash(f) == hash(g)
+        assert dc.convolve(f, g) == dc.convolve(f, f)
+    lat = dc.enumerate_semigroup(dc.Lattice(2), size_bound=30)
+    div = dc.enumerate_semigroup(dc.OrdinaryDirichlet(2), size_bound=30)
+    with pytest.raises(dc.BackendMismatch):
+        dc.convolve(dc.one(lat), dc.one(div))
+
+
 def test_double_mode_matches_exact(od20):
     rng = random.Random(3)
     g = random_exact_function(od20, rng)

@@ -62,6 +62,20 @@ def test_build_pq_requires_nonzero_derivative(od20):
         dc.build_PQ(T, 0)
 
 
+@pytest.mark.parametrize("exact, z0", [
+    (True, 5), (True, Fraction(1, 3)), (False, 5), (False, 1.0000001)])
+def test_certify_refuses_a_non_root(od20, exact, z0):
+    # f(z) = z^2 - 1 has f'(z0) != 0 at each z0, but f(z0) != 0: no
+    # solution of g*g = one starts there, so there is nothing to certify
+    T = sqrt_one(od20) if exact else sqrt_one(od20).to_double()
+    with pytest.raises(dc.NotASimpleRoot, match="root"):
+        dc.build_PQ(T, z0)
+    with pytest.raises(dc.NotASimpleRoot, match="root"):
+        dc.certify(T, z0)
+    with pytest.raises(dc.NotASimpleRoot, match="root"):
+        dc.solve(T, z0)
+
+
 def test_build_pq_all_zero_coefficients(od20):
     zero_f = dc.constant(od20, 0)
     with pytest.raises((dc.AllCoefficientsZero, ValueError)):

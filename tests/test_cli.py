@@ -281,4 +281,49 @@ def test_verify_task_refuses_points_below_certified_rate(tmp_path):
     assert code == 2
     assert doc["diagnostic"] == (
         "OutOfHalfPlane: point ((0.25+0j),) below the certified half-plane "
-        f"r + margin = {r}")
+        f"r = {r}")
+
+
+def test_refusal_reports_the_parsed_dimension(tmp_path):
+    spec = {
+        "semigroup": {"kind": "rational-generators",
+                      "generators": [["1/2", "0"], ["0", "1/3"]],
+                      "size_bound": "2"},
+        "arithmetic": {"mode": "exact"},
+        "equation": {"coefficients": [
+            {"const": 1}, {"const": 0}, {"builtin": "unit"}]},
+        "task": {"type": "solve", "root": 5},
+    }
+    refused, code = run_spec(tmp_path, spec)
+    assert code == 2
+    assert refused["diagnostic"].startswith("NotASimpleRoot: ")
+    spec["equation"]["coefficients"][0] = {"const": -1}
+    spec["task"]["root"] = 1
+    solved, code = run_spec(tmp_path, spec)
+    assert code == 0
+    assert refused["backend"] == {"kind": "rational-generators", "k": 2}
+    for key in ("backend", "mode", "task"):
+        assert refused[key] == solved[key]
+
+
+@pytest.mark.parametrize("task", [
+    {"type": "verify", "root": 1, "points": [[1, 2]]},
+    {"type": "verify", "root": 1},
+    {"type": "certify", "root": 1, "rho": "x"},
+    {"type": "certify", "root": 1, "norm_bounds": ["x", 0, 1]},
+])
+def test_task_fields_are_read_before_solving(tmp_path, monkeypatch, task):
+    calls = []
+    real_solve = solver.solve
+
+    def counting_solve(*args):
+        calls.append(args)
+        return real_solve(*args)
+
+    monkeypatch.setattr(solver, "solve", counting_solve)
+    spec = copy.deepcopy(SQRT_SPEC)
+    spec["task"] = task
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert "error" in doc
+    assert calls == []

@@ -47,6 +47,20 @@ def test_max_elements_takes_smallest():
     assert [x.ident for x in e2] == [(0, 0), (0, 1), (1, 0), (0, 2)]
 
 
+@pytest.mark.parametrize("backend, size_bound", [
+    (dc.Lattice(2), 20),
+    (dc.OrdinaryDirichlet(2), 300),
+    (dc.RationalGenerators((("1/2", "0"), ("0", "1/3"), ("1/5", "1/7"))),
+     Fraction(7)),
+])
+def test_max_elements_is_a_prefix_of_a_size_bound_window(backend, size_bound):
+    big = list(dc.enumerate_semigroup(backend, size_bound=size_bound))
+    for n in (1, 2, 7, 16, 41, 100, 150):
+        assert len(big) > n
+        window = dc.enumerate_semigroup(backend, max_elements=n)
+        assert list(window) == big[:n]
+
+
 def test_empty_truncation_rejected():
     with pytest.raises(dc.EmptyTruncation):
         dc.enumerate_semigroup(dc.Lattice(1), size_bound=-1)
