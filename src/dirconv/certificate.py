@@ -62,11 +62,12 @@ class NormCertificate:
 
 def _norms(T: ConvPolynomial, rho, norm_bounds):
     """Round-up window norms ||a_j||_rho, optionally dominated by user bounds."""
-    norms = [r_norm_partial(c, float(rho), include_zero=True) for c in T.coeffs]
+    rho_dn = frac_bounds(rho)[0]   # a smaller rate only enlarges the norms
+    norms = [r_norm_partial(c, rho_dn, include_zero=True) for c in T.coeffs]
     if norm_bounds is not None:
         if len(norm_bounds) != len(norms):
             raise ValueError("need one norm bound per coefficient")
-        norms = [max(w, float(b)) for w, b in zip(norms, norm_bounds)]
+        norms = [max(w, frac_bounds(b)[1]) for w, b in zip(norms, norm_bounds)]
     return norms
 
 
@@ -157,6 +158,10 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
     inequality e^{-(r-rho) m1} <= C holds in round-up arithmetic.
     """
     rho = Fraction(rho)
+    rho_hi = frac_bounds(rho)[1]
+    if math.isinf(rho_hi):
+        raise ValueError("rho lies beyond the double range; "
+                         "the certified rate would not be finite")
     z0 = T.anchor(z0)[0]
     P, Q = build_PQ(T, z0, rho, norm_bounds)
     scope = WINDOW_EXACT if norm_bounds is None else USER_BOUND
@@ -173,8 +178,7 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
         # geometrically until the round-up check passes stays sound
         while exp_up(-mul_dn(s, m1_lo)) > C:
             s = up(s * 1.25) if s > 0.0 else 1e-300
-    rho_hi = frac_bounds(rho)[1]
-    r = add_up(rho_hi, s) if s else float(rho_hi)
+    r = add_up(rho_hi, s) if s else rho_hi
     return NormCertificate(rho=rho, m1=m1, z0=z0, P=P, Q=Q, t_star=t_star,
                            C=C, r=r, scope=scope, abs_z0=abs_z0_up)
 

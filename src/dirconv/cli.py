@@ -329,11 +329,11 @@ def run_problem(problem: Problem) -> dict:
         }
         return doc
 
-    # certify and verify: read every task field, then solve, certify, validate
+    # certify and verify: read every task field, then certify, solve, validate
     z0, rho, norm_bounds = problem.root(), problem.rho(), problem.norm_bounds()
     points = problem.points() if ttype == "verify" else None
-    g = solver.solve(T, z0)
     cert = certificate.certify(T, z0, rho, norm_bounds)
+    g = solver.solve(T, z0)
     report = certificate.validate(cert, g)
     doc["certificate"] = _certificate_doc(cert)
     doc["validation"] = {

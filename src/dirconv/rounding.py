@@ -11,9 +11,11 @@ their at-most-one-ulp error on CPython/libm.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 INF = math.inf
+MAX = sys.float_info.max
 
 
 def up(x: float) -> float:
@@ -88,16 +90,17 @@ def log_dn(x: float) -> float:
 
 
 def frac_bounds(q) -> tuple[float, float]:
-    """Directed double bounds of a rational (or int) value."""
-    if isinstance(q, int):
-        f = float(q)
-        if int(f) == q:
-            return f, f
-        return dn(f), up(f)
+    """Directed double bounds of a rational (or int) value.
+
+    Beyond the double range the outer bound is infinite and the inner
+    one is the largest finite double.
+    """
+    if q > MAX:
+        return MAX, INF
+    if q < -MAX:
+        return -INF, -MAX
     f = float(q)  # round-to-nearest
-    if math.isinf(f):
-        return f, f
-    if Fraction(f) == q:
+    if f == q:
         return f, f
     return dn(f), up(f)
 

@@ -17,7 +17,11 @@ Three backend families:
 smallest elements) in the total order "size, then lexicographic
 identity".  That order is the induction order of every recursion in the
 rest of the library.  The enumeration also owns the shared additive
-decomposition tables x = x' + x'' used by convolution.
+decomposition table x = x' + x'' used by convolution, a flat
+:class:`DecompTable` built by one integer scan: every backend gives each
+element an exact integer size key and an integer code of its identity
+(see ``scan_plan``), so the scan adds or multiplies ints and looks them
+up in one int-keyed dict.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from array import array
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
+from operator import add, mul
 
 from .errors import EmptyTruncation, NotEnumerated, OnlyZero
 from .rounding import dn, frac_bounds, up
@@ -149,6 +157,39 @@ class Lattice:
     def initial_bound(self):
         return 4
 
+    def scan_plan(self, idents):
+        """The integer form of a window for the decomposition scan.
+
+        ``idents`` are the window's identities in window order.  Returns
+        (keys, codes, limit, sums): exact integer size keys, ascending;
+        one integer code per identity; ``limit(key)``, the largest
+        partner key whose sum with an element of size key ``key`` stays
+        in the window; and ``sums(i, jmax)``, the codes of e_i + e_j for
+        j < jmax.  Here the key is the coordinate sum and the code is a
+        mixed-radix int, so adding elements adds codes.
+        """
+        return _additive_plan(idents)
+
+
+def _radix_weights(k, top):
+    """Mixed-radix place values for k coordinates that never exceed ``top``."""
+    return [(top + 1) ** m for m in range(k)]
+
+
+def _additive_plan(points):
+    """Scan plan of a window of non-negative integer coordinate vectors
+    under addition.  A sum kept in the window has every coordinate at
+    most the largest key, so its mixed-radix code is the sum of codes."""
+    keys = [sum(p) for p in points]
+    top = keys[-1]
+    weights = _radix_weights(len(points[0]), top)
+    codes = [sum(map(mul, p, weights)) for p in points]
+
+    def sums(i, jmax):
+        return map(add, itertools.repeat(codes[i]), itertools.islice(codes, jmax))
+
+    return keys, codes, lambda key: top - key, sums
+
 
 def _tuples_sum_at_most(k, n):
     if k == 1:
@@ -198,6 +239,24 @@ class OrdinaryDirichlet:
 
     def initial_bound(self):
         return 4
+
+    def scan_plan(self, idents):
+        """As :meth:`Lattice.scan_plan`, with the product n_1*...*n_k as
+        the key; a product of elements multiplies keys.  The code of
+        e_i * e_j is sum_m (n_m w_m) n'_m for the place values w_m, so the
+        codes of one row are k int products per partner, summed."""
+        keys = [math.prod(t) for t in idents]
+        top = keys[-1]
+        weights = _radix_weights(self.k, top)
+        columns = list(zip(*idents))
+
+        def sums(i, jmax):
+            return reduce(partial(map, add), [
+                map(mul, itertools.repeat(n * w), itertools.islice(col, jmax))
+                for n, w, col in zip(idents[i], weights, columns)])
+
+        codes = [sum(map(mul, t, weights)) for t in idents]
+        return keys, codes, lambda key: top // key, sums
 
 
 def _tuples_product_at_most(k, n):
@@ -282,9 +341,62 @@ class RationalGenerators:
     def initial_bound(self):
         return min(sum(g, Fraction(0)) for g in self.generators) * 8
 
+    def scan_plan(self, idents):
+        """As :meth:`Lattice.scan_plan` on the identities scaled by q, the
+        lcm of the generator denominators: q*X lies in N0^k, and the key
+        is q times the size."""
+        q = math.lcm(*(c.denominator for g in self.generators for c in g))
+        return _additive_plan([tuple(c.numerator * (q // c.denominator) for c in t)
+                               for t in idents])
+
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+class DecompTable:
+    """The decomposition pairs of a window in CSR form.
+
+    The ordered pairs (i, j) with e_i + e_j = e_t are ``first[a:b]`` and
+    ``second[a:b]`` for a, b = ``offsets[t]``, ``offsets[t + 1]``, first
+    component ascending.  ``table[t]`` returns them as a tuple of (i, j)
+    pairs, and iterating the table yields those tuples element by element.
+    """
+
+    __slots__ = ("offsets", "first", "second")
+
+    def __init__(self, buckets):
+        # buckets[t] lists the first components of e_t's pairs, ascending;
+        # it is reversed in place.  Every pair (i, j) has its mirror
+        # (j, i), and the window order survives translation, so j falls
+        # as i rises: the second components are the first ones reversed.
+        self.offsets = array("i", itertools.accumulate(map(len, buckets), initial=0))
+        self.first = array("i")
+        self.second = array("i")
+        consume = deque(maxlen=0).extend
+        consume(map(self.first.fromlist, buckets))
+        consume(map(list.reverse, buckets))
+        consume(map(self.second.fromlist, buckets))
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t):
+        t = range(len(self))[t]
+        a, b = self.offsets[t], self.offsets[t + 1]
+        return tuple(zip(self.first[a:b], self.second[a:b]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
+class _Buckets(dict):
+    """Identity code -> pair bucket; the sum of a pair that a
+    ``max_elements`` window cut from its top level lands in a bucket
+    that nobody keeps."""
+
+    def __missing__(self, code):
+        return []
 
 
 class Enumeration:
@@ -344,29 +456,26 @@ class Enumeration:
         return [(s, tuple(ix)) for s, ix in out]
 
     @cached_property
-    def decomp(self):
+    def decomp(self) -> DecompTable:
         """For each element index t, all ordered pairs (i, j) with e_i + e_j = e_t.
 
-        Built by one pass over ordered pairs of enumerated elements; the
-        early break relies on the size-sorted order.  Pairs are listed
-        with the first component ascending in the enumeration order.
+        One pass over the elements in window order on the backend's
+        integer scan plan: for e_i, the partners e_j whose size keys keep
+        the sum in the window form a prefix of the window (the keys
+        ascend), and each sum's code is looked up in one int-keyed dict.
+        So the pairs of every element come out with the first component
+        ascending.  No per-pair object is kept: each element's bucket
+        holds the shared int i, and the buckets become a flat table.
         """
-        backend = self.backend
-        elements = self.elements
-        index = self._index
-        max_size = elements[-1].size
-        out = [[] for _ in elements]
-        for i, a in enumerate(elements):
-            ai = a.ident
-            asize = a.size
-            for j, b in enumerate(elements):
-                s = asize + b.size
-                if s > max_size:
-                    break
-                t = index.get(backend.add(ai, b.ident))
-                if t is not None:
-                    out[t].append((i, j))
-        return [tuple(p) for p in out]
+        keys, codes, limit, sums = self.backend.scan_plan(
+            [e.ident for e in self.elements])
+        buckets = [[] for _ in keys]
+        index = _Buckets(zip(codes, buckets))
+        consume = deque(maxlen=0).extend
+        for i, key in enumerate(keys):
+            targets = map(index.__getitem__, sums(i, bisect_right(keys, limit(key))))
+            consume(map(list.append, targets, itertools.repeat(i)))
+        return DecompTable(buckets)
 
     def decompositions(self, x):
         """All ordered pairs (x', x'') of enumerated elements with x' + x'' = x."""

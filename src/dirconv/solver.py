@@ -29,7 +29,7 @@ from fractions import Fraction
 from operator import mul
 
 from .algebra import (DEFAULT_TOLERANCE, TruncatedFunction, check_compatible,
-                      convolve, unit)
+                      convolve, dot, unit)
 from .errors import (DegenerateConstant, InconsistentBasePoint, NoSimpleRoots,
                      NotASimpleRoot, PreconditionFailed, SingularJacobian,
                      ZeroPolynomial)
@@ -448,11 +448,6 @@ def _prefix_tree(equations, z0, zero):
     return index, nodes, at0, grad
 
 
-def _dot(a, b, us, vs):
-    """The sum of a[u] * b[v] over the paired positions of us and vs."""
-    return sum(map(mul, map(a.__getitem__, us), map(b.__getitem__, vs)))
-
-
 def _sweep(enum, equations, z0, Jinv, exact):
     """The window functions g_1, ..., g_m that the equations force.
 
@@ -472,12 +467,12 @@ def _sweep(enum, equations, z0, Jinv, exact):
     for k in range(len(nodes)):
         Q[k][0] = at0[k]
     dec = enum.decomp
+    first, second, offsets = dec.first, dec.second, dec.offsets
     for x in range(1, n):
         # (0, x) opens and (x, 0) closes every pair list; the pairs in
         # between only touch elements smaller than x
-        inner = dec[x][1:-1]
-        us = [u for u, _ in inner]
-        vs = [v for _, v in inner]
+        a, b = offsets[x] + 1, offsets[x + 1] - 1
+        us, vs = first[a:b], second[a:b]
         # table values at x with every g_l(x) taken as 0; the unit
         # table (node 0) vanishes off 0, so its products drop out
         masked = [zero] * len(nodes)
@@ -485,14 +480,14 @@ def _sweep(enum, equations, z0, Jinv, exact):
             p, l = nodes[k]
             masked[k] = masked[p] * z0[l]
             if p:
-                masked[k] += _dot(Q[p], G[l], us, vs)
+                masked[k] += dot(Q[p], G[l], us, vs)
         known = []
         for eq in terms:
             acc = zero
             for c, k in eq:
                 acc += c[x] * at0[k]
                 if k:
-                    acc += c[0] * masked[k] + _dot(c, Q[k], us, vs)
+                    acc += c[0] * masked[k] + dot(c, Q[k], us, vs)
             known.append(acc)
         gx = [-sum(map(mul, row, known)) for row in Jinv]
         for l in range(m):

@@ -95,6 +95,32 @@ def instance_with_anchor_roots(enum, roots, rng, span=2, denom=2):
     return dc.ConvPolynomial(tuple(fs))
 
 
+def pair_scan(enum):
+    """For each element index t, all ordered pairs (i, j) with e_i + e_j = e_t.
+
+    The generic scan over ordered pairs of enumerated elements, with the
+    backend's own ``add`` on identities and the exact sizes; the early
+    break relies on the size-sorted order.  Pairs are listed with the
+    first component ascending in the enumeration order.
+    """
+    backend = enum.backend
+    elements = enum.elements
+    index = {e.ident: i for i, e in enumerate(elements)}
+    max_size = elements[-1].size
+    out = [[] for _ in elements]
+    for i, a in enumerate(elements):
+        ai = a.ident
+        asize = a.size
+        for j, b in enumerate(elements):
+            s = asize + b.size
+            if s > max_size:
+                break
+            t = index.get(backend.add(ai, b.ident))
+            if t is not None:
+                out[t].append((i, j))
+    return [tuple(p) for p in out]
+
+
 def compositions_into(enum, x_idx, parts):
     """All ordered tuples of element indices summing to the given element."""
     if parts == 0:

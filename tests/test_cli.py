@@ -1,5 +1,6 @@
 import copy
 import json
+import pathlib
 
 import pytest
 
@@ -8,6 +9,8 @@ from dirconv import certificate, series, solver
 from dirconv.scalars import format_scalar
 
 from oracles import sieve_mobius
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 MOBIUS_SPEC = {
     "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 100},
@@ -326,4 +329,16 @@ def test_task_fields_are_read_before_solving(tmp_path, monkeypatch, task):
     doc, code = run_spec(tmp_path, spec)
     assert code == 1
     assert "error" in doc
+    assert calls == []
+
+
+def test_rho_beyond_the_double_range_exits_1_without_solving(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "solve", lambda *args: calls.append(args))
+    with open(GOLDEN / "certify-rho.spec.json") as fh:
+        spec = json.load(fh)
+    spec["task"]["rho"] = "1e400"
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["error"].startswith("ValueError: rho lies beyond the double range")
     assert calls == []

@@ -1,0 +1,116 @@
+"""The flat decomposition table against the generic pair scan, and the
+reads of the table that the benchmark and the scripts make."""
+
+import functools
+import itertools
+import json
+import os
+import subprocess
+import sys
+from array import array
+from collections import Counter
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import dirconv as dc
+from dirconv.semigroup import Enumeration
+
+from oracles import pair_scan
+
+ROOT = Path(__file__).resolve().parent.parent
+
+COLLIDING = dc.RationalGenerators((("1/2", "0"), ("0", "1/3"), ("1/2", "1/3")))
+
+WINDOWS = {
+    "lattice1-size": (dc.Lattice(1), {"size_bound": 30}),
+    "lattice2-size": (dc.Lattice(2), {"size_bound": 9}),
+    "lattice3-size": (dc.Lattice(3), {"size_bound": 6}),
+    "lattice2-max": (dc.Lattice(2), {"max_elements": 40}),
+    "lattice3-max": (dc.Lattice(3), {"max_elements": 75}),
+    "divisor1-size": (dc.OrdinaryDirichlet(1), {"size_bound": 300}),
+    "divisor2-size": (dc.OrdinaryDirichlet(2), {"size_bound": 120}),
+    "divisor3-size": (dc.OrdinaryDirichlet(3), {"size_bound": 40}),
+    "divisor1-max": (dc.OrdinaryDirichlet(1), {"max_elements": 77}),
+    "divisor2-max": (dc.OrdinaryDirichlet(2), {"max_elements": 150}),
+    "divisor3-max": (dc.OrdinaryDirichlet(3), {"max_elements": 90}),
+    "generators1-size": (dc.RationalGenerators((("2/3",), ("5/4",))),
+                         {"size_bound": 9}),
+    "generators2-size": (dc.RationalGenerators((("1/2", "1"), ("2", "1/3"))),
+                         {"size_bound": 6}),
+    "generators3-size": (dc.RationalGenerators((("1/2", "0", "1/5"),
+                                                ("0", "1/3", "0"),
+                                                ("1", "1/2", "1/3"))),
+                         {"size_bound": 3}),
+    "generators2-max": (dc.RationalGenerators((("1/2", "1"), ("2", "1/3"))),
+                        {"max_elements": 60}),
+    "colliding-size": (COLLIDING, {"size_bound": 4}),
+    "colliding-max": (COLLIDING, {"max_elements": 100}),
+    "zero-coordinate": (dc.RationalGenerators((("0", "3/2"), ("1/3", "1/3"))),
+                        {"size_bound": 7}),
+    "one-element-lattice": (dc.Lattice(2), {"size_bound": 0}),
+    "one-element-divisor": (dc.OrdinaryDirichlet(3), {"max_elements": 1}),
+    "one-element-generators": (COLLIDING, {"size_bound": Fraction(1, 4)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_table_matches_the_pair_scan(name):
+    backend, truncation = WINDOWS[name]
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    expected = pair_scan(enum)
+    table = enum.decomp
+    assert len(table) == len(enum)
+    assert list(table) == expected
+    # the flat arrays hold the same pairs in the same order
+    for arr in (table.offsets, table.first, table.second):
+        assert isinstance(arr, array) and arr.typecode == "i"
+    assert list(table.offsets) == [0, *itertools.accumulate(map(len, expected))]
+    assert list(zip(table.first, table.second)) == [p for ps in expected for p in ps]
+
+
+def test_colliding_generators_merge_and_single_element_windows():
+    enum = dc.enumerate_semigroup(COLLIDING, size_bound=2)
+    # (1/2, 1/3) is both a generator and the sum of the other two
+    t = enum.index_of((Fraction(1, 2), Fraction(1, 3)))
+    half, third = (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 3))
+    idents = [(enum[i].ident, enum[j].ident) for i, j in enum.decomp[t]]
+    assert idents[1:3] == [(third, half), (half, third)]
+    assert len(idents) == 4
+    one = dc.enumerate_semigroup(dc.Lattice(1), size_bound=0)
+    assert list(one.decomp) == [((0, 0),)]
+
+
+def _workload(name):
+    with open(ROOT / "perfbench" / "workloads.json") as fh:
+        return json.load(fh)["workloads"][name]["counters"]
+
+
+@pytest.mark.parametrize("name, backend, bound", [
+    ("dirichlet-exact", dc.OrdinaryDirichlet(1), 10 ** 4),
+    ("generators-solve-all",
+     dc.RationalGenerators((("1/2", "0"), ("0", "1/3"), ("1/5", "1/7"))), 8),
+])
+def test_benchmark_reads_of_the_table(name, backend, bound):
+    """The benchmark wraps the cached property's function and counts
+    pairs by iterating the table; both reads keep working."""
+    assert isinstance(Enumeration.__dict__["decomp"], functools.cached_property)
+    enum = dc.enumerate_semigroup(backend, size_bound=bound)
+    counters = _workload(name)
+    assert len(enum) == counters["semigroup.elements"]
+    assert sum(len(p) for p in enum.decomp) == counters["semigroup.pairs"]
+    first = Counter(u for pairs in enum.decomp for u, _ in pairs)
+    assert sum(first.values()) == counters["semigroup.pairs"]
+    assert enum.decomp is enum.decomp
+
+
+def test_mobius_script_prints_its_pair_count():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mobius_inversion.py"), "--n", "100"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    enum = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=100)
+    pairs = sum(len(p) for p in pair_scan(enum))
+    assert f"100 elements, {pairs} divisor pairs" in proc.stdout

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,16 @@ def test_scalar_serialization_round_trip():
 def test_frac_bounds_enclose(q):
     lo, hi = frac_bounds(q)
     assert Fraction(lo) <= q <= Fraction(hi)
+
+
+def test_frac_bounds_beyond_the_double_range():
+    big = sys.float_info.max
+    assert frac_bounds(Fraction(10 ** 400)) == (big, math.inf)
+    assert frac_bounds(-Fraction(10 ** 400)) == (-math.inf, -big)
+    assert frac_bounds(10 ** 400) == (big, math.inf)
+    assert frac_bounds(Fraction(10 ** 400, 3)) == (big, math.inf)
+    # the largest double itself is exact
+    assert frac_bounds(Fraction(big)) == (big, big)
 
 
 @given(fractions_st, fractions_st)
