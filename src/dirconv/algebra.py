@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import pairwise
+from operator import add, mul
 
 from .errors import BackendMismatch, NotInvertible
 from .rounding import abs_bounds, add_up, mul_dn, mul_up, weight_bounds
-from .scalars import double_value, exact_value
+from .scalars import QC, double_value, exact_value
 from .semigroup import Enumeration, size_bounds
 
 #: default comparison tolerance for double-mode assertions
@@ -87,12 +89,7 @@ class TruncatedFunction:
 
     def max_abs(self) -> float:
         """Round-up bound of max |g(x)| over the window."""
-        worst = 0.0
-        for v in self.values:
-            hi = abs_bounds(v)[1]
-            if hi > worst:
-                worst = hi
-        return worst
+        return max(0.0, *(abs_bounds(v)[1] for v in self.values))
 
 
 def check_compatible(g: TruncatedFunction, h: TruncatedFunction):
@@ -163,13 +160,60 @@ def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunct
 
 
 def dot(a, b, us, vs):
-    """The sum of a[u] * b[v] over the paired positions of us and vs,
-    added left to right from 0 (a plain loop: faster here than a chain
-    of ``map`` calls on complex values)."""
+    """Double mode: the sum of a[u] * b[v] over the paired positions of
+    us and vs, added left to right from 0 (a plain loop: faster here
+    than a chain of ``map`` calls on complex values)."""
     acc = 0
     for u, v in zip(us, vs):
         acc = acc + a[u] * b[v]
     return acc
+
+
+def _ratio(v):
+    """(numerator, denominator) of an exact value.  A Gaussian rational's
+    numerator is the QC of its parts' integer numerators over their
+    common denominator."""
+    if type(v) is not QC:
+        return v.as_integer_ratio()
+    den = math.lcm(v.re.denominator, v.im.denominator)
+    return QC(v.re * den, v.im * den), den
+
+
+class Ratios(list):
+    """Exact values with their (numerator, denominator) integers beside
+    them: the operands of :func:`qdot`, built and dropped in one call."""
+
+    __slots__ = ("nums", "dens")
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.nums, self.dens = map(list, zip(*map(_ratio, self)))
+
+    def __setitem__(self, x, v):
+        super().__setitem__(x, v)
+        self.nums[x], self.dens[x] = _ratio(v)
+
+
+def qdot(a: Ratios, b: Ratios, us, vs):
+    """Exact mode: the sum of a[u] * b[v] over the paired positions.
+
+    A pair is skipped as soon as either numerator is 0; the others are
+    summed as one numerator over a running common denominator, and one
+    Fraction (or QC) is built at the end.
+    """
+    an, ad, bn, bd = a.nums, a.dens, b.nums, b.dens
+    num, den = 0, 1
+    for u, v in zip(us, vs):
+        p = an[u]
+        if p:
+            q = bn[v]
+            if q:
+                d = ad[u] * bd[v]
+                if den % d:
+                    g = math.gcd(den, d)
+                    num, den = num * (d // g), den // g * d
+                num += p * q * (den // d)
+    return Fraction(num, den) if type(num) is int else exact_value(num / den)
 
 
 def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
@@ -182,8 +226,9 @@ def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     g, h = coerce_pair(g, h)
     dec = g.enum.decomp
     first, second = dec.first, dec.second
-    gv, hv = g.values, h.values
-    out = [dot(gv, hv, first[a:b], second[a:b]) for a, b in pairwise(dec.offsets)]
+    kernel, operand = (qdot, Ratios) if g.exact else (dot, tuple)
+    gv, hv = operand(g.values), operand(h.values)
+    out = [kernel(gv, hv, first[a:b], second[a:b]) for a, b in pairwise(dec.offsets)]
     return TruncatedFunction(g.enum, out, g.exact)
 
 
@@ -205,28 +250,108 @@ def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
 def invert(g: TruncatedFunction, tol: float = DEFAULT_TOLERANCE) -> TruncatedFunction:
     """The convolution inverse, defined whenever g(0) != 0.
 
-    Entries are filled in enumeration order; the value at x only uses
-    values at strictly smaller sizes, mirroring the triangular structure
-    of the defining system g * g^{-1} = unit.
+    The inverse h solves the degree-1 equation g * h - unit = 0 with
+    h(0) = 1/g(0), so it is the sweep with J^{-1} = [[1/g(0)]].
     """
-    v = g.values
-    if g.exact:
-        if not v[0]:
-            raise NotInvertible("g(0) = 0 has no convolution inverse")
-        inv0 = 1 / v[0]
-    else:
-        if abs(v[0]) <= tol:
-            raise NotInvertible(f"|g(0)| = {abs(v[0])!r} below tolerance {tol}")
-        inv0 = 1.0 / v[0]
-    dec = g.enum.decomp
+    v0 = g.values[0]
+    if g.exact and not v0:
+        raise NotInvertible("g(0) = 0 has no convolution inverse")
+    if not g.exact and abs(v0) <= tol:
+        raise NotInvertible(f"|g(0)| = {abs(v0)!r} below tolerance {tol}")
+    inv0 = 1 / v0
+    terms = [((-unit(g.enum, g.exact)).values, ()), (g.values, (0,))]
+    return sweep(g.enum, [terms], (inv0,), [[inv0]], g.exact)[0]
+
+
+# ---------------------------------------------------------------------------
+# the sweep shared by inversion, equations and systems
+
+
+def prefix_tree(equations, z0, zero):
+    """Every distinct prefix of the terms' factor sequences, parents first.
+
+    Returns (index, nodes, at0, grad): ``index`` maps a prefix to its
+    node number, node 0 is the empty product and node k > 0 is
+    (parent node, last factor l), the product of its parent with g_l;
+    ``at0[k]`` is the node's value at the base point and ``grad[k][l]``
+    its partial derivative in z_l there.
+    """
+    index, nodes, at0, grad = {(): 0}, [None], [zero + 1], [[zero] * len(z0)]
+    for eq in equations:
+        for _, fs in eq:
+            for n in range(1, len(fs) + 1):
+                if fs[:n] in index:
+                    continue
+                k, l = index[fs[:n - 1]], fs[n - 1]
+                index[fs[:n]] = len(nodes)
+                nodes.append((k, l))
+                at0.append(at0[k] * z0[l])
+                dk = [d * z0[l] for d in grad[k]]
+                dk[l] = dk[l] + at0[k]
+                grad.append(dk)
+    return index, nodes, at0, grad
+
+
+def sweep(enum, equations, z0, Jinv, exact):
+    """The window functions g_1, ..., g_m that the equations force.
+
+    ``equations`` lists, per equation, its terms as (coefficient values,
+    factor sequence); ``z0`` holds the values at 0 and ``Jinv`` the
+    inverse of the base-point Jacobian.  One product table is kept per
+    factor prefix: g_l itself for one factor, and a longer one only
+    where a pair product reads it.  At each element the tables and
+    equations are evaluated with the unknowns masked out, J^{-1} is
+    applied once, and each table gets the linear term the base point
+    fixes.  A coefficient that vanishes off 0 meets no inner pair.
+    """
+    zero = Fraction(0) if exact else 0j
+    kernel, operand, table = (qdot, Ratios, Ratios) if exact else (dot, tuple, list)
+    m, n = len(z0), len(enum)
+    index, nodes, at0, grad = prefix_tree(equations, z0, zero)
+    linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
+    terms = [[(c, index[fs], c[0], operand(c) if fs and any(c[1:]) else None)
+              for c, fs in eq] for eq in equations]
+    G = [table([z] + [zero] * (n - 1)) for z in z0]
+    deep = [k for k in range(1, len(nodes)) if nodes[k][0]]
+    read = {nodes[k][0] for k in deep} | {k for eq in terms for _, k, _, cv in eq if cv}
+    kept = [k for k in deep if k in read]
+    Q = [None] * len(nodes)
+    for k, (p, l) in enumerate(nodes[1:], 1):
+        Q[k] = table([at0[k]] + [zero] * (n - 1)) if k in kept else None if p else G[l]
+    negJinv = [[-v for v in row] for row in Jinv]
+    dec = enum.decomp
     first, second, offsets = dec.first, dec.second, dec.offsets
-    out = [None] * len(v)
-    out[0] = inv0
-    for t in range(1, len(v)):
-        # skip the opening pair (0, t), the one that holds the unknown out[t]
-        a, b = offsets[t] + 1, offsets[t + 1]
-        out[t] = -(inv0 * dot(v, out, first[a:b], second[a:b]))
-    return TruncatedFunction(g.enum, out, g.exact)
+    for x in range(1, n):
+        # (0, x) opens and (x, 0) closes every pair list; the pairs in
+        # between only touch elements smaller than x
+        a, b = offsets[x] + 1, offsets[x + 1] - 1
+        us, vs = first[a:b], second[a:b]
+        # table values at x with every g_l(x) taken as 0; one-factor
+        # tables and the unit table vanish there
+        masked = [zero] * len(nodes)
+        for k in deep:
+            p, l = nodes[k]
+            prod = kernel(Q[p], G[l], us, vs)
+            masked[k] = masked[p] * z0[l] + prod if masked[p] else prod
+        known = []
+        for eq in terms:
+            parts = []
+            for c, k, c0, cv in eq:
+                if c[x] and at0[k]:
+                    parts.append(c[x] * at0[k])
+                part = c0 * masked[k] if c0 and masked[k] else None
+                if cv:
+                    prod = kernel(cv, Q[k], us, vs)
+                    part = prod if part is None else part + prod
+                if part:
+                    parts.append(part)
+            known.append(reduce(add, parts) if parts else zero)
+        gx = [reduce(add, map(mul, row, known)) for row in negJinv]
+        for l in range(m):
+            G[l][x] = gx[l]
+        for k in kept:
+            Q[k][x] = masked[k] + sum(d * gx[l] for l, d in linear[k])
+    return tuple(TruncatedFunction(enum, g, exact) for g in G)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +363,17 @@ def weighted_terms(g: TruncatedFunction, r: float):
 
     Yields (size, round-down term, round-up term) in window order; every
     norm, partial sum and tail of the package is summed from these.
+    Zero values need no weight; a value repeated in a row is bracketed once.
     """
+    prev = None
     for e, v in zip(g.enum.elements, g.values):
+        if v is not prev:
+            prev = v
+            a_lo, a_hi = abs_bounds(v)
+        if not a_hi:
+            yield e.size, 0.0, 0.0
+            continue
         w_lo, w_hi = weight_bounds(r, *size_bounds(e.size))
-        a_lo, a_hi = abs_bounds(v)
         yield e.size, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
 
 

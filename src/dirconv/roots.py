@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QC
+from .scalars import QC, exact_value
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,9 @@ def rational_roots(coeffs):
     out.  Gives up (returns no roots) when the integerized ends are too
     large to factor quickly.
     """
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     ps = _divisors(ints[0])
@@ -259,7 +255,7 @@ def _exact_roots(work):
     while changed and len(work) > 1:
         changed = False
         if len(work) == 2:  # linear: always exact
-            val = _normalize(-_as_qc(work[0]) / _as_qc(work[1]))
+            val = exact_value(-_as_qc(work[0]) / _as_qc(work[1]))
             note(val)
             work = [work[1]]
             changed = True
@@ -280,18 +276,12 @@ def _exact_roots(work):
             s = qc_sqrt(disc)
             if s is not None:
                 for sign in (1, -1):
-                    val = _normalize((-b + (s if sign > 0 else -s)) / (QC(2) * a))
+                    val = exact_value((-b + (s if sign > 0 else -s)) / (QC(2) * a))
                     note(val)
                 work = [work[2]]
                 changed = True
                 continue
     return work, sorted(found.items(), key=lambda kv: _value_sort_key(kv[0]))
-
-
-def _normalize(v):
-    if isinstance(v, QC) and v.im == 0:
-        return v.re
-    return v
 
 
 def _is_simple(f_coeffs, fprime, value, mult, exact, gate):

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
+
+from .scalars import QC
 
 INF = math.inf
 MAX = sys.float_info.max
+_MAX_INT = int(MAX)
 
 
 def up(x: float) -> float:
@@ -105,42 +107,56 @@ def frac_bounds(q) -> tuple[float, float]:
     return dn(f), up(f)
 
 
-def abs_bounds_complex(z: complex) -> tuple[float, float]:
-    """Directed bounds of |z| for a complex double (hypot is within 1 ulp)."""
-    a = math.hypot(z.real, z.imag)
-    if a == 0.0:
-        return 0.0, 0.0
-    lo = dn(dn(a))
-    return (lo if lo > 0.0 else 0.0), up(up(a))
+def _excess(h: float, N: int, D: int) -> int:
+    """An integer with the sign of h^2 - N/D."""
+    hn, hd = h.as_integer_ratio()
+    return hn * hn * D - N * hd * hd
 
 
 def abs_bounds_exact(q) -> tuple[float, float]:
     """Verified double bounds of |q| for a Fraction or QC.
 
-    The square root of the exact squared modulus is bracketed and then
-    validated by exact squaring, so the bounds are rigorous.
+    A square root of |q|^2 = N/D is bracketed two ulps out, and each end
+    is stepped until an exact comparison of integers shows its square on
+    the right side of N/D.  The root is that of N/D's upward-rounded
+    double when that is a normal double, else a scaled integer root.
+    Beyond the double range the bounds are (largest double, inf).
     """
-    a2 = q.abs2() if hasattr(q, "abs2") else Fraction(q) * Fraction(q)
-    if a2 == 0:
+    a, b = (q.re if isinstance(q, QC) else q).as_integer_ratio()
+    c, e = q.im.as_integer_ratio() if isinstance(q, QC) else (0, 1)
+    N, D = a * a * e * e + c * c * b * b, b * b * e * e
+    if not N:
         return 0.0, 0.0
-    flo, fhi = frac_bounds(a2)
-    x = math.sqrt(fhi)
-    hi = up(up(x))
-    while Fraction(hi) * Fraction(hi) < a2:
+    if N > _MAX_INT * _MAX_INT * D:
+        return MAX, INF
+    if N > _MAX_INT * D or N << 1022 < D:
+        # shifted so that the integer root has 52 to 53 bits
+        s = (D.bit_length() - N.bit_length()) // 2 + 52
+        r = math.isqrt((N << 2 * s) // D if s >= 0 else N // (D << -2 * s))
+        x = math.ldexp(r, -s)
+    else:
+        f = N / D   # correctly rounded
+        fn, fd = f.as_integer_ratio()
+        x = math.sqrt(f if fn * D == N * fd else up(f))
+    hi = min(up(up(x)), MAX)
+    while _excess(hi, N, D) < 0:
         hi = up(hi)
-    lo = dn(dn(x))
-    if lo < 0.0:
-        lo = 0.0
-    while lo > 0.0 and Fraction(lo) * Fraction(lo) > a2:
+    lo = max(dn(dn(x)), 0.0)
+    while lo > 0.0 and _excess(lo, N, D) > 0:
         lo = dn(lo)
     return lo, hi
 
 
 def abs_bounds(value) -> tuple[float, float]:
-    """Directed bounds of |value| for any supported scalar."""
-    if isinstance(value, complex):
-        return abs_bounds_complex(value)
-    return abs_bounds_exact(value)
+    """Directed bounds of |value| for any supported scalar; for a complex
+    double from hypot, which is within 1 ulp."""
+    if not isinstance(value, complex):
+        return abs_bounds_exact(value)
+    a = math.hypot(value.real, value.imag)
+    if a == 0.0:
+        return 0.0, 0.0
+    lo = dn(dn(a))
+    return (lo if lo > 0.0 else 0.0), up(up(a))
 
 
 def weight_bounds(r: float, size_lo: float, size_hi: float) -> tuple[float, float]:

@@ -110,10 +110,6 @@ class QC:
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
-    def abs2(self) -> Fraction:
-        """Exact squared modulus."""
-        return self.re * self.re + self.im * self.im
-
 
 def exact_value(x):
     """Coerce ``x`` into exact form: Fraction for real input, QC otherwise.

@@ -9,13 +9,9 @@ coefficient f'(z0) or only touches strictly smaller sizes.
 
 A square system in unknowns g_1, ..., g_m is the same recursion with
 the base-point Jacobian J in place of f'(z0), and a scalar equation is
-the system with m = 1 and J = [[f'(z0)]].  One sweep serves both.  It
-keeps one product table per distinct prefix of the monomials' factor
-sequences, so g, g^{*2}, g^{*3} form one chain and each table costs one
-product per decomposition pair.  At each element it evaluates every
-table and equation with the unknown values masked out, applies J^{-1}
-once, and completes each table by the linear term that the base point
-fixes.
+the system with m = 1 and J = [[f'(z0)]].  One sweep,
+:func:`dirconv.algebra.sweep`, serves both (and the convolution
+inverse, the degree-1 case); this module supplies its anchors and J^{-1}.
 
 ``residual`` and ``system_residual`` share one evaluator that
 recomputes the equations through plain convolutions, building each
@@ -26,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from .algebra import (DEFAULT_TOLERANCE, TruncatedFunction, check_compatible,
-                      convolve, dot, unit)
+                      convolve, prefix_tree, sweep, unit)
 from .errors import (DegenerateConstant, InconsistentBasePoint, NoSimpleRoots,
                      NotASimpleRoot, PreconditionFailed, SingularJacobian,
                      ZeroPolynomial)
@@ -162,7 +157,7 @@ def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     z0 that passes the gates of :meth:`ConvPolynomial.anchor`."""
     z0, fp = T.anchor(z0)
     terms = [(c.values, (0,) * j) for j, c in enumerate(T.coeffs)]
-    return _sweep(T.enum, [terms], (z0,), [[1 / fp]], T.exact)[0]
+    return sweep(T.enum, [terms], (z0,), [[1 / fp]], T.exact)[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
@@ -385,7 +380,7 @@ def solve_system(S: PolySystem):
     z0 = tuple(exact_value(z) if exact else double_value(z) for z in S.z0)
     equations = [[(t.coeff.values, _factors(t)) for t in eq] for eq in S.equations]
 
-    index, _, at0, grad = _prefix_tree(equations, z0, zero)
+    index, _, at0, grad = prefix_tree(equations, z0, zero)
     F0 = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
     tol = DEFAULT_TOLERANCE * _system_scale(S)
     for i, v in enumerate(F0):
@@ -405,7 +400,7 @@ def solve_system(S: PolySystem):
             raise SingularJacobian(
                 f"Jacobian condition estimate {norm_J * norm_Jinv:.3e} "
                 f"exceeds 1/{TAU_COND}")
-    return _sweep(S.enum, equations, z0, Jinv, exact)
+    return sweep(S.enum, equations, z0, Jinv, exact)
 
 
 def _system_scale(S: PolySystem) -> float:
@@ -420,81 +415,7 @@ def system_residual(S: PolySystem, gs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the sweep and the convolution check shared by equations and systems
-
-
-def _prefix_tree(equations, z0, zero):
-    """Every distinct prefix of the terms' factor sequences, parents first.
-
-    Returns (index, nodes, at0, grad): ``index`` maps a prefix to its
-    node number, node 0 is the empty product and node k > 0 is
-    (parent node, last factor l), the product of its parent with g_l;
-    ``at0[k]`` is the node's value at the base point and ``grad[k][l]``
-    its partial derivative in z_l there.
-    """
-    index, nodes, at0, grad = {(): 0}, [None], [zero + 1], [[zero] * len(z0)]
-    for eq in equations:
-        for _, fs in eq:
-            for n in range(1, len(fs) + 1):
-                if fs[:n] in index:
-                    continue
-                k, l = index[fs[:n - 1]], fs[n - 1]
-                index[fs[:n]] = len(nodes)
-                nodes.append((k, l))
-                at0.append(at0[k] * z0[l])
-                dk = [d * z0[l] for d in grad[k]]
-                dk[l] = dk[l] + at0[k]
-                grad.append(dk)
-    return index, nodes, at0, grad
-
-
-def _sweep(enum, equations, z0, Jinv, exact):
-    """The window functions g_1, ..., g_m that the equations force.
-
-    ``equations`` lists, per equation, its terms as (coefficient values,
-    factor sequence); ``z0`` holds the values at 0 and ``Jinv`` the
-    inverse of the base-point Jacobian.
-    """
-    zero = Fraction(0) if exact else 0j
-    m, n = len(z0), len(enum)
-    index, nodes, at0, grad = _prefix_tree(equations, z0, zero)
-    terms = [[(c, index[fs]) for c, fs in eq] for eq in equations]
-    linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
-    G = [[zero] * n for _ in range(m)]
-    Q = [[zero] * n for _ in nodes]   # Q[k] = product table of node k
-    for l in range(m):
-        G[l][0] = z0[l]
-    for k in range(len(nodes)):
-        Q[k][0] = at0[k]
-    dec = enum.decomp
-    first, second, offsets = dec.first, dec.second, dec.offsets
-    for x in range(1, n):
-        # (0, x) opens and (x, 0) closes every pair list; the pairs in
-        # between only touch elements smaller than x
-        a, b = offsets[x] + 1, offsets[x + 1] - 1
-        us, vs = first[a:b], second[a:b]
-        # table values at x with every g_l(x) taken as 0; the unit
-        # table (node 0) vanishes off 0, so its products drop out
-        masked = [zero] * len(nodes)
-        for k in range(1, len(nodes)):
-            p, l = nodes[k]
-            masked[k] = masked[p] * z0[l]
-            if p:
-                masked[k] += dot(Q[p], G[l], us, vs)
-        known = []
-        for eq in terms:
-            acc = zero
-            for c, k in eq:
-                acc += c[x] * at0[k]
-                if k:
-                    acc += c[0] * masked[k] + dot(c, Q[k], us, vs)
-            known.append(acc)
-        gx = [-sum(map(mul, row, known)) for row in Jinv]
-        for l in range(m):
-            G[l][x] = gx[l]
-        for k in range(1, len(nodes)):
-            Q[k][x] = masked[k] + sum(d * gx[l] for l, d in linear[k])
-    return tuple(TruncatedFunction(enum, g, exact) for g in G)
+# the convolution check shared by equations and systems
 
 
 def _convolution_values(equations, gs) -> list:

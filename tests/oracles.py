@@ -5,10 +5,12 @@ divisor scans, closed-form coefficient formulas.  None of it shares
 code with the library proper.
 """
 
+import math
 from fractions import Fraction
 from math import isqrt
 
 import dirconv as dc
+from dirconv.scalars import QC
 
 
 def sieve_mobius(n: int) -> list:
@@ -119,6 +121,69 @@ def pair_scan(enum):
             if t is not None:
                 out[t].append((i, j))
     return [tuple(p) for p in out]
+
+
+def dot_fractions(a, b, pairs):
+    """sum of a[i] * b[j] over the index pairs, one exact product at a time."""
+    total = Fraction(0)
+    for i, j in pairs:
+        total = total + a[i] * b[j]
+    return total
+
+
+def convolve_fractions(g, h):
+    """g * h by the plain exact loop over the reference pair scan."""
+    return dc.from_values(g.enum, [dot_fractions(g.values, h.values, pairs)
+                                   for pairs in pair_scan(g.enum)])
+
+
+def invert_fractions(g):
+    """The convolution inverse by the triangular exact loop: the value at
+    t is fixed by every pair of t except (0, t), which holds it."""
+    v = g.values
+    inv0 = 1 / v[0]
+    out = [inv0]
+    for t, pairs in enumerate(pair_scan(g.enum)[1:], 1):
+        out.append(-(inv0 * dot_fractions(v, out, [(i, j) for i, j in pairs if j != t])))
+    return dc.from_values(g.enum, out)
+
+
+def residual_fractions(T, g):
+    """sum_j a_j * g^{*j} through :func:`convolve_fractions`."""
+    total, power = None, dc.unit(g.enum)
+    for j, c in enumerate(T.coeffs):
+        if j:
+            power = convolve_fractions(power, g)
+        term = convolve_fractions(c, power)
+        total = term if total is None else total + term
+    return total
+
+
+def abs_bounds_fractions(q):
+    """Verified double bounds of |q| for a Fraction or QC, bracketed by
+    exact Fraction squares: the square root of the upward-rounded float
+    of |q|^2, two ulps out, then stepped until both squares enclose
+    |q|^2.  Defined while |q|^2 is a normal double."""
+    def up(x):
+        return math.nextafter(x, math.inf)
+
+    def dn(x):
+        return math.nextafter(x, -math.inf)
+
+    a2 = q.re * q.re + q.im * q.im if isinstance(q, QC) else Fraction(q) * Fraction(q)
+    if a2 == 0:
+        return 0.0, 0.0
+    f = float(a2)
+    x = math.sqrt(f if f == a2 else up(f))
+    hi = up(up(x))
+    while Fraction(hi) * Fraction(hi) < a2:
+        hi = up(hi)
+    lo = dn(dn(x))
+    if lo < 0.0:
+        lo = 0.0
+    while lo > 0.0 and Fraction(lo) * Fraction(lo) > a2:
+        lo = dn(lo)
+    return lo, hi
 
 
 def compositions_into(enum, x_idx, parts):

@@ -342,3 +342,23 @@ def test_rho_beyond_the_double_range_exits_1_without_solving(tmp_path, monkeypat
     assert code == 1
     assert doc["error"].startswith("ValueError: rho lies beyond the double range")
     assert calls == []
+
+
+def test_value_beyond_the_squared_double_range_gives_a_document(tmp_path):
+    """|a_0(2)|^2 = 1e400 lies beyond the double range while |a_0(2)| does
+    not: the norm brackets stay finite and certify yields a document."""
+    spec = {
+        "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
+        "arithmetic": {"mode": "exact"},
+        "equation": {"coefficients": [
+            {"table": [[[1], "-1"], [[2], "1e200"]]}, {"builtin": "unit"}]},
+        "task": {"type": "certify", "root": 1},
+    }
+    doc, code = run_spec(tmp_path, spec)
+    assert code in (0, 2)
+    if code == 2:
+        assert doc["diagnostic"].split(":")[0] in {
+            "NoPositiveR", "AllCoefficientsZero", "NotASimpleRoot"}
+    else:
+        assert doc["validation"]["ok"]
+        assert doc["solution"][1]["value"] == "-1" + "0" * 200

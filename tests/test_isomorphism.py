@@ -1,7 +1,9 @@
 """Windows of different backends that are isomorphic as ordered
 semigroups give the same decomposition tables, solutions, residuals and
-inverses under the element map, exactly."""
+inverses under the element map, exactly, and certificates that differ
+only by the scaling of sizes."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -113,3 +115,53 @@ def test_three_smooth_divisor_support_is_the_plane_lattice(seed):
     assert agrees(dc.residual(T_div, to_div(h)), dc.residual(T, h))
     u = random_exact_function(lat, rng, nonzero_at_zero=True)
     assert agrees(dc.invert(to_div(u)), dc.invert(u))
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_certify_and_validate_scale_with_the_generator(seed):
+    """Under N0 ~ generator (q,) every size is multiplied by q.  At
+    rho = 0 the norms do not see sizes, so P, Q, t* and C agree, and the
+    certified rate scales by 1/q; partial sums agree up to the outward
+    rounding of the rates."""
+    rng = random.Random(seed)
+    lat, other, to_lat = PAIRS[1]
+    roots = _random_roots(rng)
+    T = instance_with_anchor_roots(lat, roots, rng)
+    T2 = dc.ConvPolynomial(tuple(_transfer(c, other, to_lat) for c in T.coeffs))
+    root = roots[rng.randrange(2)]
+    c1, c2 = dc.certify(T, root), dc.certify(T2, root)
+    assert (c2.P, c2.Q, c2.t_star, c2.C, c2.abs_z0) == (c1.P, c1.Q, c1.t_star, c1.C, c1.abs_z0)
+    assert (c1.m1, c2.m1) == (1, Q)
+    assert math.isclose(c2.r * float(Q), c1.r, rel_tol=1e-12)
+    v1 = dc.validate(c1, dc.solve(T, root))
+    v2 = dc.validate(c2, dc.solve(T2, root))
+    assert v1.ok and v2.ok
+    assert all(math.isclose(a, b, rel_tol=1e-12)
+               for a, b in zip(v1.partial_sums, v2.partial_sums, strict=True))
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_one_axis_embedding_extends_by_zero(seed):
+    """n -> (n, 0) embeds N0 in N0^2 as a divisor-closed subsemigroup;
+    coefficients on that axis give the one-dimensional solution on it
+    and 0 off it, and likewise residual and inverse."""
+    rng = random.Random(seed)
+    lat1 = dc.enumerate_semigroup(dc.Lattice(1), size_bound=12)
+    lat2 = dc.enumerate_semigroup(dc.Lattice(2), size_bound=12)
+    zero = Fraction(0)
+
+    def embed(f):
+        return dc.from_values(lat2, [f((e.ident[0],)) if e.ident[1] == 0 else zero
+                                     for e in lat2])
+
+    roots = _random_roots(rng)
+    T = instance_with_anchor_roots(lat1, roots, rng)
+    T2 = dc.ConvPolynomial(tuple(embed(c) for c in T.coeffs))
+    root = roots[rng.randrange(2)]
+    assert dc.solve(T2, root) == embed(dc.solve(T, root))
+    h = random_exact_function(lat1, rng)
+    assert dc.residual(T2, embed(h)) == embed(dc.residual(T, h))
+    u = random_exact_function(lat1, rng, nonzero_at_zero=True)
+    assert dc.invert(embed(u)) == embed(dc.invert(u))
