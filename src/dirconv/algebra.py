@@ -363,9 +363,10 @@ def weighted_terms(g: TruncatedFunction, r: float):
 
     Yields (size, round-down term, round-up term) in window order; every
     norm, partial sum and tail of the package is summed from these.
-    Zero values need no weight; a value repeated in a row is bracketed once.
+    Zero values need no weight; a value repeated in a row is bracketed
+    once, and the weight once per size level (the window is in size order).
     """
-    prev = None
+    prev = level = None
     for e, v in zip(g.enum.elements, g.values):
         if v is not prev:
             prev = v
@@ -373,7 +374,9 @@ def weighted_terms(g: TruncatedFunction, r: float):
         if not a_hi:
             yield e.size, 0.0, 0.0
             continue
-        w_lo, w_hi = weight_bounds(r, *size_bounds(e.size))
+        if e.size != level:
+            level = e.size
+            w_lo, w_hi = weight_bounds(r, *size_bounds(level))
         yield e.size, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
 
 

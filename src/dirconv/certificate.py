@@ -21,13 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import TruncatedFunction, r_norm_partial, weighted_terms
 from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
                      NotASimpleRoot)
-from .rounding import (abs_bounds, add_up, div_up, dn, exp_up, frac_bounds,
-                       log_dn, mul_dn, mul_up, poly_eval_up, pow_up, sub_dn,
-                       sub_up, up)
+from .rounding import (abs_bounds, add_dn, add_up, div_up, dn, exp_up,
+                       frac_bounds, log_dn, mul_dn, mul_up, poly_eval_up,
+                       pow_up, sub_dn, sub_up, up)
 from .semigroup import size_bounds
 from .solver import ConvPolynomial
 
@@ -58,6 +59,11 @@ class NormCertificate:
     r: float
     scope: str
     abs_z0: float              # round-up |z0|
+
+    def tail(self, window_dn: float) -> float:
+        """Round-up bound of the r-weighted sum of |g| beyond the window:
+        the certified norm |z0| + t_star minus a round-down window sum."""
+        return max(0.0, sub_up(add_up(self.abs_z0, self.t_star), window_dn))
 
 
 def _norms(T: ConvPolynomial, rho, norm_bounds):
@@ -192,6 +198,7 @@ class ValidationReport:
     sum_margin: float          # min over levels of t_star - S_r(m)
     recursive_margin: float    # min over levels of RHS - LHS in the level bound
     ok: bool
+    tail: float                # round-up series tail of g where min Re(s) >= r
 
 
 def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
@@ -201,18 +208,22 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     requires S_r(m) <= t_star, and checks the level-to-level bound
     S(m_n) <= P(S(m_{n-1})) + e^{-(r-rho) m1} Q(|z0| + S(m_{n-1})).
     A violation raises :class:`CertificateViolated`: it means a bug or
-    an under-reported norm, never a sound certificate.
+    an under-reported norm, never a sound certificate.  The same pass
+    sums the window part rounded down, for the tail bound of g.
     """
     enum = g.enum
     r = cert.r
     levels = enum.levels
+    terms = weighted_terms(g, r)
+    # S_r(m) leaves out x = 0, the window sum includes it; clamping keeps
+    # that lower bound monotone when terms fall below one ulp of it
+    window = max(0.0, add_dn(0.0, next(terms)[1]))
     sums = [0.0]
     acc = 0.0
-    terms = weighted_terms(g, r)
-    next(terms)   # S_r(m) leaves out x = 0
     for _, idxs in levels[1:]:
-        for _ in idxs:
-            acc = add_up(acc, next(terms)[2])
+        for _, lo, hi in islice(terms, len(idxs)):
+            acc = add_up(acc, hi)
+            window = max(window, add_dn(window, lo))
         sums.append(acc)
 
     rho_hi = frac_bounds(cert.rho)[1]
@@ -245,4 +256,4 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
         rec_margin = cert.t_star
     return ValidationReport(levels=level_floats, partial_sums=tuple(sums),
                             sum_margin=sum_margin, recursive_margin=rec_margin,
-                            ok=True)
+                            ok=True, tail=cert.tail(window))

@@ -39,12 +39,9 @@ def _need(obj, key, path):
 
 def _parse_backend(obj, path):
     kind = _need(obj, "kind", path)
-    if kind == "lattice":
-        k = int(_need(obj, "k", path))
-        return Lattice(k)
-    if kind == "ordinary-dirichlet":
-        k = int(_need(obj, "k", path))
-        return OrdinaryDirichlet(k)
+    if kind in ("lattice", "ordinary-dirichlet"):
+        backend = Lattice if kind == "lattice" else OrdinaryDirichlet
+        return backend(int(_need(obj, "k", path)))
     if kind == "rational-generators":
         gens = _need(obj, "generators", path)
         try:
@@ -345,7 +342,8 @@ def run_problem(problem: Problem) -> dict:
         doc["root_report"] = _root_report_doc(solver.initial_polynomial(T))
         doc["solution"] = _function_table(g)
     else:
-        vr = series.verify_scalar_equation(T, g, points, cert=cert)
+        vr = series.verify_scalar_equation(T, g, points, cert=cert,
+                                           cert_tail=report.tail)
         doc["scalar_equation"] = {
             "all_ok": vr.all_ok,
             "worst_ratio": vr.worst_ratio,

@@ -239,7 +239,7 @@ def find_roots(f_coeffs, exact: bool):
                 poly_eval([complex(c) for c in fprime], center)) > simple_gate
             roots.append(Root(center, mult, simple, False))
 
-    roots.sort(key=_root_sort_key)
+    roots.sort(key=lambda r: _value_sort_key(r.value))
     assert sum(r.multiplicity for r in roots) == d
     return roots
 
@@ -296,7 +296,3 @@ def _is_simple(f_coeffs, fprime, value, mult, exact, gate):
 def _value_sort_key(v):
     z = complex(v)
     return (z.real, z.imag)
-
-
-def _root_sort_key(r: Root):
-    return _value_sort_key(r.value)

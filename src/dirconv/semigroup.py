@@ -34,7 +34,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial, reduce, total_ordering
 from operator import add, mul
 
 from .errors import EmptyTruncation, NotEnumerated, OnlyZero
@@ -42,6 +42,7 @@ from .rounding import dn, frac_bounds, up
 from .scalars import format_rational, parse_rational
 
 
+@total_ordering
 class LogInt:
     """The size log(n) of an ordinary-Dirichlet element, kept exact as n.
 
@@ -67,15 +68,6 @@ class LogInt:
 
     def __lt__(self, other):
         return self.n < other.n
-
-    def __le__(self, other):
-        return self.n <= other.n
-
-    def __gt__(self, other):
-        return self.n > other.n
-
-    def __ge__(self, other):
-        return self.n >= other.n
 
     def __add__(self, other):
         return LogInt(self.n * other.n)
@@ -447,13 +439,8 @@ class Enumeration:
     @cached_property
     def levels(self):
         """Distinct sizes 0 = m_0 < m_1 < ... with their element index ranges."""
-        out = []
-        for i, e in enumerate(self.elements):
-            if out and out[-1][0] == e.size:
-                out[-1][1].append(i)
-            else:
-                out.append((e.size, [i]))
-        return [(s, tuple(ix)) for s, ix in out]
+        groups = itertools.groupby(range(len(self)), lambda i: self.elements[i].size)
+        return [(size, tuple(ix)) for size, ix in groups]
 
     @cached_property
     def decomp(self) -> DecompTable:

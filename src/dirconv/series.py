@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .algebra import TruncatedFunction, weighted_terms
 from .certificate import NormCertificate
 from .errors import OutOfHalfPlane
-from .rounding import add_dn, add_up, mul_up, pow_up, sub_up
+from .rounding import add_dn, add_up, mul_up, pow_up
 from .solver import ConvPolynomial
 
 
@@ -39,49 +39,59 @@ def _normalize_point(enum, s) -> tuple:
     return (complex(s),) * k
 
 
-def _char_factor(enum, ident, s: tuple) -> complex:
-    """e^{-x.s} for one element; ordinary-Dirichlet uses n^{-s} directly."""
-    if enum.backend.kind == "ordinary-dirichlet":
-        out = 1 + 0j
-        for n, si in zip(ident, s):
-            if n != 1:
-                out *= complex(n) ** (-si)
+def characters(enum, pt: tuple) -> list:
+    """e^{-x.s} for every element, in window order, at a normalized point.
+    Divisor windows multiply n_i^{-s_i} from one power table per coordinate."""
+    idents = [e.ident for e in enum.elements]
+    out = []
+    if enum.backend.kind != "ordinary-dirichlet":
+        for ident in idents:
+            dot = 0j
+            for c, si in zip(ident, pt):
+                dot += float(c) * si
+            z = -dot
+            m = math.exp(z.real)
+            out.append(complex(m * math.cos(z.imag), m * math.sin(z.imag)))
         return out
-    dot = 0j
-    for c, si in zip(ident, s):
-        dot += float(c) * si
-    return _cexp(-dot)
+    powers = [[None, *(complex(n) ** (-si) for n in range(1, max(col) + 1))]
+              for col, si in zip(zip(*idents), pt)]
+    for ident in idents:
+        ch = 1 + 0j
+        for n, table in zip(ident, powers):
+            if n != 1:
+                ch *= table[n]
+        out.append(ch)
+    return out
 
 
-def _cexp(z: complex) -> complex:
-    m = math.exp(z.real)
-    return complex(m * math.cos(z.imag), m * math.sin(z.imag))
-
-
-def evaluate(g: TruncatedFunction, s) -> SeriesValue:
-    """The window part of the series at s, in enumeration order.
-
-    Kahan-compensated summation keeps the result independent of value
-    magnitudes to near machine precision while staying deterministic.
-    """
-    pt = _normalize_point(g.enum, s)
-    total = 0j
-    comp = 0j
-    for i, e in enumerate(g.enum.elements):
-        term = complex(g.values[i]) * _char_factor(g.enum, e.ident, pt)
-        y = term - comp
+def _window_sum(values, chars) -> complex:
+    """Kahan-compensated sum of values[i] * chars[i] in window order; a value
+    object repeated in a row is converted to complex once."""
+    total = comp = 0j
+    prev = None
+    for v, ch in zip(values, chars):
+        if v is not prev:
+            prev, cv = v, complex(v)
+        y = cv * ch - comp
         t = total + y
         comp = (t - total) - y
         total = t
-    return SeriesValue(value=total, s=pt)
+    return total
+
+
+def evaluate(g: TruncatedFunction, s) -> SeriesValue:
+    """The window part of the series at s; Kahan summation keeps it
+    independent of value magnitudes to near machine precision."""
+    pt = _normalize_point(g.enum, s)
+    return SeriesValue(value=_window_sum(g.values, characters(g.enum, pt)), s=pt)
 
 
 def tail_bound(g: TruncatedFunction, cert: NormCertificate, s) -> float:
     """Upper bound for the absolute series tail beyond the window.
 
     Valid when min_i Re(s_i) >= cert.r: then |e^{-x.s}| <= e^{-r|x|}
-    pointwise, so the tail is at most the certified norm |z0| + t_star
-    minus the window part of the r-weighted sum (rounded down).
+    pointwise, so the tail is at most ``cert.tail`` of the round-down
+    window part of the r-weighted sum (as in ``certificate.validate``).
     """
     pt = _normalize_point(g.enum, s)
     sigma = min(c.real for c in pt)
@@ -93,8 +103,7 @@ def tail_bound(g: TruncatedFunction, cert: NormCertificate, s) -> float:
         # clamping keeps the lower bound monotone when terms fall below
         # one ulp of the accumulator
         window = max(window, add_dn(window, lo))
-    bound = sub_up(add_up(cert.abs_z0, cert.t_star), window)
-    return max(0.0, bound)
+    return cert.tail(window)
 
 
 @dataclass(frozen=True)
@@ -120,12 +129,13 @@ FUZZ = 1e-12
 
 def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
                            cert: NormCertificate = None, g_tail=None,
-                           coeff_tails=None) -> VerifyReport:
+                           coeff_tails=None, cert_tail=None) -> VerifyReport:
     """Check the scalar equation at sample points against propagated tails.
 
     Tail sources: the solution tail comes from ``g_tail(s)`` when given,
     otherwise from the certificate, which requires min Re(s) >= r and
-    gives one bound for all such s.  ``coeff_tails`` gives
+    gives one bound for all such s: ``cert_tail`` when already known
+    (``ValidationReport.tail``), else ``tail_bound``.  ``coeff_tails`` gives
     per-coefficient tails as a callable (j, s) -> bound, or None for
     window-supported coefficients.  The allowed residual at s is
 
@@ -136,15 +146,13 @@ def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
     """
     checks = []
     worst = 0.0
-    cert_tail = None
     for s in points:
         pt = _normalize_point(T.enum, s)
         arg = pt if len(pt) > 1 else pt[0]
         if g_tail is not None:
             tg = float(g_tail(arg))
         elif cert is not None:
-            sigma = min(c.real for c in pt)
-            if sigma < cert.r:
+            if min(c.real for c in pt) < cert.r:
                 raise OutOfHalfPlane(
                     f"point {pt} below the certified half-plane r = {cert.r}")
             if cert_tail is None:
@@ -152,8 +160,9 @@ def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
             tg = cert_tail
         else:
             raise ValueError("need a certificate or an explicit g_tail")
-        gval = evaluate(g, pt).value
-        avals = [evaluate(c, pt).value for c in T.coeffs]
+        chars = characters(T.enum, pt)
+        gval = _window_sum(g.values, chars)
+        avals = [_window_sum(c.values, chars) for c in T.coeffs]
         resid = abs(sum(a * gval ** j for j, a in enumerate(avals)))
 
         gmag = add_up(abs(gval), tg)

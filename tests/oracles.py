@@ -1,8 +1,10 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive: linear sieves, brute-force
-divisor scans, closed-form coefficient formulas.  None of it shares
-code with the library proper.
+divisor scans, closed-form coefficient formulas, element-by-element
+loops.  None of it shares code with the library proper, apart from the
+directed-rounding primitives that the per-element weight loop calls: it
+checks the reuse of weights and brackets, not the primitives.
 """
 
 import math
@@ -10,7 +12,10 @@ from fractions import Fraction
 from math import isqrt
 
 import dirconv as dc
+from dirconv.rounding import (abs_bounds, add_dn, add_up, mul_dn, mul_up,
+                              sub_up, weight_bounds)
 from dirconv.scalars import QC
+from dirconv.semigroup import size_bounds
 
 
 def sieve_mobius(n: int) -> list:
@@ -184,6 +189,60 @@ def abs_bounds_fractions(q):
     while lo > 0.0 and Fraction(lo) * Fraction(lo) > a2:
         lo = dn(lo)
     return lo, hi
+
+
+def char_factor(enum, ident, s):
+    """e^{-x.s} for one element on its own; divisor windows take n^{-s_i}
+    directly."""
+    if enum.backend.kind == "ordinary-dirichlet":
+        out = 1 + 0j
+        for n, si in zip(ident, s):
+            if n != 1:
+                out *= complex(n) ** (-si)
+        return out
+    dot = 0j
+    for c, si in zip(ident, s):
+        dot += float(c) * si
+    z = -dot
+    m = math.exp(z.real)
+    return complex(m * math.cos(z.imag), m * math.sin(z.imag))
+
+
+def series_kahan(g, pt):
+    """The window sum of g(x) e^{-x.s} at a point given per coordinate,
+    converting every value and computing every character element by
+    element, with Kahan compensation in window order."""
+    total = 0j
+    comp = 0j
+    for e, v in zip(g.enum.elements, g.values):
+        term = complex(v) * char_factor(g.enum, e.ident, pt)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def weighted_terms_per_element(g, r):
+    """(size, round-down, round-up) bounds of |g(x)| e^(-r|x|), bracketing
+    every value and weighing every nonzero element on its own (with the
+    library's directed primitives)."""
+    for e, v in zip(g.enum.elements, g.values):
+        a_lo, a_hi = abs_bounds(v)
+        if not a_hi:
+            yield e.size, 0.0, 0.0
+            continue
+        w_lo, w_hi = weight_bounds(r, *size_bounds(e.size))
+        yield e.size, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
+
+
+def certified_tail(g, cert):
+    """The certified norm |z0| + t* minus the round-down window part of
+    the r-weighted sum of |g|, from a pass of its own."""
+    window = 0.0
+    for _, lo, _ in weighted_terms_per_element(g, cert.r):
+        window = max(window, add_dn(window, lo))
+    return max(0.0, sub_up(add_up(cert.abs_z0, cert.t_star), window))
 
 
 def compositions_into(enum, x_idx, parts):

@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 import dirconv.cli as cli
-from dirconv import certificate, series, solver
+from dirconv import algebra, certificate, series, solver
 from dirconv.scalars import format_scalar
 
 from oracles import sieve_mobius
@@ -169,16 +169,24 @@ def test_verify_task(tmp_path, monkeypatch):
     r = doc0["certificate"]["r"]
     points = [r + 1.0, {"re": r + 2.0, "im": 3.0}]
     spec["task"] = {"type": "verify", "root": 1, "points": points}
-    calls = {"evaluate": 0, "tail_bound": 0}
+    calls = {"evaluate": 0, "tail_bound": 0, "characters": 0}
     for name in calls:
         def counted(*args, _fn=getattr(series, name), _name=name):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(series, name, counted)
+    passes = []
+
+    def counted_terms(g, r, _fn=algebra.weighted_terms):
+        passes.append((g, r))
+        return _fn(g, r)
+
+    for module in (algebra, certificate, series):
+        monkeypatch.setattr(module, "weighted_terms", counted_terms)
     doc, code = run_spec(tmp_path, spec)
-    # per point one evaluation of g and of each of the 3 coefficients;
-    # the tail bound does not depend on the point and is computed once
-    assert calls == {"evaluate": 8, "tail_bound": 1}
+    # per point one characters pass serves g and the 3 coefficients; the
+    # tail bound does not depend on the point and comes from validate
+    assert calls == {"evaluate": 0, "tail_bound": 0, "characters": 2}
     monkeypatch.undo()
     assert code == 0
     assert doc["scalar_equation"]["all_ok"] is True
@@ -187,6 +195,9 @@ def test_verify_task(tmp_path, monkeypatch):
     T = solver.ConvPolynomial(tuple(problem.coefficients))
     g = solver.solve(T, 1)
     cert = certificate.certify(T, 1)
+    # weighted passes: one per coefficient norm at rho = 0 in certify,
+    # then one over g at r in validate
+    assert passes == [(c, 0.0) for c in T.coeffs] + [(g, cert.r)]
     assert len(doc["series"]) == 2
     for entry, p in zip(doc["series"], problem.points()):
         assert entry["value"] == format_scalar(series.evaluate(g, p).value)
