@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import pairwise
 from operator import add, mul
 
@@ -169,6 +169,39 @@ def dot(a, b, us, vs):
     return acc
 
 
+def square(a, us, vs):
+    """Double mode: :func:`dot` of a with itself over a mirrored row (pair
+    i is pair len - 1 - i reversed): its first half twice, plus the middle
+    pair of an odd row."""
+    h = len(us) // 2
+    s = dot(a, a, us, vs[:h])
+    return s + s + a[us[h]] * a[vs[h]] if len(us) & 1 else s + s
+
+
+def shape(v) -> int:
+    """0 if the values vanish off 0, 1 if they are otherwise constant off 0, else 2."""
+    return 2 if v[1:].count(v[-1]) != len(v) - 1 else 1 if v[-1] else 0
+
+
+def reader(a, b, exact, a_const=False):
+    """How one product, the sum of a[u] * b[v] over the pairs of a table
+    row that avoid 0, reads the row; decided once per product.
+
+    Exact mode reads every pair through :func:`qdot`.  In double mode a
+    table times itself reads half of the mirrored row, an ``a`` constant
+    off 0 gathers b over the row at C speed and scales the sum once, and
+    anything else is the plain :func:`dot`.
+    """
+    if exact:
+        return partial(qdot, a, b)
+    if a is b:
+        return partial(square, a)
+    if a_const:
+        c, get = a[-1], b.__getitem__
+        return lambda us, vs: c * sum(map(get, vs))
+    return partial(dot, a, b)
+
+
 def _ratio(v):
     """(numerator, denominator) of an exact value.  A Gaussian rational's
     numerator is the QC of its parts' integer numerators over their
@@ -219,17 +252,27 @@ def qdot(a: Ratios, b: Ratios, us, vs):
 def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """(g*h)(x) = sum over all decompositions x = x' + x'' of g(x')h(x'').
 
-    Exact on the whole window because sizes are additive.  Summation
-    order is the shared decomposition order, so results are
-    deterministic.
+    Exact on the whole window because sizes are additive.  Exact mode
+    sums each pair row through :func:`qdot`.  In double mode an operand
+    that vanishes off 0 scales the other, and otherwise each row is its
+    two pairs with 0 plus the rest read through :func:`reader`; results
+    are deterministic.
     """
     g, h = coerce_pair(g, h)
     dec = g.enum.decomp
-    first, second = dec.first, dec.second
-    kernel, operand = (qdot, Ratios) if g.exact else (dot, tuple)
-    gv, hv = operand(g.values), operand(h.values)
-    out = [kernel(gv, hv, first[a:b], second[a:b]) for a, b in pairwise(dec.offsets)]
-    return TruncatedFunction(g.enum, out, g.exact)
+    first, second, rows = dec.first, dec.second, list(pairwise(dec.offsets))
+    if g.exact:
+        gv, hv = Ratios(g.values), Ratios(h.values)
+        return TruncatedFunction(g.enum, [qdot(gv, hv, first[a:b], second[a:b])
+                                          for a, b in rows], True)
+    gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
+    g0, h0, shape_g = gv[0], hv[0], shape(gv)
+    if not shape_g:
+        return TruncatedFunction(g.enum, [g0 * v for v in hv], False)
+    read = reader(gv, hv, False, shape_g == 1)
+    return TruncatedFunction(g.enum, [g0 * h0] + [
+        g0 * hv[x] + gv[x] * h0 + read(first[a + 1:b - 1], second[a + 1:b - 1])
+        for x, (a, b) in enumerate(rows[1:], 1)], False)
 
 
 def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
@@ -299,25 +342,31 @@ def sweep(enum, equations, z0, Jinv, exact):
     factor sequence); ``z0`` holds the values at 0 and ``Jinv`` the
     inverse of the base-point Jacobian.  One product table is kept per
     factor prefix: g_l itself for one factor, and a longer one only
-    where a pair product reads it.  At each element the tables and
-    equations are evaluated with the unknowns masked out, J^{-1} is
-    applied once, and each table gets the linear term the base point
-    fixes.  A coefficient that vanishes off 0 meets no inner pair.
+    where a pair product reads it.  Every pair product has one
+    :func:`reader`, so a coefficient that vanishes off 0 meets no inner
+    pair, and one constant off 0 or a table times itself reads by
+    structure.  At each element the tables and equations are evaluated
+    with the unknowns masked out, J^{-1} is applied once, and each table
+    gets the linear term the base point fixes.
     """
     zero = Fraction(0) if exact else 0j
-    kernel, operand, table = (qdot, Ratios, Ratios) if exact else (dot, tuple, list)
+    operand, table = (Ratios, Ratios) if exact else (tuple, list)
     m, n = len(z0), len(enum)
     index, nodes, at0, grad = prefix_tree(equations, z0, zero)
     linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
-    terms = [[(c, index[fs], c[0], operand(c) if fs and any(c[1:]) else None)
-              for c, fs in eq] for eq in equations]
     G = [table([z] + [zero] * (n - 1)) for z in z0]
-    deep = [k for k in range(1, len(nodes)) if nodes[k][0]]
-    read = {nodes[k][0] for k in deep} | {k for eq in terms for _, k, _, cv in eq if cv}
-    kept = [k for k in deep if k in read]
-    Q = [None] * len(nodes)
-    for k, (p, l) in enumerate(nodes[1:], 1):
-        Q[k] = table([at0[k]] + [zero] * (n - 1)) if k in kept else None if p else G[l]
+    Q = [None] + [None if p else G[l] for p, l in nodes[1:]]
+
+    def tab(k):     # the table of node k, made when a product first reads it
+        Q[k] = Q[k] or table([at0[k]] + [zero] * (n - 1))
+        return Q[k]
+
+    chain = [(k, p, z0[l], reader(tab(p), G[l], exact))
+             for k, (p, l) in enumerate(nodes[1:], 1) if p]
+    terms = [[(c, k, c[0], reader(operand(c), tab(k), exact, shape(c) == 1)
+               if fs and any(c[1:]) else None)
+              for c, fs in eq for k in [index[fs]]] for eq in equations]
+    kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
     dec = enum.decomp
     first, second, offsets = dec.first, dec.second, dec.offsets
@@ -329,19 +378,18 @@ def sweep(enum, equations, z0, Jinv, exact):
         # table values at x with every g_l(x) taken as 0; one-factor
         # tables and the unit table vanish there
         masked = [zero] * len(nodes)
-        for k in deep:
-            p, l = nodes[k]
-            prod = kernel(Q[p], G[l], us, vs)
-            masked[k] = masked[p] * z0[l] + prod if masked[p] else prod
+        for k, p, zl, read in chain:
+            prod = read(us, vs)
+            masked[k] = masked[p] * zl + prod if masked[p] else prod
         known = []
         for eq in terms:
             parts = []
-            for c, k, c0, cv in eq:
+            for c, k, c0, read in eq:
                 if c[x] and at0[k]:
                     parts.append(c[x] * at0[k])
                 part = c0 * masked[k] if c0 and masked[k] else None
-                if cv:
-                    prod = kernel(cv, Q[k], us, vs)
+                if read:
+                    prod = read(us, vs)
                     part = prod if part is None else part + prod
                 if part:
                     parts.append(part)
@@ -364,20 +412,23 @@ def weighted_terms(g: TruncatedFunction, r: float):
     Yields (size, round-down term, round-up term) in window order; every
     norm, partial sum and tail of the package is summed from these.
     Zero values need no weight; a value repeated in a row is bracketed
-    once, and the weight once per size level (the window is in size order).
+    once, the weight is found once per size level (the window is in size
+    order), and the term is reused while both repeat.
     """
     prev = level = None
     for e, v in zip(g.enum.elements, g.values):
         if v is not prev:
-            prev = v
+            prev, terms = v, None
             a_lo, a_hi = abs_bounds(v)
         if not a_hi:
             yield e.size, 0.0, 0.0
             continue
         if e.size != level:
-            level = e.size
+            level, terms = e.size, None
             w_lo, w_hi = weight_bounds(r, *size_bounds(level))
-        yield e.size, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
+        if terms is None:
+            terms = mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
+        yield e.size, *terms
 
 
 def r_norm_partial(g: TruncatedFunction, r, m=None, include_zero: bool = False) -> float:
@@ -400,8 +451,5 @@ def r_norm_partial(g: TruncatedFunction, r, m=None, include_zero: bool = False) 
 def damp(g: TruncatedFunction, rho) -> TruncatedFunction:
     """The rescaled function x -> e^(-rho|x|) g(x), in double mode."""
     rho = float(rho)
-    vals = []
-    for i, e in enumerate(g.enum.elements):
-        w = math.exp(-rho * float(e.size))
-        vals.append(double_value(g.values[i]) * w)
-    return TruncatedFunction(g.enum, vals, False)
+    return TruncatedFunction(g.enum, [double_value(v) * math.exp(-rho * float(e.size))
+                                      for e, v in zip(g.enum.elements, g.values)], False)

@@ -149,8 +149,7 @@ def maximize_R(P, Q, abs_z0):
             b, x2, f2 = x2, x1, f1
             x1 = b - inv_golden * (b - a)
             f1 = _ratio_down(P, Q, abs_z0, x1)
-        t = x1 if f1 >= f2 else x2
-        v = f1 if f1 >= f2 else f2
+        t, v = (x1, f1) if f1 >= f2 else (x2, f2)
         if v > best_v:
             best_t, best_v = t, v
     return best_t, best_v
@@ -211,9 +210,7 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     an under-reported norm, never a sound certificate.  The same pass
     sums the window part rounded down, for the tail bound of g.
     """
-    enum = g.enum
-    r = cert.r
-    levels = enum.levels
+    r, levels = cert.r, g.enum.levels
     terms = weighted_terms(g, r)
     # S_r(m) leaves out x = 0, the window sum includes it; clamping keeps
     # that lower bound monotone when terms fall below one ulp of it
@@ -231,8 +228,7 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     m1_lo = size_bounds(cert.m1)[0]
     damp_up = exp_up(-mul_dn(s_rate, m1_lo))
 
-    sum_margin = math.inf
-    rec_margin = math.inf
+    sum_margin = rec_margin = math.inf
     level_floats = tuple(float(size) for size, _ in levels)
     for n in range(1, len(sums)):
         margin = sub_dn(cert.t_star, sums[n])

@@ -52,9 +52,8 @@ def _parse_backend(obj, path):
 
 
 def _parse_truncation(obj, backend, path):
-    has_size = "size_bound" in obj
-    has_prod = "max_product" in obj
-    has_max = "max_elements" in obj
+    has_size, has_prod, has_max = (
+        key in obj for key in ("size_bound", "max_product", "max_elements"))
     if sum((has_size, has_prod, has_max)) != 1:
         raise SpecError(
             "give exactly one of size_bound / max_product / max_elements", path)
@@ -106,9 +105,7 @@ def _parse_function(obj, enum, exact, path):
         return algebra.from_pairs(enum, pairs, exact)
     except SpecError:
         raise
-    except DirconvError as exc:
-        raise SpecError(str(exc), path)
-    except (ValueError, TypeError) as exc:
+    except (DirconvError, ValueError, TypeError) as exc:
         raise SpecError(str(exc), path)
 
 
@@ -207,9 +204,7 @@ class Problem:
 
     def norm_bounds(self):
         nb = self.task.get("norm_bounds")
-        if nb is None:
-            return None
-        return [float(v) for v in nb]
+        return None if nb is None else [float(v) for v in nb]
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +213,9 @@ class Problem:
 
 def _element_row(enum, i, value):
     e = enum[i]
-    return {
-        "id": enum.backend.ident_json(e.ident),
-        "coords": enum.backend.ident_json(e.ident),
-        "size": float(e.size),
-        "value": format_scalar(value),
-    }
+    ident = enum.backend.ident_json(e.ident)
+    return {"id": ident, "coords": ident, "size": float(e.size),
+            "value": format_scalar(value)}
 
 
 def _function_table(g: TruncatedFunction):
@@ -257,10 +249,7 @@ def _certificate_doc(cert: certificate.NormCertificate):
 
 def _residual_doc(T, g):
     res = solver.residual(T, g)
-    return {
-        "exact_zero": res.is_zero(),
-        "max_abs": res.max_abs(),
-    }
+    return {"exact_zero": res.is_zero(), "max_abs": res.max_abs()}
 
 
 def _series_doc(values):
@@ -368,10 +357,8 @@ def render(doc: dict, fmt: str = "table") -> str:
         return json.dumps(doc, sort_keys=True, indent=2)
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}")
-    lines = []
-    head = f"dirconv  task={doc.get('task')}  backend={doc['backend']['kind']}" \
-           f"(k={doc['backend']['k']})  mode={doc.get('mode')}"
-    lines.append(head)
+    lines = [f"dirconv  task={doc.get('task')}  backend={doc['backend']['kind']}"
+             f"(k={doc['backend']['k']})  mode={doc.get('mode')}"]
     if "spec_sha256" in doc:
         lines.append(f"spec sha256: {doc['spec_sha256']}")
     if "diagnostic" in doc:
@@ -424,8 +411,7 @@ def _fmt_val(v):
 
 
 def _render_table(rows, title):
-    out = [f"{title}:"]
-    out.append(f"  {'id':<18} {'coords':<18} {'size':<12} value")
+    out = [f"{title}:", f"  {'id':<18} {'coords':<18} {'size':<12} value"]
     for row in rows:
         out.append(f"  {str(row['id']):<18} {str(row['coords']):<18} "
                    f"{row['size']:<12.6g} {_fmt_val(row['value'])}")
@@ -477,8 +463,7 @@ def run(spec_path: str, threads: int = 1, tolerance=None):
 
 def _refusal_text(exc) -> str:
     text = f"{type(exc).__name__}: {exc}"
-    obstructions = getattr(exc, "obstructions", ())
-    for ob in obstructions:
+    for ob in getattr(exc, "obstructions", ()):
         text += (f"; at q = {ob.q.ident} the equation forces the value "
                  f"{format_scalar(ob.value)} != 0 whatever g(q) is")
     return text

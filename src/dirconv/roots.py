@@ -54,8 +54,7 @@ def durand_kerner(coeffs):
     Deterministic: fixed initial configuration (powers of 0.4 + 0.9i),
     fixed sweep order, fixed iteration cap.
     """
-    coeffs = [complex(c) for c in coeffs]
-    coeffs = _trim(coeffs)
+    coeffs = _trim([complex(c) for c in coeffs])
     n = len(coeffs) - 1
     if n <= 0:
         return []
@@ -103,11 +102,8 @@ def _rational_sqrt(q: Fraction):
     if q < 0:
         return None
     n, d = q.numerator, q.denominator
-    rn = math.isqrt(n)
-    rd = math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
 
 
 def qc_sqrt(q: QC):
@@ -143,8 +139,7 @@ def _divisors(n: int, cap: int = 10**12):
     d = 1
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
-            out.append(n // d)
+            out += (d, n // d)
         d += 1
     return sorted(set(out))
 

@@ -79,12 +79,6 @@ def exp_dn(x: float) -> float:
     return v if v > 0.0 else 0.0
 
 
-def log_up(x: float) -> float:
-    if x == 1.0:
-        return 0.0
-    return up(up(math.log(up(x))))
-
-
 def log_dn(x: float) -> float:
     if x == 1.0:
         return 0.0

@@ -24,9 +24,7 @@ class QC:
         self.im = im if type(im) is Fraction else Fraction(im)
 
     def __repr__(self):
-        if self.im == 0:
-            return f"QC({self.re})"
-        return f"QC({self.re}, {self.im})"
+        return f"QC({self.re})" if self.im == 0 else f"QC({self.re}, {self.im})"
 
     def __eq__(self, other):
         if isinstance(other, QC):
@@ -38,9 +36,7 @@ class QC:
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)

@@ -141,10 +141,7 @@ class Lattice:
         return list(ident)
 
     def idents_up_to(self, bound):
-        n = math.floor(bound)
-        if n < 0:
-            return []
-        return [t for t in _tuples_sum_at_most(self.k, int(n))]
+        return list(_tuples_sum_at_most(self.k, math.floor(bound)))
 
     def initial_bound(self):
         return 4
@@ -224,10 +221,7 @@ class OrdinaryDirichlet:
 
     def idents_up_to(self, bound):
         # bound is the maximal product (an int); the size bound is log(bound)
-        n = int(bound)
-        if n < 1:
-            return []
-        return [t for t in _tuples_product_at_most(self.k, n)]
+        return list(_tuples_product_at_most(self.k, int(bound)))
 
     def initial_bound(self):
         return 4

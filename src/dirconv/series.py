@@ -46,10 +46,7 @@ def characters(enum, pt: tuple) -> list:
     out = []
     if enum.backend.kind != "ordinary-dirichlet":
         for ident in idents:
-            dot = 0j
-            for c, si in zip(ident, pt):
-                dot += float(c) * si
-            z = -dot
+            z = -sum((float(c) * si for c, si in zip(ident, pt)), 0j)
             m = math.exp(z.real)
             out.append(complex(m * math.cos(z.imag), m * math.sin(z.imag)))
         return out

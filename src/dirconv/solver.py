@@ -217,17 +217,12 @@ def solve_all(T: ConvPolynomial, tol: float = DEFAULT_TOLERANCE) -> SolveAllResu
             + ("; every root is obstructed, the equation is unsolvable"
                if proven else "; existence is undecided"),
             report=report, obstructions=obs, proven_unsolvable=proven)
-    solutions = []
     skipped = tuple((r, f"multiplicity {r.multiplicity}; not a simple root")
                     for r in report.roots if not r.simple)
-    for root in simple:
-        if T.exact and not root.exact:
-            # an irrational anchor cannot live in exact arithmetic
-            g = solve(T.to_double(), complex(root.value))
-        else:
-            g = solve(T, root.value)
-        solutions.append((root, g))
-    return SolveAllResult(tuple(solutions), skipped, report)
+    # an irrational anchor cannot live in exact arithmetic
+    solutions = tuple((r, solve(T.to_double(), complex(r.value))
+                       if T.exact and not r.exact else solve(T, r.value)) for r in simple)
+    return SolveAllResult(solutions, skipped, report)
 
 
 def factorization_check(T: ConvPolynomial, solutions):

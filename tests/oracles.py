@@ -164,6 +164,65 @@ def residual_fractions(T, g):
     return total
 
 
+def dot_pairs(a, b, pairs):
+    """sum of a[i] * b[j] over the index pairs, added left to right from 0."""
+    acc = 0
+    for i, j in pairs:
+        acc = acc + a[i] * b[j]
+    return acc
+
+
+def convolve_pairs(g, h):
+    """g * h in complex doubles by the plain loop over the reference pair
+    scan: every pair of every row, in the scan's order."""
+    a, b = g.to_double().values, h.to_double().values
+    return dc.TruncatedFunction(
+        g.enum, [dot_pairs(a, b, pairs) for pairs in pair_scan(g.enum)], False)
+
+
+def sweep_pairs(enum, equations, z0):
+    """The window functions that equations in at most two unknowns force,
+    in complex doubles by plain loops over the reference pair scan.
+
+    ``equations`` lists, per equation, its terms as (coefficient values,
+    exponents).  Every product of unknowns has a table, recomputed at each
+    element from its whole pair row: once with the unknowns there set to
+    0, which gives each equation's value F(x) apart from the linear part,
+    and once more after the base-point Jacobian J has fixed the unknowns
+    as -J^(-1) F(x) (Cramer's rule).
+    """
+    rows, n, m = pair_scan(enum), len(enum), len(z0)
+    assert m <= 2
+    terms = [[(c, tuple(l for l, e in enumerate(exps) for _ in range(e)))
+              for c, exps in eq] for eq in equations]
+    prefixes = sorted({fs[:k] for eq in terms for _, fs in eq
+                       for k in range(1, len(fs) + 1)}, key=len)
+    G = [[complex(z)] + [0j] * (n - 1) for z in z0]
+    P = {(): [1 + 0j] + [0j] * (n - 1), **{fs: [0j] * n for fs in prefixes}}
+
+    def fill(x):
+        for fs in prefixes:
+            P[fs][x] = dot_pairs(P[fs[:-1]], G[fs[-1]], rows[x])
+
+    def slope(fs, l):
+        """d/dz_l of the product of the z0 factors fs."""
+        return sum(math.prod(complex(z0[f]) for f in fs[:i] + fs[i + 1:])
+                   for i in range(len(fs)) if fs[i] == l)
+
+    J = [[sum(c[0] * slope(fs, l) for c, fs in eq) for l in range(m)] for eq in terms]
+    det = J[0][0] if m == 1 else J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    Jinv = [[1 / det]] if m == 1 else [[J[1][1] / det, -J[0][1] / det],
+                                        [-J[1][0] / det, J[0][0] / det]]
+    fill(0)
+    for x in range(1, n):
+        fill(x)
+        F = [sum(dot_pairs(c, P[fs], rows[x]) for c, fs in eq) for eq in terms]
+        for l in range(m):
+            G[l][x] = -sum(Jinv[l][i] * F[i] for i in range(m))
+        fill(x)
+    return [dc.TruncatedFunction(enum, g, False) for g in G]
+
+
 def abs_bounds_fractions(q):
     """Verified double bounds of |q| for a Fraction or QC, bracketed by
     exact Fraction squares: the square root of the upward-rounded float

@@ -61,7 +61,8 @@ def _functions(enum, rng):
         0j if rng.random() < 0.2 else complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         for _ in range(len(enum))], False)
     return [real, gauss, dc.TruncatedFunction(enum, runs, True), double,
-            dc.one(enum), dc.constant(enum, Fraction(-5, 3)), dc.unit(enum, False)]
+            dc.one(enum), dc.constant(enum, Fraction(-5, 3)),
+            dc.constant(enum, 0.7 + 0.2j, exact=False), dc.unit(enum, False)]
 
 
 def _points(k, rng):

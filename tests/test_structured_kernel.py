@@ -1,0 +1,172 @@
+"""Double-mode products read by structure agree with the plain pair loop.
+
+In double mode ``convolve`` and the sweep decide once per product how it
+reads the decomposition table: an operand that vanishes off 0 scales the
+other, a coefficient constant off 0 gathers the other operand over the
+row, and a table times itself reads half of its mirrored row.  Each rule
+must give the values of the plain pair loop over the reference scan
+(``oracles.convolve_pairs``, ``oracles.sweep_pairs``) up to rounding.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import dirconv as dc
+
+from oracles import convolve_pairs, pair_scan, sweep_pairs
+from test_decomp_table import WINDOWS as TABLE_WINDOWS
+
+WINDOWS = {
+    "divisor-1": (dc.OrdinaryDirichlet(1), 48),
+    "divisor-2": (dc.OrdinaryDirichlet(2), 24),
+    "lattice-2": (dc.Lattice(2), 5),
+    "lattice-3": (dc.Lattice(3), 3),
+    "generators": (dc.RationalGenerators((("1/2", "0"), ("0", "1/3"), ("1/5", "1/7"))),
+                   Fraction(3, 2)),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WINDOWS))
+def window(request):
+    backend, bound = WINDOWS[request.param]
+    return dc.enumerate_semigroup(backend, size_bound=bound)
+
+
+def _close(got, want):
+    """Equal to 1e-12 of the reference's largest |value|."""
+    scale = max(abs(v) for v in want.values)
+    assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= 1e-12 * scale
+
+
+def _cplx(rng):
+    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+
+def _operands(enum, rng):
+    """Every structure the readers tell apart, as double-mode functions."""
+    n, c = len(enum), _cplx(rng)
+
+    def f(values):
+        return dc.TruncatedFunction(enum, values, False)
+
+    def changed(values, i, v):
+        values = list(values)
+        values[i] = v
+        return f(values)
+
+    dense = f([_cplx(rng) for _ in range(n)])
+    return {
+        "unit": dc.unit(enum, False),
+        "point mass": f([_cplx(rng)] + [0j] * (n - 1)),
+        "one": dc.one(enum, False),
+        "const": dc.constant(enum, c, False),
+        "const off 0": changed([c] * n, 0, _cplx(rng)),
+        "indicator at 1": changed([0j] * n, 1, _cplx(rng)),
+        "indicator at top": changed([0j] * n, n - 1, _cplx(rng)),
+        "const but at 1": changed([c] * n, 1, _cplx(rng)),
+        "const but at top": changed([c] * n, n - 1, _cplx(rng)),
+        "dense": dense,
+        "square": dc.convolve(dense, dense),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
+def test_every_table_row_is_mirrored(name):
+    """Pair i of a row is pair len - 1 - i reversed: the half-row rule
+    rests on this."""
+    backend, truncation = TABLE_WINDOWS[name]
+    dec = dc.enumerate_semigroup(backend, **truncation).decomp
+    for t in range(len(dec)):
+        a, b = dec.offsets[t], dec.offsets[t + 1]
+        assert all(dec.first[a + i] == dec.second[b - 1 - i] for i in range(b - a))
+
+
+def test_the_windows_hold_every_row_shape():
+    """Inner rows (the pairs that avoid 0) of lengths 0, 1, 2 and odd
+    lengths of 3 and more all occur."""
+    lengths = set()
+    for backend, bound in WINDOWS.values():
+        rows = pair_scan(dc.enumerate_semigroup(backend, size_bound=bound))
+        lengths |= {len(pairs) - 2 for pairs in rows[1:]}
+    assert {0, 1, 2} <= lengths
+    assert any(k >= 3 and k % 2 for k in lengths)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_convolve_matches_the_pair_loop(window, seed):
+    ops = _operands(window, random.Random(seed))
+    for a in ops.values():
+        for b in ops.values():
+            _close(dc.convolve(a, b), convolve_pairs(a, b))
+        _close(dc.convolve(a, a), convolve_pairs(a, a))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_invert_matches_the_pair_loop(window, seed):
+    for g in _operands(window, random.Random(seed)).values():
+        if abs(g.values[0]) > 0.1:
+            terms = [(dc.unit(window, False).scale(-1).values, (0,)), (g.values, (1,))]
+            _close(dc.invert(g), sweep_pairs(window, [terms], [1 / g.values[0]])[0])
+
+
+def _solvable(coeffs, z0):
+    """Set a_0(0) so that z0 is a root of the anchor polynomial; None
+    unless the root is well separated from a double one."""
+    at0 = [c.values[0] for c in coeffs]
+    fprime = sum(j * a * z0 ** (j - 1) for j, a in enumerate(at0) if j)
+    if abs(fprime) < 0.3:
+        return None
+    a0 = list(coeffs[0].values)
+    a0[0] = -sum(a * z0 ** j for j, a in enumerate(at0) if j)
+    return [dc.TruncatedFunction(coeffs[0].enum, a0, False)] + coeffs[1:]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_matches_the_pair_loop(window, seed):
+    """Degree 1 to 3 equations over every operand kind: squares in the
+    sweep, Q*G chains (g^2 * g), gathered and scaled coefficients."""
+    rng = random.Random(seed)
+    ops = list(_operands(window, rng).values())
+    done = 0
+    while done < 12:
+        d = rng.randint(1, 3)
+        z0 = _cplx(rng) + 0.5
+        coeffs = _solvable([rng.choice(ops) for _ in range(d + 1)], z0)
+        if coeffs is None or coeffs[-1].is_zero():
+            continue
+        T = dc.ConvPolynomial(tuple(coeffs))
+        terms = [(c.values, (j,)) for j, c in enumerate(coeffs)]
+        _close(dc.solve(T, z0), sweep_pairs(window, [terms], [z0])[0])
+        done += 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_solve_system_matches_the_pair_loop(window, seed):
+    """Quadratic systems in two unknowns: g1*g1 and g2*g2 read half rows,
+    g1*g2 is the plain dot, and every coefficient kind meets them."""
+    rng = random.Random(seed)
+    ops = list(_operands(window, rng).values())
+    shapes = [[(2, 0), (0, 1), (1, 1), (0, 0)], [(0, 2), (1, 1), (1, 0), (0, 0)]]
+    done = 0
+    while done < 6:
+        z0 = [_cplx(rng) + 0.5, _cplx(rng) - 0.5]
+        eqs = []
+        for shape in shapes:
+            cs = [rng.choice(ops) for _ in shape]
+            at0 = sum(c.values[0] * z0[0] ** e1 * z0[1] ** e2
+                      for c, (e1, e2) in zip(cs[:-1], shape))
+            const = list(cs[-1].values)
+            const[0] = -at0
+            cs[-1] = dc.TruncatedFunction(window, const, False)
+            eqs.append(list(zip(cs, shape)))
+        S = dc.PolySystem(2, [[dc.Monomial(c, e) for c, e in eq] for eq in eqs], z0)
+        try:
+            gs = dc.solve_system(S)
+        except dc.SingularJacobian:
+            continue
+        want = sweep_pairs(window, [[(c.values, e) for c, e in eq] for eq in eqs], z0)
+        for g, w in zip(gs, want):
+            _close(g, w)
+        done += 1
