@@ -21,9 +21,8 @@ from .errors import (AllCoefficientsZero, BackendMismatch,
                      OutOfHalfPlane, PreconditionFailed, SingularJacobian,
                      SpecError, ZeroDerivative, ZeroPolynomial)
 from .scalars import QC
-from .semigroup import (Element, Enumeration, Lattice, LogInt,
-                        OrdinaryDirichlet, RationalGenerators,
-                        enumerate_semigroup, min_positive_size)
+from .semigroup import (Element, Enumeration, Lattice, OrdinaryDirichlet,
+                        RationalGenerators, enumerate_semigroup)
 from .series import (SeriesValue, VerifyReport, evaluate, tail_bound,
                      verify_scalar_equation)
 from .solver import (ConvPolynomial, Monomial, Obstruction, PolySystem,
@@ -35,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QC", "DEFAULT_TOLERANCE",
-    "Element", "Enumeration", "Lattice", "LogInt", "OrdinaryDirichlet",
-    "RationalGenerators", "enumerate_semigroup", "min_positive_size",
+    "Element", "Enumeration", "Lattice", "OrdinaryDirichlet",
+    "RationalGenerators", "enumerate_semigroup",
     "TruncatedFunction", "constant", "convolve", "damp", "from_pairs",
     "from_values", "indicator", "invert", "one", "power", "r_norm_partial",
     "unit",

@@ -22,7 +22,7 @@ from operator import add, mul
 from .errors import BackendMismatch, NotInvertible
 from .rounding import abs_bounds, add_up, mul_dn, mul_up, weight_bounds
 from .scalars import QC, double_value, exact_value
-from .semigroup import Enumeration, size_bounds
+from .semigroup import Enumeration
 
 #: default comparison tolerance for double-mode assertions
 DEFAULT_TOLERANCE = 1e-10
@@ -409,40 +409,37 @@ def sweep(enum, equations, z0, Jinv, exact):
 def weighted_terms(g: TruncatedFunction, r: float):
     """Directed bounds of |g(x)| e^(-r|x|), one element at a time.
 
-    Yields (size, round-down term, round-up term) in window order; every
-    norm, partial sum and tail of the package is summed from these.
+    Yields (size key, round-down term, round-up term) in window order;
+    every norm, partial sum and tail of the package is summed from these.
     Zero values need no weight; a value repeated in a row is bracketed
-    once, the weight is found once per size level (the window is in size
+    once, the weight is found once per size level (the window is in key
     order), and the term is reused while both repeat.
     """
     prev = level = None
+    size_bounds = g.enum.backend.size_bounds
     for e, v in zip(g.enum.elements, g.values):
         if v is not prev:
             prev, terms = v, None
             a_lo, a_hi = abs_bounds(v)
         if not a_hi:
-            yield e.size, 0.0, 0.0
+            yield e.key, 0.0, 0.0
             continue
-        if e.size != level:
-            level, terms = e.size, None
+        if e.key != level:
+            level, terms = e.key, None
             w_lo, w_hi = weight_bounds(r, *size_bounds(level))
         if terms is None:
             terms = mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
-        yield e.size, *terms
+        yield e.key, *terms
 
 
-def r_norm_partial(g: TruncatedFunction, r, m=None, include_zero: bool = False) -> float:
-    """Round-up partial sum of |g(x)| e^(-r|x|) over 0 < |x| <= m.
+def r_norm_partial(g: TruncatedFunction, r, include_zero: bool = False) -> float:
+    """Round-up sum of |g(x)| e^(-r|x|) over the window's x != 0.
 
-    ``m`` is an exact size value of the window's backend (None means the
-    whole window); ``include_zero`` adds the x = 0 term, turning the
-    partial sum into a partial r-norm.  The result is always an upper
-    bound of the exact sum.
+    ``include_zero`` adds the x = 0 term, turning the sum into the
+    window r-norm.  The result is always an upper bound of the exact sum.
     """
     total = 0.0
-    for i, (size, _, hi) in enumerate(weighted_terms(g, float(r))):
-        if m is not None and size > m:
-            break
+    for i, (_, _, hi) in enumerate(weighted_terms(g, float(r))):
         if i or include_zero:
             total = add_up(total, hi)
     return total
@@ -450,6 +447,6 @@ def r_norm_partial(g: TruncatedFunction, r, m=None, include_zero: bool = False) 
 
 def damp(g: TruncatedFunction, rho) -> TruncatedFunction:
     """The rescaled function x -> e^(-rho|x|) g(x), in double mode."""
-    rho = float(rho)
-    return TruncatedFunction(g.enum, [double_value(v) * math.exp(-rho * float(e.size))
+    rho, size = float(rho), g.enum.backend.size
+    return TruncatedFunction(g.enum, [double_value(v) * math.exp(-rho * size(e.key))
                                       for e, v in zip(g.enum.elements, g.values)], False)

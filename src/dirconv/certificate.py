@@ -29,7 +29,6 @@ from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
 from .rounding import (abs_bounds, add_dn, add_up, div_up, dn, exp_up,
                        frac_bounds, log_dn, mul_dn, mul_up, poly_eval_up,
                        pow_up, sub_dn, sub_up, up)
-from .semigroup import size_bounds
 from .solver import ConvPolynomial
 
 #: scope markers for the coefficient norms entering Q
@@ -50,7 +49,7 @@ class NormCertificate:
     """
 
     rho: Fraction
-    m1: object                 # exact minimal positive size
+    m1: int                    # size key of the minimal positive size
     z0: object
     P: tuple                   # round-up coefficients, index = power of t
     Q: tuple
@@ -73,6 +72,9 @@ def _norms(T: ConvPolynomial, rho, norm_bounds):
     if norm_bounds is not None:
         if len(norm_bounds) != len(norms):
             raise ValueError("need one norm bound per coefficient")
+        if not all(b >= 0 for b in norm_bounds):
+            # max(w, nan) is w: a NaN bound would be dropped unseen
+            raise ValueError(f"norm bounds must be numbers >= 0: {list(norm_bounds)}")
         norms = [max(w, frac_bounds(b)[1]) for w, b in zip(norms, norm_bounds)]
     return norms
 
@@ -174,7 +176,7 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
     t_star, C_raw = maximize_R(P, Q, abs_z0_up)
     C = min(C_raw, 1.0)
     m1 = T.enum.m1
-    m1_lo, _ = size_bounds(m1)
+    m1_lo, _ = T.enum.backend.size_bounds(m1)
     if C >= 1.0:
         s = 0.0
     else:
@@ -225,11 +227,12 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
 
     rho_hi = frac_bounds(cert.rho)[1]
     s_rate = max(0.0, sub_dn(r, rho_hi))
-    m1_lo = size_bounds(cert.m1)[0]
+    backend = g.enum.backend
+    m1_lo = backend.size_bounds(cert.m1)[0]
     damp_up = exp_up(-mul_dn(s_rate, m1_lo))
 
     sum_margin = rec_margin = math.inf
-    level_floats = tuple(float(size) for size, _ in levels)
+    level_floats = tuple(backend.size(key) for key, _ in levels)
     for n in range(1, len(sums)):
         margin = sub_dn(cert.t_star, sums[n])
         sum_margin = min(sum_margin, margin)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -125,7 +126,8 @@ def _ident(raw, enum, path):
 def _parse_point(raw, k, path):
     def comp(v):
         if isinstance(v, dict):
-            return complex(float(v.get("re", 0)), float(v.get("im", 0)))
+            return complex(float(parse_rational(v.get("re", 0))),
+                           float(parse_rational(v.get("im", 0))))
         if isinstance(v, str):
             return complex(float(parse_rational(v)))
         return complex(v)
@@ -138,6 +140,17 @@ def _parse_point(raw, k, path):
         return comp(raw)
     except (ValueError, TypeError) as exc:
         raise SpecError(str(exc), path)
+
+
+def _tolerance(raw):
+    try:
+        tol = float(raw)
+    except (ValueError, TypeError) as exc:
+        raise SpecError(str(exc), "arithmetic.tolerance")
+    if not 0.0 <= tol < math.inf:
+        raise SpecError(f"tolerance must be a finite number >= 0, not {raw!r}",
+                        "arithmetic.tolerance")
+    return tol
 
 
 class Problem:
@@ -158,7 +171,7 @@ class Problem:
         if mode not in ("exact", "double"):
             raise SpecError(f"unknown mode {mode!r}", "arithmetic.mode")
         self.exact = mode == "exact"
-        self.tolerance = float(arith.get("tolerance", DEFAULT_TOLERANCE))
+        self.tolerance = _tolerance(arith.get("tolerance", DEFAULT_TOLERANCE))
         eq = _need(raw, "equation", "")
         coeff_specs = _need(eq, "coefficients", "equation")
         if not isinstance(coeff_specs, list) or not coeff_specs:
@@ -214,7 +227,7 @@ class Problem:
 def _element_row(enum, i, value):
     e = enum[i]
     ident = enum.backend.ident_json(e.ident)
-    return {"id": ident, "coords": ident, "size": float(e.size),
+    return {"id": ident, "coords": ident, "size": enum.backend.size(e.key),
             "value": format_scalar(value)}
 
 
@@ -235,10 +248,10 @@ def _root_report_doc(report: solver.RootReport):
     }
 
 
-def _certificate_doc(cert: certificate.NormCertificate):
+def _certificate_doc(cert: certificate.NormCertificate, backend):
     return {
         "rho": format_rational(cert.rho),
-        "m1": float(cert.m1),
+        "m1": backend.size(cert.m1),
         "z0": format_scalar(cert.z0),
         "t_star": cert.t_star,
         "C": cert.C,
@@ -321,7 +334,7 @@ def run_problem(problem: Problem) -> dict:
     cert = certificate.certify(T, z0, rho, norm_bounds)
     g = solver.solve(T, z0)
     report = certificate.validate(cert, g)
-    doc["certificate"] = _certificate_doc(cert)
+    doc["certificate"] = _certificate_doc(cert, problem.backend)
     doc["validation"] = {
         "ok": report.ok,
         "sum_margin": report.sum_margin,
@@ -439,7 +452,7 @@ def run(spec_path: str, threads: int = 1, tolerance=None):
     try:
         problem = Problem(raw)
         if tolerance is not None:
-            problem.tolerance = float(tolerance)
+            problem.tolerance = _tolerance(tolerance)
         started = time.perf_counter()
         doc = run_problem(problem)
         elapsed = time.perf_counter() - started

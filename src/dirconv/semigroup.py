@@ -13,20 +13,22 @@ Three backend families:
   positive rational vectors; the identity of an element is its exact
   coordinate vector, so colliding generator combinations merge.
 
+Every element carries one exact integer size key (the coordinate sum,
+the product n_1*...*n_k, or q times the size for the common denominator
+q of the generators), and only its backend turns a key into a size.
 ``enumerate_semigroup`` lists the window {x : |x| <= B} (or the N
 smallest elements) in the total order "size, then lexicographic
-identity".  That order is the induction order of every recursion in the
-rest of the library.  The enumeration also owns the shared additive
-decomposition table x = x' + x'' used by convolution, a flat
-:class:`DecompTable` built by one integer scan: every backend gives each
-element an exact integer size key and an integer code of its identity
-(see ``scan_plan``), so the scan adds or multiplies ints and looks them
-up in one int-keyed dict.
+identity", i.e. by (key, identity).  That order is the induction order
+of every recursion in the rest of the library.  The enumeration also
+owns the shared additive decomposition table x = x' + x'' used by
+convolution, a flat :class:`DecompTable` built by one integer scan over
+the keys and an integer code of each identity (see ``scan_plan``), so
+the scan adds or multiplies ints and looks them up in one int-keyed
+dict.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from array import array
@@ -34,7 +36,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial, reduce, total_ordering
+from functools import cached_property, partial, reduce
 from operator import add, mul
 
 from .errors import EmptyTruncation, NotEnumerated, OnlyZero
@@ -42,66 +44,18 @@ from .rounding import dn, frac_bounds, up
 from .scalars import format_rational, parse_rational
 
 
-@total_ordering
-class LogInt:
-    """The size log(n) of an ordinary-Dirichlet element, kept exact as n.
-
-    Comparison, equality and addition (= integer multiplication) are
-    exact; ``bounds()`` gives directed float enclosures of log(n).
-    """
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("LogInt argument must be a positive integer")
-        self.n = n
-
-    def __repr__(self):
-        return f"LogInt({self.n})"
-
-    def __eq__(self, other):
-        return isinstance(other, LogInt) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("LogInt", self.n))
-
-    def __lt__(self, other):
-        return self.n < other.n
-
-    def __add__(self, other):
-        return LogInt(self.n * other.n)
-
-    def __float__(self):
-        return math.log(self.n)
-
-    def __bool__(self):
-        return self.n != 1
-
-    def bounds(self) -> tuple[float, float]:
-        if self.n == 1:
-            return 0.0, 0.0
-        v = math.log(self.n)
-        return dn(dn(v)), up(up(v))
-
-
-def size_bounds(size) -> tuple[float, float]:
-    """Directed float bounds of an exact size value."""
-    if isinstance(size, LogInt):
-        return size.bounds()
-    return frac_bounds(size)
-
-
 @dataclass(frozen=True)
 class Element:
-    """One semigroup element: exact identity and exact size.
+    """One semigroup element: exact identity and exact integer size key.
 
-    For the ordinary-Dirichlet backend the integer tuple ``ident``
-    stands for its componentwise logarithms.
+    Keys order sizes exactly; what a key means is the backend's business
+    (``backend.size(key)`` is the size as a double).  For the
+    ordinary-Dirichlet backend the integer tuple ``ident`` stands for its
+    componentwise logarithms.
     """
 
     ident: tuple
-    size: object  # int | Fraction | LogInt, homogeneous per backend
+    key: int
 
     def __repr__(self):
         return f"Element{self.ident}"
@@ -109,27 +63,92 @@ class Element:
 
 # ---------------------------------------------------------------------------
 # backends
+#
+# Every backend maps an identity to its integer size key with ``key``,
+# turns a key back into a size with ``size`` (a double) and ``size_bounds``
+# (directed double bounds), and gives the decomposition scan its integer
+# form with ``scan_plan(idents, keys)``: the window's identities and keys
+# in window order go in; out come one integer code per identity,
+# ``limit(key)``, the largest partner key whose sum with an element of key
+# ``key`` stays in the window, and ``sums(i, jmax)``, the codes of
+# e_i + e_j for j < jmax.
+
+
+def _radix_weights(k, top):
+    """Mixed-radix place values for k coordinates that never exceed ``top``."""
+    return [(top + 1) ** m for m in range(k)]
+
+
+class _Additive:
+    """Backends whose identities, scaled by the integer ``q``, are the
+    N0-combinations of integer steps: the key is q times the size, so
+    adding elements adds keys, and the mixed-radix codes of the scaled
+    coordinates add too (a sum kept in the window has every scaled
+    coordinate at most the largest key)."""
+
+    def zero_ident(self):
+        return self._ident((0,) * self.k)
+
+    def key(self, ident):
+        return sum(self._scaled(ident))
+
+    def size(self, key):
+        return key / self.q
+
+    def size_bounds(self, key):
+        return frac_bounds(Fraction(key, self.q))
+
+    def idents_up_to(self, bound):
+        """The identities of size <= bound, unordered: a walk over the
+        scaled vectors, whose keys grow by every step."""
+        top = math.floor(parse_rational(bound) * self.q)
+        steps = [(sum(s), s) for s in self._steps]
+        zero = (0,) * self.k
+        seen = {zero}
+        stack = [(0, zero)]
+        while stack:
+            vkey, v = stack.pop()
+            for skey, s in steps:
+                if vkey + skey <= top:
+                    nxt = tuple(map(add, v, s))
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append((vkey + skey, nxt))
+        return list(map(self._ident, seen))
+
+    def scan_plan(self, idents, keys):
+        top = keys[-1]
+        weights = _radix_weights(self.k, top)
+        codes = [sum(map(mul, self._scaled(t), weights)) for t in idents]
+
+        def sums(i, jmax):
+            return map(add, itertools.repeat(codes[i]), itertools.islice(codes, jmax))
+
+        return codes, lambda key: top - key, sums
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """X = N0^k under componentwise addition."""
+class Lattice(_Additive):
+    """X = N0^k under componentwise addition: the q = 1 additive backend
+    stepping by the unit vectors, whose key is the coordinate sum."""
 
     k: int
     kind = "lattice"
+    q = 1
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("lattice dimension must be >= 1")
 
-    def zero_ident(self):
-        return (0,) * self.k
+    @property
+    def _steps(self):
+        return [tuple(int(m == i) for m in range(self.k)) for i in range(self.k)]
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def _scaled(self, ident):
+        return ident
 
-    def make_element(self, ident) -> Element:
-        return Element(ident, sum(ident))
+    def _ident(self, v):
+        return v
 
     def validate_ident(self, raw):
         t = tuple(int(v) for v in raw)
@@ -140,59 +159,17 @@ class Lattice:
     def ident_json(self, ident):
         return list(ident)
 
-    def idents_up_to(self, bound):
-        return list(_tuples_sum_at_most(self.k, math.floor(bound)))
-
     def initial_bound(self):
         return 4
-
-    def scan_plan(self, idents):
-        """The integer form of a window for the decomposition scan.
-
-        ``idents`` are the window's identities in window order.  Returns
-        (keys, codes, limit, sums): exact integer size keys, ascending;
-        one integer code per identity; ``limit(key)``, the largest
-        partner key whose sum with an element of size key ``key`` stays
-        in the window; and ``sums(i, jmax)``, the codes of e_i + e_j for
-        j < jmax.  Here the key is the coordinate sum and the code is a
-        mixed-radix int, so adding elements adds codes.
-        """
-        return _additive_plan(idents)
-
-
-def _radix_weights(k, top):
-    """Mixed-radix place values for k coordinates that never exceed ``top``."""
-    return [(top + 1) ** m for m in range(k)]
-
-
-def _additive_plan(points):
-    """Scan plan of a window of non-negative integer coordinate vectors
-    under addition.  A sum kept in the window has every coordinate at
-    most the largest key, so its mixed-radix code is the sum of codes."""
-    keys = [sum(p) for p in points]
-    top = keys[-1]
-    weights = _radix_weights(len(points[0]), top)
-    codes = [sum(map(mul, p, weights)) for p in points]
-
-    def sums(i, jmax):
-        return map(add, itertools.repeat(codes[i]), itertools.islice(codes, jmax))
-
-    return keys, codes, lambda key: top - key, sums
-
-
-def _tuples_sum_at_most(k, n):
-    if k == 1:
-        for i in range(n + 1):
-            yield (i,)
-        return
-    for i in range(n + 1):
-        for rest in _tuples_sum_at_most(k - 1, n - i):
-            yield (i,) + rest
 
 
 @dataclass(frozen=True)
 class OrdinaryDirichlet:
-    """X = (log N)^k; identities are integer tuples (n_1,...,n_k), n_i >= 1."""
+    """X = (log N)^k; identities are integer tuples (n_1,...,n_k), n_i >= 1.
+
+    The key is the product n_1*...*n_k, a monotone image of the size
+    log n_1 + ... + log n_k; adding elements multiplies keys.
+    """
 
     k: int
     kind = "ordinary-dirichlet"
@@ -204,11 +181,17 @@ class OrdinaryDirichlet:
     def zero_ident(self):
         return (1,) * self.k
 
-    def add(self, a, b):
-        return tuple(x * y for x, y in zip(a, b))
+    def key(self, ident):
+        return math.prod(ident)
 
-    def make_element(self, ident) -> Element:
-        return Element(ident, LogInt(math.prod(ident)))
+    def size(self, key):
+        return math.log(key)
+
+    def size_bounds(self, key):
+        if key == 1:
+            return 0.0, 0.0
+        v = math.log(key)
+        return dn(dn(v)), up(up(v))
 
     def validate_ident(self, raw):
         t = tuple(int(v) for v in raw)
@@ -226,12 +209,10 @@ class OrdinaryDirichlet:
     def initial_bound(self):
         return 4
 
-    def scan_plan(self, idents):
-        """As :meth:`Lattice.scan_plan`, with the product n_1*...*n_k as
-        the key; a product of elements multiplies keys.  The code of
-        e_i * e_j is sum_m (n_m w_m) n'_m for the place values w_m, so the
-        codes of one row are k int products per partner, summed."""
-        keys = [math.prod(t) for t in idents]
+    def scan_plan(self, idents, keys):
+        """The code of e_i * e_j is sum_m (n_m w_m) n'_m for the place
+        values w_m, so the codes of one row are k int products per
+        partner, summed."""
         top = keys[-1]
         weights = _radix_weights(self.k, top)
         columns = list(zip(*idents))
@@ -242,7 +223,7 @@ class OrdinaryDirichlet:
                 for n, w, col in zip(idents[i], weights, columns)])
 
         codes = [sum(map(mul, t, weights)) for t in idents]
-        return keys, codes, lambda key: top // key, sums
+        return codes, lambda key: top // key, sums
 
 
 def _tuples_product_at_most(k, n):
@@ -256,11 +237,13 @@ def _tuples_product_at_most(k, n):
 
 
 @dataclass(frozen=True)
-class RationalGenerators:
+class RationalGenerators(_Additive):
     """The semigroup generated by finitely many positive rational vectors.
 
     Discreteness is automatic: all coordinates share a common
-    denominator, so sizes live in (1/q)*N0 and cannot accumulate.
+    denominator q, so q*X lies in N0^k, sizes live in (1/q)*N0 and
+    cannot accumulate.  The identity of an element is its exact
+    coordinate vector, so colliding generator combinations merge.
     """
 
     generators: tuple
@@ -281,19 +264,22 @@ class RationalGenerators:
                 raise ValueError(
                     f"generators need non-negative coordinates and positive size: {g}")
         object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "q", math.lcm(*(c.denominator for g in gens for c in g)))
 
     @property
     def k(self):
         return len(self.generators[0])
 
-    def zero_ident(self):
-        return (Fraction(0),) * self.k
+    @property
+    def _steps(self):
+        return list(map(self._scaled, self.generators))
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+    def _scaled(self, ident):
+        q = self.q
+        return tuple(c.numerator * (q // c.denominator) for c in ident)
 
-    def make_element(self, ident) -> Element:
-        return Element(ident, sum(ident, Fraction(0)))
+    def _ident(self, v):
+        return tuple(Fraction(c, self.q) for c in v)
 
     def validate_ident(self, raw):
         t = tuple(parse_rational(c) for c in raw)
@@ -304,36 +290,8 @@ class RationalGenerators:
     def ident_json(self, ident):
         return [format_rational(c) for c in ident]
 
-    def idents_up_to(self, bound):
-        bound = parse_rational(bound) if not isinstance(bound, (int, Fraction)) else bound
-        zero = self.zero_ident()
-        if bound < 0:
-            return []
-        seen = {zero}
-        out = [zero]
-        heap = [(Fraction(0), zero)]
-        while heap:
-            size, ident = heapq.heappop(heap)
-            for g in self.generators:
-                nxt = self.add(ident, g)
-                nsize = size + sum(g, Fraction(0))
-                if nsize > bound or nxt in seen:
-                    continue
-                seen.add(nxt)
-                out.append(nxt)
-                heapq.heappush(heap, (nsize, nxt))
-        return out
-
     def initial_bound(self):
         return min(sum(g, Fraction(0)) for g in self.generators) * 8
-
-    def scan_plan(self, idents):
-        """As :meth:`Lattice.scan_plan` on the identities scaled by q, the
-        lcm of the generator denominators: q*X lies in N0^k, and the key
-        is q times the size."""
-        q = math.lcm(*(c.denominator for g in self.generators for c in g))
-        return _additive_plan([tuple(c.numerator * (q // c.denominator) for c in t)
-                               for t in idents])
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +360,7 @@ class Enumeration:
         if not elements or elements[0].ident != backend.zero_ident():
             raise EmptyTruncation("window does not contain the zero element")
         for a, b in itertools.pairwise(elements):
-            if not (a.size < b.size or (a.size == b.size and a.ident < b.ident)):
+            if not (a.key, a.ident) < (b.key, b.ident):
                 raise AssertionError("enumeration order violated")
 
     def __len__(self):
@@ -432,24 +390,24 @@ class Enumeration:
 
     @cached_property
     def levels(self):
-        """Distinct sizes 0 = m_0 < m_1 < ... with their element index ranges."""
-        groups = itertools.groupby(range(len(self)), lambda i: self.elements[i].size)
-        return [(size, tuple(ix)) for size, ix in groups]
+        """Distinct size keys of m_0 = 0 < m_1 < ... with their element index ranges."""
+        groups = itertools.groupby(range(len(self)), lambda i: self.elements[i].key)
+        return [(key, tuple(ix)) for key, ix in groups]
 
     @cached_property
     def decomp(self) -> DecompTable:
         """For each element index t, all ordered pairs (i, j) with e_i + e_j = e_t.
 
         One pass over the elements in window order on the backend's
-        integer scan plan: for e_i, the partners e_j whose size keys keep
-        the sum in the window form a prefix of the window (the keys
-        ascend), and each sum's code is looked up in one int-keyed dict.
+        integer scan plan: for e_i, the partners e_j whose keys keep the
+        sum in the window form a prefix of the window (the keys ascend),
+        and each sum's code is looked up in one int-keyed dict.
         So the pairs of every element come out with the first component
         ascending.  No per-pair object is kept: each element's bucket
         holds the shared int i, and the buckets become a flat table.
         """
-        keys, codes, limit, sums = self.backend.scan_plan(
-            [e.ident for e in self.elements])
+        keys = [e.key for e in self.elements]
+        codes, limit, sums = self.backend.scan_plan([e.ident for e in self.elements], keys)
         buckets = [[] for _ in keys]
         index = _Buckets(zip(codes, buckets))
         consume = deque(maxlen=0).extend
@@ -466,10 +424,10 @@ class Enumeration:
 
     @property
     def m1(self):
-        """Minimal positive element size in the window."""
+        """Key of the minimal positive element size in the window."""
         if len(self.elements) < 2:
             raise OnlyZero("window contains no non-zero element")
-        return self.elements[1].size
+        return self.elements[1].key
 
 
 def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumeration:
@@ -504,15 +462,9 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
             idents = new
         truncation = ("max_elements", n)
 
-    elements = sorted((backend.make_element(i) for i in idents),
-                      key=lambda e: (e.size, e.ident))
+    order = sorted(zip(map(backend.key, idents), idents))
     if max_elements is not None:
-        elements = elements[:max_elements]
-    if not elements:
+        order = order[:max_elements]
+    if not order:
         raise EmptyTruncation("window is empty")
-    return Enumeration(backend, elements, truncation)
-
-
-def min_positive_size(enum: Enumeration):
-    """m_1 = min{|x| : x in X, x != 0} within the window."""
-    return enum.m1
+    return Enumeration(backend, [Element(i, key) for key, i in order], truncation)

@@ -7,6 +7,7 @@ directed-rounding primitives that the per-element weight loop calls: it
 checks the reuse of weights and brackets, not the primitives.
 """
 
+import heapq
 import math
 from fractions import Fraction
 from math import isqrt
@@ -15,7 +16,6 @@ import dirconv as dc
 from dirconv.rounding import (abs_bounds, add_dn, add_up, mul_dn, mul_up,
                               sub_up, weight_bounds)
 from dirconv.scalars import QC
-from dirconv.semigroup import size_bounds
 
 
 def sieve_mobius(n: int) -> list:
@@ -102,30 +102,70 @@ def instance_with_anchor_roots(enum, roots, rng, span=2, denom=2):
     return dc.ConvPolynomial(tuple(fs))
 
 
+def ident_add(backend, a, b):
+    """The identity of the sum of two elements: divisor identities
+    multiply, lattice and generator identities add coordinatewise."""
+    if backend.kind == "ordinary-dirichlet":
+        return tuple(x * y for x, y in zip(a, b))
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def exact_size(backend, ident):
+    """An exact value ordered like the size: the product n_1*...*n_k for
+    divisor identities (a monotone image of the sum of logarithms), the
+    coordinate sum otherwise."""
+    if backend.kind == "ordinary-dirichlet":
+        return math.prod(ident)
+    return sum(ident)
+
+
 def pair_scan(enum):
     """For each element index t, all ordered pairs (i, j) with e_i + e_j = e_t.
 
-    The generic scan over ordered pairs of enumerated elements, with the
-    backend's own ``add`` on identities and the exact sizes; the early
-    break relies on the size-sorted order.  Pairs are listed with the
-    first component ascending in the enumeration order.
+    The generic scan over ordered pairs of enumerated elements, with its
+    own identity arithmetic and exact size comparisons (not the
+    library's keys); the early break relies on the size-sorted order.
+    Pairs are listed with the first component ascending in the
+    enumeration order.
     """
     backend = enum.backend
     elements = enum.elements
     index = {e.ident: i for i, e in enumerate(elements)}
-    max_size = elements[-1].size
+    max_size = exact_size(backend, elements[-1].ident)
     out = [[] for _ in elements]
     for i, a in enumerate(elements):
         ai = a.ident
-        asize = a.size
         for j, b in enumerate(elements):
-            s = asize + b.size
-            if s > max_size:
+            s = ident_add(backend, ai, b.ident)
+            if exact_size(backend, s) > max_size:
                 break
-            t = index.get(backend.add(ai, b.ident))
+            t = index.get(s)
             if t is not None:
                 out[t].append((i, j))
     return [tuple(p) for p in out]
+
+
+def generator_heap_walk(backend, bound):
+    """The identities of the generated semigroup of size <= bound, by a
+    heap walk over exact Fraction vectors and sizes."""
+    bound = Fraction(bound)
+    zero = (Fraction(0),) * backend.k
+    if bound < 0:
+        return []
+    seen = {zero}
+    out = [zero]
+    heap = [(Fraction(0), zero)]
+    while heap:
+        size, ident = heapq.heappop(heap)
+        for g in backend.generators:
+            nxt = tuple(x + y for x, y in zip(ident, g))
+            nsize = size + sum(g, Fraction(0))
+            if nsize > bound or nxt in seen:
+                continue
+            seen.add(nxt)
+            out.append(nxt)
+            heapq.heappush(heap, (nsize, nxt))
+    return out
 
 
 def dot_fractions(a, b, pairs):
@@ -283,16 +323,29 @@ def series_kahan(g, pt):
 
 
 def weighted_terms_per_element(g, r):
-    """(size, round-down, round-up) bounds of |g(x)| e^(-r|x|), bracketing
-    every value and weighing every nonzero element on its own (with the
-    library's directed primitives)."""
+    """(size key, round-down, round-up) bounds of |g(x)| e^(-r|x|),
+    bracketing every value and weighing every nonzero element on its own
+    (with the library's directed primitives and size bounds)."""
+    size_bounds = g.enum.backend.size_bounds
     for e, v in zip(g.enum.elements, g.values):
         a_lo, a_hi = abs_bounds(v)
         if not a_hi:
-            yield e.size, 0.0, 0.0
+            yield e.key, 0.0, 0.0
             continue
-        w_lo, w_hi = weight_bounds(r, *size_bounds(e.size))
-        yield e.size, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
+        w_lo, w_hi = weight_bounds(r, *size_bounds(e.key))
+        yield e.key, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
+
+
+def level_partial_sums(g, r):
+    """Round-up S_r(m) over 0 < |x| <= m for every size level m of the
+    window (0.0 at level 0), added up from the per-element terms."""
+    terms = list(weighted_terms_per_element(g, r))
+    sums, acc = [0.0], 0.0
+    for _, idxs in g.enum.levels[1:]:
+        for i in idxs:
+            acc = add_up(acc, terms[i][2])
+        sums.append(acc)
+    return sums
 
 
 def certified_tail(g, cert):

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirconv as dc
-from dirconv.semigroup import LogInt
 
-from oracles import divisor_count_brute, random_exact_function, sieve_mobius
+from oracles import (divisor_count_brute, level_partial_sums,
+                     random_exact_function, sieve_mobius)
 
 
 def small_values(n):
@@ -167,7 +167,8 @@ def test_norm_partial_of_unit(od20):
 
 
 def test_norm_partial_counts_terms(od20):
-    s = dc.r_norm_partial(dc.one(od20), 0, m=LogInt(3))
+    # S_0 up to the level of n = 3 counts n = 2, 3
+    s = level_partial_sums(dc.one(od20), 0.0)[2]
     assert s >= 2.0
     assert s == pytest.approx(2.0, abs=1e-12)
 
@@ -175,8 +176,9 @@ def test_norm_partial_counts_terms(od20):
 def test_norm_partial_monotone_in_m(od20):
     rng = random.Random(4)
     g = random_exact_function(od20, rng)
-    sums = [dc.r_norm_partial(g, 0.7, m=level) for level, _ in od20.levels]
+    sums = level_partial_sums(g, 0.7)
     assert all(a <= b for a, b in zip(sums, sums[1:]))
+    assert sums[-1] == dc.r_norm_partial(g, 0.7)
 
 
 def test_norm_partial_includes_zero_flag(od20):

@@ -8,7 +8,7 @@ import pytest
 import dirconv as dc
 from dirconv.certificate import _ratio_down
 
-from oracles import instance_with_anchor_roots
+from oracles import instance_with_anchor_roots, level_partial_sums
 
 
 def linear_instance(enum):
@@ -90,6 +90,13 @@ def test_user_norm_bounds_change_scope(od20):
     assert cert.Q[0] >= 12.5
     cert2 = dc.certify(T, 1)
     assert cert2.scope == "window-exact"
+
+
+@pytest.mark.parametrize("bound", [math.nan, -1.0, Fraction(-1, 3)])
+def test_nan_or_negative_norm_bound_is_refused(od20, bound):
+    # max(w, nan) is w, so a NaN bound would silently become the window norm
+    with pytest.raises(ValueError, match="norm bounds"):
+        dc.certify(sqrt_one(od20), 1, norm_bounds=[bound, 0.0, 1.0])
 
 
 # -- maximize_R ------------------------------------------------------------------
@@ -196,8 +203,8 @@ def test_validate_partial_sums_are_r_norm_partials(window, exact, request):
     cert = dc.certify(T, 1)
     sums = dc.validate(cert, g).partial_sums
     assert len(sums) == len(enum.levels) and sums[-1] > 0.0
-    for n, (size, _) in enumerate(enum.levels):
-        assert sums[n] == dc.r_norm_partial(g, cert.r, m=size)
+    assert list(sums) == level_partial_sums(g, cert.r)
+    assert sums[-1] == dc.r_norm_partial(g, cert.r)
 
 
 def test_monotone_in_q_coefficients():

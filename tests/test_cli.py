@@ -275,6 +275,62 @@ def test_tolerance_flag_controls_double_gates(tmp_path):
     assert "NotInvertible" in doc["diagnostic"]
 
 
+INDICATOR_INVERT_SPEC = {
+    "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 10},
+    "arithmetic": {"mode": "double"},
+    "equation": {"coefficients": [{"indicator": [2]}]},
+    "task": {"type": "invert"},
+}
+
+
+@pytest.mark.parametrize("tol", [-1, "nan", "inf", "x"])
+def test_bad_tolerance_in_the_spec_exits_1(tmp_path, tol):
+    """g(0) = 0 is only refused as not invertible under a tolerance >= 0."""
+    spec = copy.deepcopy(INDICATOR_INVERT_SPEC)
+    spec["arithmetic"]["tolerance"] = tol
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["field"] == "arithmetic.tolerance"
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_bad_tolerance_flag_exits_1(tmp_path, tol, capsys):
+    doc, code = run_spec(tmp_path, INDICATOR_INVERT_SPEC, tolerance=tol)
+    assert code == 1
+    assert doc["field"] == "arithmetic.tolerance"
+    path = write_spec(tmp_path, INDICATOR_INVERT_SPEC)
+    assert cli.main(["run", path, "--tolerance", str(tol)]) == 1
+    assert json.loads(capsys.readouterr().out)["field"] == "arithmetic.tolerance"
+    doc, code = run_spec(tmp_path, INDICATOR_INVERT_SPEC, tolerance=0.0)
+    assert code == 2
+    assert "NotInvertible" in doc["diagnostic"]
+
+
+@pytest.mark.parametrize("bound", ["nan", -1.0])
+def test_nan_or_negative_norm_bound_exits_1(tmp_path, bound):
+    with open(GOLDEN / "verify-two-points.spec.json") as fh:
+        spec = json.load(fh)
+    spec["task"]["norm_bounds"] = [bound, 0, 1]
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["error"].startswith("ValueError: norm bounds must be numbers >= 0")
+
+
+def test_point_parts_take_rational_strings(tmp_path):
+    spec = {
+        "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 100},
+        "arithmetic": {"mode": "exact"},
+        "equation": {"coefficients": [{"builtin": "one"}]},
+        "task": {"type": "eval", "points": [
+            "5/2", {"re": "5/2", "im": 0}, {"re": 2.5, "im": "-1/4"}]},
+    }
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 0
+    a, b, c = doc["series"]
+    assert a["s"] == b["s"] == [2.5] and a["value"] == b["value"]
+    assert c["s"] == [{"re": 2.5, "im": -0.25}]
+
+
 def test_certify_with_rho_and_norm_bounds(tmp_path):
     spec = copy.deepcopy(SQRT_SPEC)
     spec["task"] = {"type": "certify", "root": 1, "rho": "1/2",

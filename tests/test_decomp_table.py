@@ -1,9 +1,12 @@
-"""The flat decomposition table against the generic pair scan, and the
-reads of the table that the benchmark and the scripts make."""
+"""Size keys and the flat decomposition table against independent
+references (the generic pair scan, exact sizes and the Fraction heap walk
+of generator windows), and the reads of the table that the benchmark and
+the scripts make."""
 
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +20,7 @@ import pytest
 import dirconv as dc
 from dirconv.semigroup import Enumeration
 
-from oracles import pair_scan
+from oracles import exact_size, generator_heap_walk, pair_scan
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,6 +71,45 @@ def test_table_matches_the_pair_scan(name):
         assert isinstance(arr, array) and arr.typecode == "i"
     assert list(table.offsets) == [0, *itertools.accumulate(map(len, expected))]
     assert list(zip(table.first, table.second)) == [p for ps in expected for p in ps]
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_keys_ascend_and_give_the_sizes(name):
+    """Keys strictly ascend from level to level and are shared inside one;
+    ``size`` is the double of the exact size, bit for bit, and
+    ``size_bounds`` encloses the exact size."""
+    backend, truncation = WINDOWS[name]
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    keys = [key for key, _ in enum.levels]
+    assert all(type(k) is int for k in keys)
+    assert keys == sorted(set(keys))
+    for key, idxs in enum.levels:
+        assert {enum[i].key for i in idxs} == {key}
+    for e in enum:
+        exact = exact_size(backend, e.ident)
+        lo, hi = backend.size_bounds(e.key)
+        if backend.kind == "ordinary-dirichlet":
+            assert backend.size(e.key) == math.log(exact)
+            assert lo <= math.log(exact) <= hi
+            assert lo < hi or exact == 1
+        else:
+            assert backend.size(e.key) == float(Fraction(exact))
+            assert Fraction(lo) <= exact <= Fraction(hi)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in WINDOWS if WINDOWS[n][0].kind
+                                        == "rational-generators"))
+def test_generator_windows_equal_the_heap_walk(name):
+    backend, truncation = WINDOWS[name]
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    top = sum(enum[-1].ident)
+    walk = sorted(generator_heap_walk(backend, top), key=lambda t: (sum(t), t))
+    if "max_elements" in truncation:
+        walk = walk[:truncation["max_elements"]]
+    else:
+        assert top <= truncation["size_bound"]
+        assert sorted(generator_heap_walk(backend, truncation["size_bound"])) == sorted(walk)
+    assert [e.ident for e in enum] == walk
 
 
 def test_colliding_generators_merge_and_single_element_windows():

@@ -132,7 +132,9 @@ def test_certify_and_validate_scale_with_the_generator(seed):
     root = roots[rng.randrange(2)]
     c1, c2 = dc.certify(T, root), dc.certify(T2, root)
     assert (c2.P, c2.Q, c2.t_star, c2.C, c2.abs_z0) == (c1.P, c1.Q, c1.t_star, c1.C, c1.abs_z0)
-    assert (c1.m1, c2.m1) == (1, Q)
+    # the size keys count units of 1 and of 1/5: m1 = 1 and m1 = 2/5
+    assert (c1.m1, c2.m1) == (1, 2)
+    assert (lat.backend.size(c1.m1), other.backend.size(c2.m1)) == (1.0, float(Q))
     assert math.isclose(c2.r * float(Q), c1.r, rel_tol=1e-12)
     v1 = dc.validate(c1, dc.solve(T, root))
     v2 = dc.validate(c2, dc.solve(T2, root))

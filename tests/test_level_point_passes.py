@@ -12,11 +12,10 @@ import pytest
 
 import dirconv as dc
 from dirconv import algebra, certificate, series
-from dirconv.rounding import add_up
 from dirconv.scalars import QC
 
-from oracles import (certified_tail, random_exact_function, series_kahan,
-                     weighted_terms_per_element)
+from oracles import (certified_tail, level_partial_sums, random_exact_function,
+                     series_kahan, weighted_terms_per_element)
 
 
 def bits(x):
@@ -111,11 +110,12 @@ def test_weighted_terms_equal_the_element_loop(window, r):
 
 
 def test_the_windows_cover_three_size_types_and_shared_levels(window):
-    """int (lattice), LogInt (divisor) and Fraction (generator) sizes;
-    every window but the divisor k = 1 one has levels of several elements."""
-    kind = window.backend.kind
-    assert type(window[1].size) is {"lattice": int, "ordinary-dirichlet": dc.LogInt,
-                                     "rational-generators": Fraction}[kind]
+    """Coordinate sums (lattice), logarithms (divisor) and sizes with a
+    denominator (generators), all behind int keys; every window but the
+    divisor k = 1 one has levels of several elements."""
+    assert type(window[-1].key) is int
+    if window.backend.kind == "rational-generators":
+        assert window.backend.q > 1
     assert any(len(ix) > 1 for _, ix in window.levels) == (window.backend.k > 1)
 
 
@@ -134,10 +134,4 @@ def test_validate_tail_equals_tail_bound_and_the_element_loop():
         assert bits(report.tail) == bits(want)
         s = (cert.r + 1, complex(cert.r + 2, 3))
         assert bits(series.tail_bound(g_, cert, s)) == bits(want)
-        sums, acc = [], 0.0
-        terms = list(weighted_terms_per_element(g_, cert.r))
-        for size, idxs in enum.levels[1:]:
-            for i in idxs:
-                acc = add_up(acc, terms[i][2])
-            sums.append(acc)
-        assert report.partial_sums[1:] == tuple(sums)
+        assert list(report.partial_sums) == level_partial_sums(g_, cert.r)

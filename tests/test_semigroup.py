@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirconv as dc
-from dirconv.semigroup import LogInt, size_bounds
+
+from oracles import ident_add
 
 
 def test_lattice_window_order():
@@ -17,7 +19,8 @@ def test_lattice_window_order():
 def test_rational_generators_merge_collisions():
     # 6 is reachable as 2+2+2 and 3+3 but must appear once
     e = dc.enumerate_semigroup(dc.RationalGenerators((("2",), ("3",))), size_bound=6)
-    assert [x.size for x in e] == [0, 2, 3, 4, 5, 6]
+    assert [x.key for x in e] == [0, 2, 3, 4, 5, 6]
+    assert [e.backend.size(x.key) for x in e] == [0.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
 
 def test_ordinary_dirichlet_is_natural_order():
@@ -34,10 +37,12 @@ def test_ordinary_dirichlet_k2_tie_break_on_index_tuple():
 def test_fractional_generators():
     e = dc.enumerate_semigroup(
         dc.RationalGenerators((("1/2", "0"), ("0", "1/3"))), size_bound=1)
-    sizes = [x.size for x in e]
+    sizes = [sum(x.ident) for x in e]
     assert sizes == sorted(sizes)
     assert (Fraction(1, 2), Fraction(1, 3)) in [x.ident for x in e]
-    assert all(x.size <= 1 for x in e)
+    assert all(s <= 1 for s in sizes)
+    # the key is the size times the common denominator 6
+    assert [x.key for x in e] == [6 * s for s in sizes]
 
 
 def test_max_elements_takes_smallest():
@@ -71,7 +76,7 @@ def test_empty_truncation_rejected():
 def test_only_zero():
     e = dc.enumerate_semigroup(dc.Lattice(1), size_bound=0)
     with pytest.raises(dc.OnlyZero):
-        dc.min_positive_size(e)
+        e.m1
 
 
 def test_decompositions_divisor_pairs(od20):
@@ -84,7 +89,7 @@ def test_decomposition_of_zero(od20):
 
 
 def test_decompositions_rational(gens23):
-    pairs = [(a.size, b.size) for a, b in gens23.decompositions((Fraction(6),))]
+    pairs = [(a.key, b.key) for a, b in gens23.decompositions((Fraction(6),))]
     assert pairs == [(0, 6), (2, 4), (3, 3), (4, 2), (6, 0)]
 
 
@@ -94,26 +99,28 @@ def test_not_enumerated(od20):
 
 
 def test_min_positive_size(od20, lat2, gens23):
-    assert dc.min_positive_size(od20) == LogInt(2)
-    assert dc.min_positive_size(lat2) == 1
-    assert dc.min_positive_size(gens23) == 2
+    assert (od20.m1, lat2.m1, gens23.m1) == (2, 1, 2)
+    assert od20.backend.size(od20.m1) == math.log(2)
+    assert lat2.backend.size(lat2.m1) == 1.0
+    assert gens23.backend.size(gens23.m1) == 2.0
 
 
 def test_order_soundness(od20, lat2, gens23):
     for enum in (od20, lat2, gens23):
-        keys = [(x.size, x.ident) for x in enum]
+        keys = [(x.key, x.ident) for x in enum]
         for a, b in zip(keys, keys[1:]):
             assert a < b
 
 
 def test_levels_partition(lat2):
     seen = []
-    for size, idxs in lat2.levels:
+    for key, idxs in lat2.levels:
         assert len(idxs) > 0
+        assert all(lat2[i].key == key for i in idxs)
         seen.extend(idxs)
     assert sorted(seen) == list(range(len(lat2)))
-    sizes = [s for s, _ in lat2.levels]
-    assert sizes == sorted(sizes)
+    keys = [k for k, _ in lat2.levels]
+    assert keys == sorted(keys)
 
 
 def test_decomposition_symmetry(od20, lat2, gens23):
@@ -128,10 +135,9 @@ def test_closure(od20, data):
     i = data.draw(st.integers(0, len(od20) - 1))
     j = data.draw(st.integers(0, len(od20) - 1))
     a, b = od20[i], od20[j]
-    total = a.size + b.size
-    if total > od20[-1].size:
+    if a.ident[0] * b.ident[0] > od20[-1].ident[0]:
         return
-    s = od20.backend.add(a.ident, b.ident)
+    s = ident_add(od20.backend, a.ident, b.ident)
     t = od20.index_of(s)
     assert (i, j) in od20.decomp[t]
 
@@ -144,17 +150,20 @@ def test_size_additivity():
         for _ in range(60):
             a = e[rng.randrange(len(e))]
             b = e[rng.randrange(len(e))]
-            summed = backend.add(a.ident, b.ident)
-            assert backend.make_element(summed).size == a.size + b.size
+            key = backend.key(ident_add(backend, a.ident, b.ident))
+            if backend.kind == "ordinary-dirichlet":
+                assert key == a.key * b.key
+            else:
+                assert key == a.key + b.key
 
 
 def test_size_bounds_enclose():
-    lo, hi = size_bounds(LogInt(3))
-    import math
-    assert lo <= math.log(3) <= hi
-    lo, hi = size_bounds(Fraction(1, 3))
-    assert lo < 1 / 3 < hi or lo <= 1 / 3 <= hi
-    assert size_bounds(5) == (5.0, 5.0)
+    lo, hi = dc.OrdinaryDirichlet(1).size_bounds(3)
+    assert lo < math.log(3) < hi
+    assert dc.OrdinaryDirichlet(2).size_bounds(1) == (0.0, 0.0)
+    lo, hi = dc.RationalGenerators((("1/3",),)).size_bounds(1)
+    assert Fraction(lo) < Fraction(1, 3) < Fraction(hi)
+    assert dc.Lattice(2).size_bounds(5) == (5.0, 5.0)
 
 
 def test_enumeration_signature_distinguishes_windows(od20, od100):
