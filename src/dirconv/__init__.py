@@ -19,7 +19,7 @@ from .errors import (AllCoefficientsZero, BackendMismatch,
                      MathematicalRefusal, NoPositiveR, NoSimpleRoots,
                      NotASimpleRoot, NotEnumerated, NotInvertible, OnlyZero,
                      OutOfHalfPlane, PreconditionFailed, SingularJacobian,
-                     SpecError, ZeroDerivative, ZeroPolynomial)
+                     SpecError, WindowTooLarge, ZeroDerivative, ZeroPolynomial)
 from .scalars import QC
 from .semigroup import (Element, Enumeration, Lattice, OrdinaryDirichlet,
                         RationalGenerators, enumerate_semigroup)
@@ -47,7 +47,7 @@ __all__ = [
     "SeriesValue", "VerifyReport", "evaluate", "tail_bound",
     "verify_scalar_equation",
     "DirconvError", "MathematicalRefusal", "EmptyTruncation", "OnlyZero",
-    "NotEnumerated", "BackendMismatch", "NotInvertible",
+    "NotEnumerated", "WindowTooLarge", "BackendMismatch", "NotInvertible",
     "DegenerateConstant", "ZeroPolynomial", "NotASimpleRoot", "NoSimpleRoots",
     "SingularJacobian", "InconsistentBasePoint", "PreconditionFailed",
     "ZeroDerivative", "AllCoefficientsZero", "NoPositiveR",

@@ -13,10 +13,10 @@ rounding so that certificates never under-report a sum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import pairwise
 from operator import add, mul
 
 from .errors import BackendMismatch, NotInvertible
@@ -159,23 +159,22 @@ def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunct
 # ring operations
 
 
-def dot(a, b, us, vs):
-    """Double mode: the sum of a[u] * b[v] over the paired positions of
-    us and vs, added left to right from 0 (a plain loop: faster here
+def dot(a, b, us, vs, d):
+    """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row,
+    plus a[d] * b[d] for a middle pair d >= 0 (a plain loop: faster here
     than a chain of ``map`` calls on complex values)."""
-    acc = 0
+    acc = a[d] * b[d] if d >= 0 else 0
     for u, v in zip(us, vs):
-        acc = acc + a[u] * b[v]
+        acc = acc + a[u] * b[v] + a[v] * b[u]
     return acc
 
 
-def square(a, us, vs):
-    """Double mode: :func:`dot` of a with itself over a mirrored row (pair
-    i is pair len - 1 - i reversed): its first half twice, plus the middle
-    pair of an odd row."""
-    h = len(us) // 2
-    s = dot(a, a, us, vs[:h])
-    return s + s + a[us[h]] * a[vs[h]] if len(us) & 1 else s + s
+def square(a, us, vs, d):
+    """Double mode: :func:`dot` of a with itself, each pair's product once, doubled."""
+    acc = 0
+    for u, v in zip(us, vs):
+        acc = acc + a[u] * a[v]
+    return acc + acc + a[d] * a[d] if d >= 0 else acc + acc
 
 
 def shape(v) -> int:
@@ -185,11 +184,11 @@ def shape(v) -> int:
 
 def reader(a, b, exact, a_const=False):
     """How one product, the sum of a[u] * b[v] over the pairs of a table
-    row that avoid 0, reads the row; decided once per product.
+    row that avoid 0, reads the half row and its middle pair; decided once.
 
     Exact mode reads every pair through :func:`qdot`.  In double mode a
-    table times itself reads half of the mirrored row, an ``a`` constant
-    off 0 gathers b over the row at C speed and scales the sum once, and
+    table times itself is the :func:`square`, an ``a`` constant off 0
+    gathers b over both columns at C speed and scales the sum once, and
     anything else is the plain :func:`dot`.
     """
     if exact:
@@ -198,7 +197,8 @@ def reader(a, b, exact, a_const=False):
         return partial(square, a)
     if a_const:
         c, get = a[-1], b.__getitem__
-        return lambda us, vs: c * sum(map(get, vs))
+        return lambda us, vs, d: c * sum(map(get, vs),
+                                         sum(map(get, us), b[d] if d >= 0 else 0))
     return partial(dot, a, b)
 
 
@@ -227,25 +227,25 @@ class Ratios(list):
         self.nums[x], self.dens[x] = _ratio(v)
 
 
-def qdot(a: Ratios, b: Ratios, us, vs):
-    """Exact mode: the sum of a[u] * b[v] over the paired positions.
+def qdot(a: Ratios, b: Ratios, us, vs, d):
+    """Exact mode: :func:`dot` over integers, both products of each pair.
 
-    A pair is skipped as soon as either numerator is 0; the others are
+    A product is skipped as soon as either numerator is 0; the others are
     summed as one numerator over a running common denominator, and one
     Fraction (or QC) is built at the end.
     """
     an, ad, bn, bd = a.nums, a.dens, b.nums, b.dens
     num, den = 0, 1
-    for u, v in zip(us, vs):
+    for u, v in itertools.chain(zip(us, vs), zip(vs, us), [(d, d)] * (d >= 0)):
         p = an[u]
         if p:
             q = bn[v]
             if q:
-                d = ad[u] * bd[v]
-                if den % d:
-                    g = math.gcd(den, d)
-                    num, den = num * (d // g), den // g * d
-                num += p * q * (den // d)
+                e = ad[u] * bd[v]
+                if den % e:
+                    g = math.gcd(den, e)
+                    num, den = num * (e // g), den // g * e
+                num += p * q * (den // e)
     return Fraction(num, den) if type(num) is int else exact_value(num / den)
 
 
@@ -253,26 +253,27 @@ def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """(g*h)(x) = sum over all decompositions x = x' + x'' of g(x')h(x'').
 
     Exact on the whole window because sizes are additive.  Exact mode
-    sums each pair row through :func:`qdot`.  In double mode an operand
+    sums each half row through :func:`qdot`.  In double mode an operand
     that vanishes off 0 scales the other, and otherwise each row is its
-    two pairs with 0 plus the rest read through :func:`reader`; results
-    are deterministic.
+    pair with 0, both ways, plus the rest read through :func:`reader`;
+    results are deterministic.
     """
     g, h = coerce_pair(g, h)
     dec = g.enum.decomp
-    first, second, rows = dec.first, dec.second, list(pairwise(dec.offsets))
+    first, second = dec.first, dec.second
+    rows = zip(dec.offsets, dec.offsets[1:], dec.middle)  # a list would outweigh the table
     if g.exact:
         gv, hv = Ratios(g.values), Ratios(h.values)
-        return TruncatedFunction(g.enum, [qdot(gv, hv, first[a:b], second[a:b])
-                                          for a, b in rows], True)
+        return TruncatedFunction(g.enum, [qdot(gv, hv, first[a:b], second[a:b], d)
+                                          for a, b, d in rows], True)
     gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
     g0, h0, shape_g = gv[0], hv[0], shape(gv)
     if not shape_g:
         return TruncatedFunction(g.enum, [g0 * v for v in hv], False)
     read = reader(gv, hv, False, shape_g == 1)
     return TruncatedFunction(g.enum, [g0 * h0] + [
-        g0 * hv[x] + gv[x] * h0 + read(first[a + 1:b - 1], second[a + 1:b - 1])
-        for x, (a, b) in enumerate(rows[1:], 1)], False)
+        g0 * hv[x] + gv[x] * h0 + read(first[a + 1:b], second[a + 1:b], d)
+        for x, (a, b, d) in enumerate(itertools.islice(rows, 1, None), 1)], False)
 
 
 def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
@@ -369,17 +370,17 @@ def sweep(enum, equations, z0, Jinv, exact):
     kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
     dec = enum.decomp
-    first, second, offsets = dec.first, dec.second, dec.offsets
+    first, second, offsets, middle = dec.first, dec.second, dec.offsets, dec.middle
     for x in range(1, n):
-        # (0, x) opens and (x, 0) closes every pair list; the pairs in
-        # between only touch elements smaller than x
-        a, b = offsets[x] + 1, offsets[x + 1] - 1
+        # (0, x) opens every half row; the pairs after it and the middle
+        # pair only touch elements smaller than x
+        a, b, d = offsets[x] + 1, offsets[x + 1], middle[x]
         us, vs = first[a:b], second[a:b]
         # table values at x with every g_l(x) taken as 0; one-factor
         # tables and the unit table vanish there
         masked = [zero] * len(nodes)
         for k, p, zl, read in chain:
-            prod = read(us, vs)
+            prod = read(us, vs, d)
             masked[k] = masked[p] * zl + prod if masked[p] else prod
         known = []
         for eq in terms:
@@ -389,7 +390,7 @@ def sweep(enum, equations, z0, Jinv, exact):
                     parts.append(c[x] * at0[k])
                 part = c0 * masked[k] if c0 and masked[k] else None
                 if read:
-                    prod = read(us, vs)
+                    prod = read(us, vs, d)
                     part = prod if part is None else part + prod
                 if part:
                     parts.append(part)

@@ -11,6 +11,7 @@ spec; the timing block is the only field that varies between runs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -124,22 +125,16 @@ def _ident(raw, enum, path):
 
 
 def _parse_point(raw, k, path):
-    def comp(v):
-        if isinstance(v, dict):
-            return complex(float(parse_rational(v.get("re", 0))),
-                           float(parse_rational(v.get("im", 0))))
-        if isinstance(v, str):
-            return complex(float(parse_rational(v)))
-        return complex(v)
-
+    many = isinstance(raw, (list, tuple))
+    if many and len(raw) != k:
+        raise SpecError(f"point needs {k} components", path)
     try:
-        if isinstance(raw, (list, tuple)):
-            if len(raw) != k:
-                raise SpecError(f"point needs {k} components", path)
-            return tuple(comp(v) for v in raw)
-        return comp(raw)
-    except (ValueError, TypeError) as exc:
+        pt = [parse_scalar(v, False) for v in (raw if many else [raw])]
+    except (ValueError, TypeError, ArithmeticError) as exc:
         raise SpecError(str(exc), path)
+    if not all(map(cmath.isfinite, pt)):
+        raise SpecError(f"point parts must be finite numbers, not {raw!r}", path)
+    return tuple(pt) if many else pt[0]
 
 
 def _tolerance(raw):

@@ -25,6 +25,10 @@ class OnlyZero(MathematicalRefusal):
     """The truncation window contains no non-zero element."""
 
 
+class WindowTooLarge(MathematicalRefusal):
+    """The window walk or its table passes ``MAX_ELEMENTS`` or ``MAX_PAIRS``."""
+
+
 class NotEnumerated(DirconvError):
     """An element lies outside the completed enumeration window."""
 

@@ -175,8 +175,4 @@ def parse_scalar(obj, exact: bool):
             return exact_value(QC(parse_rational(re), parse_rational(im)))
         return complex(float(parse_rational(re)) if isinstance(re, str) else float(re),
                        float(parse_rational(im)) if isinstance(im, str) else float(im))
-    if exact:
-        return exact_value(parse_rational(obj) if isinstance(obj, str) else obj)
-    if isinstance(obj, str):
-        return complex(float(parse_rational(obj)))
-    return complex(obj)
+    return exact_value(obj) if exact else double_value(obj)

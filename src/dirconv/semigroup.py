@@ -21,10 +21,10 @@ smallest elements) in the total order "size, then lexicographic
 identity", i.e. by (key, identity).  That order is the induction order
 of every recursion in the rest of the library.  The enumeration also
 owns the shared additive decomposition table x = x' + x'' used by
-convolution, a flat :class:`DecompTable` built by one integer scan over
-the keys and an integer code of each identity (see ``scan_plan``), so
-the scan adds or multiplies ints and looks them up in one int-keyed
-dict.
+convolution, a flat :class:`DecompTable` holding each unordered pair
+once, built by one integer scan over the keys and an integer code of
+each identity (see ``scan_plan``), so the scan adds or multiplies ints
+and looks them up in one int-keyed dict.
 """
 
 from __future__ import annotations
@@ -33,15 +33,19 @@ import itertools
 import math
 from array import array
 from bisect import bisect_right
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
 from operator import add, mul
 
-from .errors import EmptyTruncation, NotEnumerated, OnlyZero
+from .errors import EmptyTruncation, NotEnumerated, OnlyZero, WindowTooLarge
 from .rounding import dn, frac_bounds, up
 from .scalars import format_rational, parse_rational
+
+#: windows are refused past these: identities a walk lists, pairs i <= j of a table
+MAX_ELEMENTS = 10 ** 6
+MAX_PAIRS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,13 @@ class _Additive:
 
     def idents_up_to(self, bound):
         """The identities of size <= bound, unordered: a walk over the
-        scaled vectors, whose keys grow by every step."""
+        scaled vectors, whose keys grow by every step, cut past MAX_ELEMENTS."""
         top = math.floor(parse_rational(bound) * self.q)
         steps = [(sum(s), s) for s in self._steps]
         zero = (0,) * self.k
         seen = {zero}
         stack = [(0, zero)]
-        while stack:
+        while stack and len(seen) <= MAX_ELEMENTS:
             vkey, v = stack.pop()
             for skey, s in steps:
                 if vkey + skey <= top:
@@ -122,7 +126,7 @@ class _Additive:
         codes = [sum(map(mul, self._scaled(t), weights)) for t in idents]
 
         def sums(i, jmax):
-            return map(add, itertools.repeat(codes[i]), itertools.islice(codes, jmax))
+            return map(add, itertools.repeat(codes[i]), codes[i:jmax])
 
         return codes, lambda key: top - key, sums
 
@@ -204,7 +208,8 @@ class OrdinaryDirichlet:
 
     def idents_up_to(self, bound):
         # bound is the maximal product (an int); the size bound is log(bound)
-        return list(_tuples_product_at_most(self.k, int(bound)))
+        return list(itertools.islice(_tuples_product_at_most(self.k, int(bound)),
+                                     MAX_ELEMENTS + 1))
 
     def initial_bound(self):
         return 4
@@ -219,7 +224,7 @@ class OrdinaryDirichlet:
 
         def sums(i, jmax):
             return reduce(partial(map, add), [
-                map(mul, itertools.repeat(n * w), itertools.islice(col, jmax))
+                map(mul, itertools.repeat(n * w), col[i:jmax])
                 for n, w, col in zip(idents[i], weights, columns)])
 
         codes = [sum(map(mul, t, weights)) for t in idents]
@@ -299,48 +304,40 @@ class RationalGenerators(_Additive):
 
 
 class DecompTable:
-    """The decomposition pairs of a window in CSR form.
+    """The decomposition pairs of a window in CSR form, as half rows.
 
-    The ordered pairs (i, j) with e_i + e_j = e_t are ``first[a:b]`` and
-    ``second[a:b]`` for a, b = ``offsets[t]``, ``offsets[t + 1]``, first
-    component ascending.  ``table[t]`` returns them as a tuple of (i, j)
-    pairs, and iterating the table yields those tuples element by element.
+    The pairs (i, j), i < j, with e_i + e_j = e_t are ``first[a:b]`` and
+    ``second[a:b]`` for a, b = ``offsets[t]``, ``offsets[t + 1]``, i
+    ascending; ``middle[t]`` is the i with e_i + e_i = e_t, or -1.
+    ``table[t]`` returns every ordered pair, first component ascending
+    (the half row, the middle pair, the mirrored half row), and iterating
+    the table (through ``__getitem__``) yields those tuples in turn.
     """
 
-    __slots__ = ("offsets", "first", "second")
+    __slots__ = ("offsets", "first", "second", "middle")
 
     def __init__(self, buckets):
-        # buckets[t] lists the first components of e_t's pairs, ascending;
-        # it is reversed in place.  Every pair (i, j) has its mirror
-        # (j, i), and the window order survives translation, so j falls
-        # as i rises: the second components are the first ones reversed.
-        self.offsets = array("i", itertools.accumulate(map(len, buckets), initial=0))
-        self.first = array("i")
-        self.second = array("i")
-        consume = deque(maxlen=0).extend
-        consume(map(self.first.fromlist, buckets))
-        consume(map(list.reverse, buckets))
-        consume(map(self.second.fromlist, buckets))
+        # buckets[t] holds e_t's pairs (i, j), i <= j, flattened with i
+        # ascending: the order survives translation, so a middle pair is last
+        self.first, self.second = array("i"), array("i")
+        self.middle = array("i", [-1]) * len(buckets)
+        for t, bucket in enumerate(buckets):
+            if bucket and bucket[-1] == bucket[-2]:
+                self.middle[t] = bucket[-1]
+                del bucket[-2:]
+            self.first.extend(bucket[0::2])
+            self.second.extend(bucket[1::2])
+        ends = itertools.accumulate(map(len, buckets), initial=0)
+        self.offsets = array("i", [n >> 1 for n in ends])
 
     def __len__(self):
         return len(self.offsets) - 1
 
     def __getitem__(self, t):
         t = range(len(self))[t]
-        a, b = self.offsets[t], self.offsets[t + 1]
-        return tuple(zip(self.first[a:b], self.second[a:b]))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-
-class _Buckets(dict):
-    """Identity code -> pair bucket; the sum of a pair that a
-    ``max_elements`` window cut from its top level lands in a bucket
-    that nobody keeps."""
-
-    def __missing__(self, code):
-        return []
+        a, b, d = self.offsets[t], self.offsets[t + 1], self.middle[t]
+        us, vs = self.first[a:b], self.second[a:b]
+        return (*zip(us, vs), *[(d, d)] * (d >= 0), *zip(vs[::-1], us[::-1]))
 
 
 class Enumeration:
@@ -396,24 +393,29 @@ class Enumeration:
 
     @cached_property
     def decomp(self) -> DecompTable:
-        """For each element index t, all ordered pairs (i, j) with e_i + e_j = e_t.
+        """For each element index t, the pairs (i, j), i <= j, with e_i + e_j = e_t.
 
         One pass over the elements in window order on the backend's
-        integer scan plan: for e_i, the partners e_j whose keys keep the
-        sum in the window form a prefix of the window (the keys ascend),
-        and each sum's code is looked up in one int-keyed dict.
-        So the pairs of every element come out with the first component
-        ascending.  No per-pair object is kept: each element's bucket
-        holds the shared int i, and the buckets become a flat table.
+        integer scan plan: the partners e_j, j >= i, that keep e_i + e_j
+        in the window form a slice (the keys ascend), which shrinks as i
+        rises; the pass stops at the first empty one.  Past ``MAX_PAIRS``
+        pairs the table is refused before any bucket exists.  Each sum's
+        code is looked up in one int-keyed dict, and its ``array('i')``
+        bucket gets i and j appended: no per-pair object is kept.
         """
         keys = [e.key for e in self.elements]
         codes, limit, sums = self.backend.scan_plan([e.ident for e in self.elements], keys)
-        buckets = [[] for _ in keys]
-        index = _Buckets(zip(codes, buckets))
-        consume = deque(maxlen=0).extend
-        for i, key in enumerate(keys):
-            targets = map(index.__getitem__, sums(i, bisect_right(keys, limit(key))))
-            consume(map(list.append, targets, itertools.repeat(i)))
+        ends = map(bisect_right, itertools.repeat(keys), map(limit, keys))
+        rows = list(itertools.takewhile(lambda row: row[0] < row[1], enumerate(ends)))
+        if (pairs := sum(j - i for i, j in rows)) > MAX_PAIRS:
+            raise WindowTooLarge(f"a table of {pairs} pairs passes the limit {MAX_PAIRS}")
+        buckets = [array("i") for _ in keys]
+        # a sum that a max_elements window cut gets a bucket nobody keeps
+        index = defaultdict(partial(array, "i"), zip(codes, buckets))
+        for i, j in rows:
+            targets = list(map(index.__getitem__, sums(i, j)))
+            deque(map(array.append, targets + targets,
+                      itertools.chain(itertools.repeat(i, j - i), range(i, j))), maxlen=0)
         return DecompTable(buckets)
 
     def decompositions(self, x):
@@ -438,7 +440,7 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
     is the maximal index product, i.e. B = log(bound)).  ``max_elements``
     keeps the N smallest elements in the total order; the window is then
     size-complete below its top size level, which is all convolution
-    ever needs.
+    ever needs.  Walks past ``MAX_ELEMENTS`` are refused.
     """
     if (size_bound is None) == (max_elements is None):
         raise ValueError("specify exactly one of size_bound, max_elements")
@@ -454,13 +456,15 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
             raise EmptyTruncation("max_elements must be >= 1")
         bound = backend.initial_bound()
         idents = backend.idents_up_to(bound)
-        while len(idents) < n:
+        while len(idents) < min(n, MAX_ELEMENTS + 1):
             bound *= 2
             new = backend.idents_up_to(bound)
             if len(new) == len(idents):  # semigroup exhausted below any bound?
                 break
             idents = new
         truncation = ("max_elements", n)
+    if len(idents) > MAX_ELEMENTS:
+        raise WindowTooLarge(f"the walk passes the limit of {MAX_ELEMENTS} elements")
 
     order = sorted(zip(map(backend.key, idents), idents))
     if max_elements is not None:

@@ -13,6 +13,7 @@ allowed error propagated from coefficient and solution tails.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -31,12 +32,14 @@ class SeriesValue:
 
 
 def _normalize_point(enum, s) -> tuple:
+    """s as k complex parts, each finite: a NaN part passes every half-plane test."""
     k = enum.backend.k
-    if isinstance(s, (tuple, list)):
-        if len(s) != k:
-            raise ValueError(f"evaluation point must have {k} components")
-        return tuple(complex(c) for c in s)
-    return (complex(s),) * k
+    pt = tuple(map(complex, s)) if isinstance(s, (tuple, list)) else (complex(s),) * k
+    if len(pt) != k:
+        raise ValueError(f"evaluation point must have {k} components")
+    if not all(map(cmath.isfinite, pt)):
+        raise ValueError(f"evaluation point {pt} is not finite")
+    return pt
 
 
 def characters(enum, pt: tuple) -> list:

@@ -377,7 +377,8 @@ def solve_system(S: PolySystem):
 
     index, _, at0, grad = prefix_tree(equations, z0, zero)
     F0 = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
-    tol = DEFAULT_TOLERANCE * _system_scale(S)
+    tol = DEFAULT_TOLERANCE * max([1.0] + [abs(complex(t.coeff.values[0]))
+                                           for eq in S.equations for t in eq])
     for i, v in enumerate(F0):
         bad = bool(v) if exact else abs(complex(v)) > tol
         if bad:
@@ -396,11 +397,6 @@ def solve_system(S: PolySystem):
                 f"Jacobian condition estimate {norm_J * norm_Jinv:.3e} "
                 f"exceeds 1/{TAU_COND}")
     return sweep(S.enum, equations, z0, Jinv, exact)
-
-
-def _system_scale(S: PolySystem) -> float:
-    vals = [abs(complex(t.coeff.values[0])) for eq in S.equations for t in eq]
-    return max(1.0, max(vals, default=1.0))
 
 
 def system_residual(S: PolySystem, gs) -> list:

@@ -1,6 +1,8 @@
 import copy
 import json
+import math
 import pathlib
+import time
 
 import pytest
 
@@ -329,6 +331,56 @@ def test_point_parts_take_rational_strings(tmp_path):
     a, b, c = doc["series"]
     assert a["s"] == b["s"] == [2.5] and a["value"] == b["value"]
     assert c["s"] == [{"re": 2.5, "im": -0.25}]
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("form", ["bare", "list", "re", "im"])
+def test_non_finite_points_exit_1_with_a_json_document(tmp_path, capsys, part, form):
+    with open(GOLDEN / "verify-two-points.spec.json") as fh:
+        spec = json.load(fh)
+    point = {"bare": part, "list": [part], "re": {"re": part, "im": 3},
+             "im": {"re": 7, "im": part}}[form]
+    spec["task"]["points"] = [6, point]
+    path = write_spec(tmp_path, spec)      # json.dumps writes NaN and Infinity
+    assert cli.main(["run", path, "--format", "json"]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["field"] == "task.points[1]"
+    assert "finite" in doc["error"]
+    spec["task"] = {"type": "eval", "points": [point]}
+    spec["equation"]["coefficients"] = [{"builtin": "one"}]
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1 and doc["field"] == "task.points[0]"
+
+
+@pytest.mark.parametrize("part", ["1/0", "1e400", {"re": "1e400"}])
+def test_points_beyond_the_double_range_exit_1(tmp_path, part):
+    spec = {**MOBIUS_SPEC, "task": {"type": "eval", "points": [part]}}
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1 and doc["field"] == "task.points[0]"
+
+
+def test_too_large_windows_are_refused_before_they_are_built(tmp_path, capsys):
+    """A walk past MAX_ELEMENTS ends in a spec error (exit 1), a table
+    past MAX_PAIRS in a refusal (exit 2), each within a second."""
+    spec = copy.deepcopy(MOBIUS_SPEC)
+    spec["semigroup"]["max_product"] = 10 ** 9
+    started = time.perf_counter()
+    assert cli.main(["run", write_spec(tmp_path, spec), "--format", "json"]) == 1
+    assert time.perf_counter() - started < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["field"] == "semigroup" and "limit of 1000000 elements" in doc["error"]
+    spec["semigroup"] = {"kind": "lattice", "k": 1, "size_bound": 10 ** 4}
+    started = time.perf_counter()
+    doc, code = run_spec(tmp_path, spec)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert doc["diagnostic"].startswith("WindowTooLarge: a table of 25010001 pairs")
 
 
 def test_certify_with_rho_and_norm_bounds(tmp_path):

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import dirconv as dc
-from dirconv.semigroup import Enumeration
+from dirconv import semigroup
+from dirconv.semigroup import MAX_ELEMENTS, MAX_PAIRS, Enumeration
 
 from oracles import exact_size, generator_heap_walk, pair_scan
 
@@ -66,11 +67,15 @@ def test_table_matches_the_pair_scan(name):
     table = enum.decomp
     assert len(table) == len(enum)
     assert list(table) == expected
-    # the flat arrays hold the same pairs in the same order
-    for arr in (table.offsets, table.first, table.second):
+    # the flat arrays hold each row's pairs i < j in the same order, and
+    # middle its pair i = j
+    for arr in (table.offsets, table.first, table.second, table.middle):
         assert isinstance(arr, array) and arr.typecode == "i"
-    assert list(table.offsets) == [0, *itertools.accumulate(map(len, expected))]
-    assert list(zip(table.first, table.second)) == [p for ps in expected for p in ps]
+    halves = [[(i, j) for i, j in ps if i < j] for ps in expected]
+    assert list(table.offsets) == [0, *itertools.accumulate(map(len, halves))]
+    assert list(zip(table.first, table.second)) == [p for ps in halves for p in ps]
+    assert list(table.middle) == [next((i for i, j in ps if i == j), -1)
+                                  for ps in expected]
 
 
 @pytest.mark.parametrize("name", sorted(WINDOWS))
@@ -122,6 +127,57 @@ def test_colliding_generators_merge_and_single_element_windows():
     assert len(idents) == 4
     one = dc.enumerate_semigroup(dc.Lattice(1), size_bound=0)
     assert list(one.decomp) == [((0, 0),)]
+
+
+def _workloads():
+    with open(ROOT / "perfbench" / "workloads.json") as fh:
+        return json.load(fh)["workloads"].values()
+
+
+def test_the_limits_sit_ten_times_above_every_benchmark_window():
+    counters = [w["counters"] for w in _workloads()]
+    assert MAX_ELEMENTS >= 10 * max(c["semigroup.elements"] for c in counters)
+    assert MAX_PAIRS >= 10 * max(c["semigroup.pairs"] for c in counters)
+
+
+@pytest.mark.parametrize("backend, truncation, refused", [
+    (dc.OrdinaryDirichlet(1), {"size_bound": 1000}, False),
+    (dc.OrdinaryDirichlet(1), {"size_bound": 1001}, True),
+    (dc.OrdinaryDirichlet(2), {"size_bound": 400}, True),
+    (dc.OrdinaryDirichlet(2), {"max_elements": 10 ** 9}, True),
+    (dc.Lattice(1), {"size_bound": 999}, False),
+    (dc.Lattice(2), {"size_bound": 60}, True),
+    (dc.Lattice(3), {"max_elements": 100}, False),
+    (dc.Lattice(3), {"max_elements": 1000}, True),     # the walk overshoots
+    (dc.Lattice(3), {"max_elements": 10 ** 9}, True),
+    (COLLIDING, {"size_bound": 30}, True),
+    (COLLIDING, {"max_elements": 10 ** 9}, True),
+])
+def test_walks_past_the_element_limit_are_refused(monkeypatch, backend, truncation,
+                                                   refused):
+    monkeypatch.setattr(semigroup, "MAX_ELEMENTS", 1000)
+    if refused:
+        with pytest.raises(dc.WindowTooLarge, match="limit of 1000 elements"):
+            dc.enumerate_semigroup(backend, **truncation)
+    else:
+        assert len(dc.enumerate_semigroup(backend, **truncation)) <= 1000
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_tables_past_the_pair_limit_are_refused(monkeypatch, name):
+    """The scan counts the pairs (i, j), i <= j, before any bucket exists:
+    exactly the stored pairs of a size window, at least those of a
+    max_elements window, whose top level may lose some."""
+    backend, truncation = WINDOWS[name]
+    stored = sum(1 for ps in pair_scan(dc.enumerate_semigroup(backend, **truncation))
+                 for i, j in ps if i <= j)
+    monkeypatch.setattr(semigroup, "MAX_PAIRS", stored - 1)
+    with pytest.raises(dc.WindowTooLarge, match="pairs passes the limit"):
+        dc.enumerate_semigroup(backend, **truncation).decomp
+    if "size_bound" in truncation:
+        monkeypatch.setattr(semigroup, "MAX_PAIRS", stored)
+        table = dc.enumerate_semigroup(backend, **truncation).decomp
+        assert len(table.first) + sum(d >= 0 for d in table.middle) == stored
 
 
 def _workload(name):

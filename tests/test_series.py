@@ -64,6 +64,22 @@ def test_tail_bound_requires_half_plane(od20):
     assert dc.tail_bound(g, cert, cert.r + 0.1) >= 0.0
 
 
+@pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_refused(od20, part):
+    """min Re(s) < r is False for NaN, so the half-plane test alone would
+    let such a point through: every entry point refuses it first."""
+    T = sqrt_one(od20)
+    cert = dc.certify(T, 1)
+    g = dc.solve(T, 1)
+    for s in (part, complex(part, 0), complex(cert.r + 1, part)):
+        with pytest.raises(ValueError, match="not finite"):
+            dc.evaluate(g, s)
+        with pytest.raises(ValueError, match="not finite"):
+            dc.tail_bound(g, cert, s)
+        with pytest.raises(ValueError, match="not finite"):
+            dc.verify_scalar_equation(T, g, [cert.r + 1, s], cert=cert)
+
+
 def test_tail_bound_sound_for_unit(od20):
     # the true tail of the unit series is 0
     a0 = dc.constant(od20, 0)

@@ -2,9 +2,9 @@
 
 In double mode ``convolve`` and the sweep decide once per product how it
 reads the decomposition table: an operand that vanishes off 0 scales the
-other, a coefficient constant off 0 gathers the other operand over the
-row, and a table times itself reads half of its mirrored row.  Each rule
-must give the values of the plain pair loop over the reference scan
+other, a coefficient constant off 0 gathers the other operand over both
+columns of the half row, and a table times itself takes each stored
+pair's product once.  Each rule must give the values of the plain pair loop over the reference scan
 (``oracles.convolve_pairs``, ``oracles.sweep_pairs``) up to rounding.
 """
 
@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 import dirconv as dc
+from dirconv.algebra import Ratios
 
 from oracles import convolve_pairs, pair_scan, sweep_pairs
 from test_decomp_table import WINDOWS as TABLE_WINDOWS
@@ -74,13 +75,18 @@ def _operands(enum, rng):
 
 @pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
 def test_every_table_row_is_mirrored(name):
-    """Pair i of a row is pair len - 1 - i reversed: the half-row rule
-    rests on this."""
+    """The stored half row, its middle pair and the half row's mirrors
+    rebuild every row of the reference scan: the half-row kernels rest
+    on this."""
     backend, truncation = TABLE_WINDOWS[name]
-    dec = dc.enumerate_semigroup(backend, **truncation).decomp
-    for t in range(len(dec)):
-        a, b = dec.offsets[t], dec.offsets[t + 1]
-        assert all(dec.first[a + i] == dec.second[b - 1 - i] for i in range(b - a))
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    dec = enum.decomp
+    for t, row in enumerate(pair_scan(enum)):
+        a, b, d = dec.offsets[t], dec.offsets[t + 1], dec.middle[t]
+        half = list(zip(dec.first[a:b], dec.second[a:b]))
+        assert all(i < j for i, j in half)
+        mirrors = [(j, i) for i, j in half]
+        assert sorted(half + [(d, d)] * (d >= 0) + mirrors) == sorted(row)
 
 
 def test_the_windows_hold_every_row_shape():
@@ -170,3 +176,66 @@ def test_solve_system_matches_the_pair_loop(window, seed):
         for g, w in zip(gs, want):
             _close(g, w)
         done += 1
+
+
+def _row_operands(n, rng):
+    """Seeded dense, sparse and constant operands, exact and double."""
+    def exact(density):
+        return [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                if rng.random() < density else Fraction(0) for _ in range(n)]
+
+    def double(density):
+        return [_cplx(rng) if rng.random() < density else 0j for _ in range(n)]
+
+    c, c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 9))
+    z, z0 = _cplx(rng), _cplx(rng)
+    return {True: (exact(1.0), exact(0.3), [c] * n, [c0] + [c] * (n - 1)),
+            False: (double(1.0), double(0.3), [z] * n, [z0] + [z] * (n - 1))}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
+def test_every_reader_matches_the_ordered_pair_sum(name):
+    """Each reader of a half row and its middle pair (``dot``, ``square``,
+    the constant gather and ``qdot``) gives the plain sum of a[u] * b[v]
+    over the reference scan's ordered pairs: exactly in exact mode, to
+    1e-12 of the sum of |a[u] * b[v]| in double mode.  Whole rows are
+    read, and inner rows (the pairs that avoid 0, as ``convolve`` and
+    the sweep read them) from row 1 on."""
+    backend, truncation = TABLE_WINDOWS[name]
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    dec, rows, n = enum.decomp, pair_scan(enum), len(enum)
+    rng = random.Random(sum(map(ord, name)))
+    for exact, (dense, sparse, const, const_off_0) in _row_operands(n, rng).items():
+        wrap = Ratios if exact else list
+        for a, b, gather in [(dense, sparse, False), (sparse, dense, False),
+                             (dense, dense, False), (sparse, sparse, False),
+                             (const, dense, True), (const, sparse, True),
+                             (const_off_0, dense, True)]:
+            wa, wb = wrap(a), wrap(b)
+            read = dc.algebra.reader(wa, wa if b is a else wb, exact, gather)
+            for t, row in enumerate(rows):
+                lo, hi, d = dec.offsets[t], dec.offsets[t + 1], dec.middle[t]
+                for skip in (0, 1) if t else (0,):
+                    if skip == 0 and a is const_off_0:
+                        continue        # the gather reads a off 0 only
+                    pairs = row[skip:len(row) - skip]
+                    want = sum((a[u] * b[v] for u, v in pairs), a[0] * 0)
+                    got = read(dec.first[lo + skip:hi], dec.second[lo + skip:hi], d)
+                    if exact:
+                        assert got == want
+                    else:
+                        scale = sum(abs(a[u] * b[v]) for u, v in pairs)
+                        assert abs(got - want) <= 1e-12 * scale
+
+
+def test_the_table_windows_hold_every_half_row_shape():
+    """Row 0, rows with and without a middle pair, and rows whose inner
+    half row is empty, with and without a middle pair, all occur."""
+    shapes = set()
+    for backend, truncation in TABLE_WINDOWS.values():
+        dec = dc.enumerate_semigroup(backend, **truncation).decomp
+        for t in range(1, len(dec)):
+            inner = dec.offsets[t + 1] - dec.offsets[t] - 1
+            shapes.add((inner > 0, dec.middle[t] >= 0))
+        assert dec.middle[0] == 0 and dec.offsets[1] == 0
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
