@@ -54,7 +54,12 @@ class ZeroPolynomial(MathematicalRefusal):
 
 
 class NotASimpleRoot(MathematicalRefusal):
-    """The requested anchor value is not a simple root of the anchor polynomial."""
+    """The base point is not a simple zero of the base-point map: f(z0) != 0
+    or f'(z0) = 0 for an equation, F(z0) != 0 or J singular for a system."""
+
+
+#: the same refusal under its former system-side and certificate-side names
+InconsistentBasePoint = SingularJacobian = ZeroDerivative = NotASimpleRoot
 
 
 class NoSimpleRoots(MathematicalRefusal):
@@ -72,23 +77,11 @@ class NoSimpleRoots(MathematicalRefusal):
         self.proven_unsolvable = proven_unsolvable
 
 
-class SingularJacobian(MathematicalRefusal):
-    """The base-point Jacobian of a polynomial system is (numerically) singular."""
-
-
-class InconsistentBasePoint(MathematicalRefusal):
-    """The supplied base point does not annihilate the system at 0."""
-
-
 class PreconditionFailed(DirconvError):
     """An operation-specific precondition does not hold."""
 
 
 # -- certificate -------------------------------------------------------------
-
-#: the refusal for f'(z0) = 0, kept under its certificate-side name
-ZeroDerivative = NotASimpleRoot
-
 
 class AllCoefficientsZero(MathematicalRefusal):
     """Every coefficient norm vanishes; the instance is trivial."""

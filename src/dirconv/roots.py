@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import NotASimpleRoot
 from .scalars import QC, exact_value
 
 
@@ -192,6 +193,53 @@ def tau_root(f_coeffs) -> float:
 def tau_simple(f_coeffs) -> float:
     """Double-mode simplicity gate: a root z is simple when |f'(z)| > tau_simple."""
     return 1e-6 * max(abs(complex(c)) for c in f_coeffs)
+
+
+def anchor_gate(F, J, coeffs_at_0, exact: bool):
+    """J^{-1} when the base point is a simple zero of the base-point map F
+    with Jacobian J; otherwise :class:`NotASimpleRoot`.
+
+    Exact mode demands F = 0 and J invertible.  Double mode demands
+    max |F_i| <= tau_root and tau_simple * ||J^{-1}||_inf < 1, both over
+    the coefficient values at 0; for one equation, F = [f(z0)] and
+    J = [[f'(z0)]], these read |f(z0)| <= tau_root and |f'(z0)| > tau_simple.
+    """
+    for i, v in enumerate(F):
+        if v if exact else not abs(v) <= tau_root(coeffs_at_0):
+            raise NotASimpleRoot(f"the base point is not a root: F_{i} = {v!r}")
+    Jinv = _inverse(J, exact)
+    if Jinv is None or not exact and not all(
+            tau_simple(coeffs_at_0) * sum(map(abs, row)) < 1 for row in Jinv):
+        raise NotASimpleRoot("the base-point Jacobian is "
+                             + ("singular" if exact else "below the simplicity gate")
+                             + "; the root is not simple")
+    return Jinv
+
+
+def _inverse(A, exact):
+    """Gauss-Jordan inverse of a square matrix, as rows; None if singular."""
+    n = len(A)
+    zero = Fraction(0) if exact else 0j
+    M = [list(row) + [zero + 1 if r == c else zero for c in range(n)]
+         for r, row in enumerate(A)]
+    for col in range(n):
+        if exact:
+            piv = next((r for r in range(col, n) if M[r][col]), None)
+        else:
+            piv = max(range(col, n), key=lambda r: abs(complex(M[r][col])))
+            if abs(complex(M[piv][col])) == 0.0:
+                piv = None
+        if piv is None:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        pivot = M[col][col]
+        inv = (1 / pivot) if exact else (1.0 / pivot)
+        M[col] = [inv * v for v in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                factor = M[r][col]
+                M[r] = [v - factor * w for v, w in zip(M[r], M[col])]
+    return [row[n:] for row in M]
 
 
 def find_roots(f_coeffs, exact: bool):

@@ -11,7 +11,8 @@ A square system in unknowns g_1, ..., g_m is the same recursion with
 the base-point Jacobian J in place of f'(z0), and a scalar equation is
 the system with m = 1 and J = [[f'(z0)]].  One sweep,
 :func:`dirconv.algebra.sweep`, serves both (and the convolution
-inverse, the degree-1 case); this module supplies its anchors and J^{-1}.
+inverse, the degree-1 case); this module supplies its anchors, and one
+gate, :func:`dirconv.roots.anchor_gate`, judges each and returns J^{-1}.
 
 ``residual`` and ``system_residual`` share one evaluator that
 recomputes the equations through plain convolutions, building each
@@ -25,10 +26,9 @@ from fractions import Fraction
 
 from .algebra import (DEFAULT_TOLERANCE, TruncatedFunction, check_compatible,
                       convolve, prefix_tree, sweep, unit)
-from .errors import (DegenerateConstant, InconsistentBasePoint, NoSimpleRoots,
-                     NotASimpleRoot, PreconditionFailed, SingularJacobian,
+from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
                      ZeroPolynomial)
-from .roots import find_roots, poly_derivative, poly_eval, tau_root, tau_simple
+from .roots import anchor_gate, find_roots, poly_derivative, poly_eval
 from .scalars import double_value, exact_value
 
 
@@ -72,29 +72,16 @@ class ConvPolynomial:
         return [c.values[0] for c in self.coeffs]
 
     def anchor(self, z0):
-        """(z0, f'(z0)) in the equation's mode, for a simple root z0 of f.
-
-        Exact mode demands f(z0) = 0 and f'(z0) != 0 exactly; double mode
-        applies the gates |f(z0)| <= tau_root, |f'(z0)| > tau_simple.
-        """
+        """(z0, f'(z0), J^{-1}) in the equation's mode, for a simple root z0
+        of f: the one-unknown case of :func:`anchor_gate`, with J = [[f'(z0)]]
+        and both values by Horner."""
         f = self.anchor_coeffs()
-        fprime = poly_derivative(f)
         if self.exact:
             z0 = exact_value(z0)
-            if poly_eval(f, z0):
-                raise NotASimpleRoot(f"f({z0!r}) != 0; not a root")
-            fp = poly_eval(fprime, z0)
-            if not fp:
-                raise NotASimpleRoot(f"f'({z0!r}) = 0; root is not simple")
-            return z0, fp
-        z0 = double_value(z0)
-        fc = [complex(c) for c in f]
-        if abs(poly_eval(fc, z0)) > tau_root(fc):
-            raise NotASimpleRoot(f"|f({z0!r})| exceeds the root tolerance")
-        fp = poly_eval([complex(c) for c in fprime], z0)
-        if abs(fp) <= tau_simple(fc):
-            raise NotASimpleRoot(f"|f'({z0!r})| below the simplicity gate")
-        return z0, fp
+        else:
+            z0, f = double_value(z0), [complex(c) for c in f]
+        fp = poly_eval(poly_derivative(f), z0)
+        return z0, fp, anchor_gate([poly_eval(f, z0)], [[fp]], f, self.exact)
 
 
 @dataclass(frozen=True)
@@ -154,10 +141,10 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
 
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     """The unique solution g of T g = 0 with g(0) = z0, for a simple root
-    z0 that passes the gates of :meth:`ConvPolynomial.anchor`."""
-    z0, fp = T.anchor(z0)
+    z0 that passes the gate of :meth:`ConvPolynomial.anchor`."""
+    z0, _, Jinv = T.anchor(z0)
     terms = [(c.values, (0,) * j) for j, c in enumerate(T.coeffs)]
-    return sweep(T.enum, [terms], (z0,), [[1 / fp]], T.exact)[0]
+    return sweep(T.enum, [terms], (z0,), Jinv, T.exact)[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
@@ -306,6 +293,7 @@ class PolySystem:
             for t in eq:
                 if len(t.exponents) != self.m:
                     raise ValueError("monomial exponent vectors must have length m")
+                check_compatible(self.equations[0][0].coeff, t.coeff)
 
     @property
     def enum(self):
@@ -316,42 +304,14 @@ class PolySystem:
         return all(t.coeff.exact for eq in self.equations for t in eq)
 
 
-def _inverse(A, exact):
-    """Gauss-Jordan inverse of a square matrix, as rows; None if singular."""
-    n = len(A)
-    zero = Fraction(0) if exact else 0j
-    M = [list(row) + [zero + 1 if r == c else zero for c in range(n)]
-         for r, row in enumerate(A)]
-    for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if M[r][col]), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(complex(M[r][col])))
-            if abs(complex(M[piv][col])) == 0.0:
-                piv = None
-        if piv is None:
-            return None
-        M[col], M[piv] = M[piv], M[col]
-        pivot = M[col][col]
-        inv = (1 / pivot) if exact else (1.0 / pivot)
-        M[col] = [inv * v for v in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                factor = M[r][col]
-                M[r] = [v - factor * w for v, w in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
 def _factors(t: Monomial) -> tuple:
     """The factor sequence of a monomial: (0, 0, 1) for g_1 * g_1 * g_2."""
     return tuple(l for l, e in enumerate(t.exponents) for _ in range(e))
 
 
-#: limits of :func:`solve_system`: unknowns, monomial degree, and the
-#: reciprocal of the largest accepted double-mode Jacobian condition estimate
+#: limits of :func:`solve_system`: unknowns and monomial degree
 MAX_UNKNOWNS = 8
 MAX_DEGREE = 8
-TAU_COND = 1e-10
 
 
 def solve_system(S: PolySystem):
@@ -377,25 +337,10 @@ def solve_system(S: PolySystem):
 
     index, _, at0, grad = prefix_tree(equations, z0, zero)
     F0 = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
-    tol = DEFAULT_TOLERANCE * max([1.0] + [abs(complex(t.coeff.values[0]))
-                                           for eq in S.equations for t in eq])
-    for i, v in enumerate(F0):
-        bad = bool(v) if exact else abs(complex(v)) > tol
-        if bad:
-            raise InconsistentBasePoint(
-                f"equation {i} does not vanish at the base point: F_i = {v!r}")
     J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
           for l in range(S.m)] for eq in equations]
-    Jinv = _inverse(J, exact)
-    if Jinv is None:
-        raise SingularJacobian("base-point Jacobian is singular")
-    if not exact:
-        norm_J = max(sum(abs(complex(v)) for v in row) for row in J)
-        norm_Jinv = max(sum(abs(complex(v)) for v in row) for row in Jinv)
-        if norm_J * norm_Jinv > 1.0 / TAU_COND:
-            raise SingularJacobian(
-                f"Jacobian condition estimate {norm_J * norm_Jinv:.3e} "
-                f"exceeds 1/{TAU_COND}")
+    at_0 = [t.coeff.values[0] for eq in S.equations for t in eq]
+    Jinv = anchor_gate(F0, J, at_0, exact)
     return sweep(S.enum, equations, z0, Jinv, exact)
 
 

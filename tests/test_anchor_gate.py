@@ -1,0 +1,162 @@
+"""One anchor gate: an equation and its one-unknown system get one verdict.
+
+``solve`` judges f(z0) and f'(z0) from Horner's rule and ``solve_system``
+judges F(z0) and J from its prefix tree, but both hand them to
+``roots.anchor_gate``.  Base points placed 1% on either side of each
+double-mode gate must be refused (or solved) by both, and the two
+refusals, "not a root" and "not simple", must stay apart.
+"""
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import dirconv as dc
+import dirconv.cli  # noqa: F401  (the tracer wraps cli attributes too)
+from dirconv.roots import poly_derivative, poly_eval, tau_root, tau_simple
+
+from oracles import random_exact_function
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spans  # noqa: E402
+
+NOT_A_ROOT, NOT_SIMPLE, SOLVED = "not a root", "not simple", None
+
+#: placement -> (f(z0) in units of tau_root, f'(z0) in units of tau_simple,
+#: or None for an O(1) slope), and the verdict in exact and in double mode
+PLACEMENTS = {
+    "root-inside": (Fraction(99, 100), None, NOT_A_ROOT, SOLVED),
+    "root-outside": (Fraction(101, 100), None, NOT_A_ROOT, NOT_A_ROOT),
+    "simple-inside": (0, Fraction(101, 100), SOLVED, SOLVED),
+    "simple-outside": (0, Fraction(99, 100), SOLVED, NOT_SIMPLE),
+    "double-root": (0, 0, NOT_SIMPLE, NOT_SIMPLE),
+}
+
+
+def _taus(a):
+    return Fraction(tau_root(a)), Fraction(tau_simple(a))
+
+
+def _anchor_values(d, f_units, fp_units, rng):
+    """(a_0(0), ..., a_d(0)) and z0 with f(z0) = f_units * tau_root and
+    f'(z0) = fp_units * tau_simple, both gates taken over these values."""
+    if d == 1 and fp_units:
+        # |f'| = |a_1| against 1e-6 |a_0| = 1e-6 |a_1 z0|: the slope sits at
+        # fp_units * tau_simple exactly when |z0| = 10**6 / fp_units
+        a1 = Fraction(rng.choice((-3, -2, 2, 3)), 2)
+        z0 = rng.choice((-1, 1)) * 10**6 / fp_units
+        return [-a1 * z0, a1], z0
+    z0 = Fraction(rng.choice((-5, -3, -1, 1, 3, 5)), 4)
+    a = [Fraction(0), Fraction(0)] + [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                                      for _ in range(d - 1)]
+    slope = Fraction(rng.choice((-2, -1, 1, 2)))
+    for _ in range(6):   # the gates move by 1e-6 of a change in a_0, a_1
+        t_root, t_simple = _taus(a)
+        fp = slope if fp_units is None else fp_units * t_simple
+        a[1] = fp - sum(j * a[j] * z0 ** (j - 1) for j in range(2, d + 1))
+        a[0] = f_units * t_root - sum(a[j] * z0 ** j for j in range(1, d + 1))
+    return a, z0
+
+
+def _equation(enum, a, rng):
+    return dc.ConvPolynomial(tuple(
+        dc.from_values(enum, (c,) + random_exact_function(enum, rng, span=2).values[1:])
+        for c in a))
+
+
+def _one_unknown_system(T, z0):
+    return dc.PolySystem(1, ([dc.Monomial(c, (j,)) for j, c in enumerate(T.coeffs)],),
+                         (z0,))
+
+
+def _close(got, want):
+    scale = max(abs(v) for v in want.values)
+    assert max(abs(a - b) for a, b in zip(got.values, want.values)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("window", ["od20", "lat2"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+def test_solve_and_the_one_unknown_system_give_one_verdict(window, d, placement, request):
+    enum = request.getfixturevalue(window)
+    f_units, fp_units, *verdicts = PLACEMENTS[placement]
+    rng = random.Random(f"{window}-{d}-{placement}")
+    a, z0 = _anchor_values(d, f_units, fp_units, rng)
+    exact_T = _equation(enum, a, rng)
+    for exact, verdict in zip((True, False), verdicts):
+        T = exact_T if exact else exact_T.to_double()
+        if not exact:
+            # the placement holds for the rounded coefficients too
+            f = [complex(c) for c in T.anchor_coeffs()]
+            z = complex(z0)
+            assert abs(poly_eval(f, z)) / tau_root(f) == pytest.approx(f_units, abs=1e-3)
+            if fp_units:
+                assert (abs(poly_eval(poly_derivative(f), z)) / tau_simple(f)
+                        == pytest.approx(fp_units, abs=1e-3))
+        S = _one_unknown_system(T, z0)
+        if verdict is SOLVED:
+            g, (h,) = dc.solve(T, z0), dc.solve_system(S)
+            if exact:
+                assert g == h
+            else:
+                _close(h, g)
+            continue
+        with pytest.raises(dc.NotASimpleRoot, match=verdict):
+            dc.solve(T, z0)
+        with pytest.raises(dc.NotASimpleRoot, match=verdict):
+            dc.solve_system(S)
+
+
+def test_a_root_within_the_root_gate_solves_as_equation_and_as_system():
+    # g*g - 1 = 0 at z0 = 1 + 1e-9: |f(z0)| = 2e-9 lies inside tau_root = 2e-8
+    enum = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=30)
+    T = dc.ConvPolynomial((-dc.one(enum, False), dc.constant(enum, 0, False),
+                           dc.unit(enum, False)))
+    g, (h,) = dc.solve(T, 1 + 1e-9), dc.solve_system(_one_unknown_system(T, 1 + 1e-9))
+    assert g((2,)) == pytest.approx(0.4999999995, rel=1e-12)
+    _close(h, g)
+
+
+@pytest.mark.parametrize("z0", [float("nan"), complex(1, float("nan"))])
+def test_a_nan_base_point_is_not_a_root(od20, z0):
+    # |f(z0)| <= tau_root is False for NaN, so the gate refuses it
+    T = dc.ConvPolynomial((-dc.one(od20, False), dc.constant(od20, 0, False),
+                           dc.unit(od20, False)))
+    with pytest.raises(dc.NotASimpleRoot, match="not a root"):
+        dc.solve(T, z0)
+    with pytest.raises(dc.NotASimpleRoot, match="not a root"):
+        dc.solve_system(_one_unknown_system(T, z0))
+
+
+def test_the_old_class_names_are_the_one_refusal():
+    assert dc.InconsistentBasePoint is dc.SingularJacobian is dc.NotASimpleRoot
+    assert dc.ZeroDerivative is dc.NotASimpleRoot
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_system_coefficients_must_share_one_window(swap):
+    divisors = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=12)
+    lattice = dc.enumerate_semigroup(dc.Lattice(1), size_bound=30)
+    first, second = (lattice, divisors) if swap else (divisors, lattice)
+    with pytest.raises(dc.BackendMismatch):
+        dc.PolySystem(1, ((dc.Monomial(dc.unit(first), (2,)),
+                           dc.Monomial(-dc.one(second), (0,))),), (1,))
+
+
+def test_each_solve_is_one_sweep_span(od20):
+    # perfbench counts solver.solve and solver.solve_system spans as
+    # sweeps; neither function may run under the other's span
+    T = dc.ConvPolynomial((-dc.one(od20), dc.constant(od20, 0), dc.unit(od20)))
+    tracer = spans.Tracer(dc)
+    tracer.install()
+    try:
+        dc.solver.solve(T, 1)
+        dc.solver.solve_system(_one_unknown_system(T, 1))
+    finally:
+        tracer.uninstall()
+    solves = [s for s in tracer.spans if s["name"].startswith("solver.solve")]
+    assert [s["name"] for s in solves] == ["solver.solve", "solver.solve_system"]
+    assert all(s["parent"] is None for s in solves)
