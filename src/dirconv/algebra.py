@@ -19,13 +19,11 @@ from fractions import Fraction
 from functools import partial, reduce
 from operator import add, mul
 
-from .errors import BackendMismatch, NotInvertible
+from .errors import BackendMismatch, NotASimpleRoot, NotInvertible
+from .roots import anchor_gate
 from .rounding import abs_bounds, add_up, mul_dn, mul_up, weight_bounds
 from .scalars import QC, double_value, exact_value
 from .semigroup import Enumeration
-
-#: default comparison tolerance for double-mode assertions
-DEFAULT_TOLERANCE = 1e-10
 
 
 class TruncatedFunction:
@@ -291,20 +289,22 @@ def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
     return result
 
 
-def invert(g: TruncatedFunction, tol: float = DEFAULT_TOLERANCE) -> TruncatedFunction:
+def invert(g: TruncatedFunction) -> TruncatedFunction:
     """The convolution inverse, defined whenever g(0) != 0.
 
     The inverse h solves the degree-1 equation g * h - unit = 0 with
-    h(0) = 1/g(0), so it is the sweep with J^{-1} = [[1/g(0)]].
+    h(0) = 1/g(0), so the anchor gate judges F = [g(0) h(0) - 1] and
+    J = [[g(0)]] over the coefficient values (-1, g(0)) as it would for
+    that equation; in double mode it refuses |g(0)| <= 1e-6 and NaN or inf.
     """
     v0 = g.values[0]
-    if g.exact and not v0:
-        raise NotInvertible("g(0) = 0 has no convolution inverse")
-    if not g.exact and abs(v0) <= tol:
-        raise NotInvertible(f"|g(0)| = {abs(v0)!r} below tolerance {tol}")
-    inv0 = 1 / v0
+    h0 = 1 / v0 if v0 else v0   # g(0) = 0 then fails the root test, F = [-1]
+    try:
+        Jinv = anchor_gate([v0 * h0 - 1], [[v0]], [-1, v0], g.exact)
+    except NotASimpleRoot as exc:
+        raise NotInvertible(f"g(0) = {v0!r} has no convolution inverse: {exc}") from None
     terms = [((-unit(g.enum, g.exact)).values, ()), (g.values, (0,))]
-    return sweep(g.enum, [terms], (inv0,), [[inv0]], g.exact)[0]
+    return sweep(g.enum, [terms], (h0,), Jinv, g.exact)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ import argparse
 import cmath
 import hashlib
 import json
-import math
 import sys
 import time
 
 from . import algebra, certificate, series, solver
-from .algebra import DEFAULT_TOLERANCE, TruncatedFunction
+from .algebra import TruncatedFunction
 from .errors import DirconvError, MathematicalRefusal, SpecError
 from .scalars import (format_rational, format_scalar, parse_rational,
                       parse_scalar)
@@ -43,13 +42,11 @@ def _parse_backend(obj, path):
     kind = _need(obj, "kind", path)
     if kind in ("lattice", "ordinary-dirichlet"):
         backend = Lattice if kind == "lattice" else OrdinaryDirichlet
-        return backend(int(_need(obj, "k", path)))
+        return _parsed(f"{path}.k", lambda: backend(int(_need(obj, "k", path))))
     if kind == "rational-generators":
         gens = _need(obj, "generators", path)
-        try:
-            return RationalGenerators(tuple(tuple(g) for g in gens))
-        except (ValueError, TypeError) as exc:
-            raise SpecError(str(exc), f"{path}.generators")
+        return _parsed(f"{path}.generators",
+                       lambda: RationalGenerators(tuple(tuple(g) for g in gens)))
     raise SpecError(f"unknown semigroup kind {kind!r}", f"{path}.kind")
 
 
@@ -60,19 +57,17 @@ def _parse_truncation(obj, backend, path):
         raise SpecError(
             "give exactly one of size_bound / max_product / max_elements", path)
     if has_max:
-        return {"max_elements": int(obj["max_elements"])}
+        return {"max_elements": _parsed(f"{path}.max_elements", int, obj["max_elements"])}
     if backend.kind == "ordinary-dirichlet":
         if not has_prod:
             raise SpecError(
                 "ordinary-dirichlet windows are truncated by max_product "
                 "(the size bound is then log(max_product))", path)
-        return {"size_bound": int(obj["max_product"])}
+        return {"size_bound": _parsed(f"{path}.max_product", int, obj["max_product"])}
     if has_prod:
         raise SpecError("max_product only applies to ordinary-dirichlet", path)
-    try:
-        return {"size_bound": parse_rational(obj["size_bound"])}
-    except ValueError as exc:
-        raise SpecError(str(exc), f"{path}.size_bound")
+    return {"size_bound": _parsed(f"{path}.size_bound", parse_rational,
+                                  obj["size_bound"])}
 
 
 def _parse_function(obj, enum, exact, path):
@@ -114,10 +109,7 @@ def _parse_function(obj, enum, exact, path):
 def _ident(raw, enum, path):
     if not isinstance(raw, (list, tuple)):
         raise SpecError("an element is a list of per-coordinate entries", path)
-    try:
-        ident = enum.backend.validate_ident(raw)
-    except (ValueError, TypeError) as exc:
-        raise SpecError(str(exc), path)
+    ident = _parsed(path, enum.backend.validate_ident, raw)
     if ident not in enum:
         raise SpecError(f"element {raw!r} lies outside the enumerated window",
                         path)
@@ -128,24 +120,19 @@ def _parse_point(raw, k, path):
     many = isinstance(raw, (list, tuple))
     if many and len(raw) != k:
         raise SpecError(f"point needs {k} components", path)
-    try:
-        pt = [parse_scalar(v, False) for v in (raw if many else [raw])]
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        raise SpecError(str(exc), path)
+    pt = _parsed(path, lambda: [parse_scalar(v, False)
+                                for v in (raw if many else [raw])])
     if not all(map(cmath.isfinite, pt)):
         raise SpecError(f"point parts must be finite numbers, not {raw!r}", path)
     return tuple(pt) if many else pt[0]
 
 
-def _tolerance(raw):
+def _parsed(path, parse, *args):
+    """parse(*args), with a malformed value refused at ``path``."""
     try:
-        tol = float(raw)
-    except (ValueError, TypeError) as exc:
-        raise SpecError(str(exc), "arithmetic.tolerance")
-    if not 0.0 <= tol < math.inf:
-        raise SpecError(f"tolerance must be a finite number >= 0, not {raw!r}",
-                        "arithmetic.tolerance")
-    return tol
+        return parse(*args)
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise SpecError(str(exc), path)
 
 
 class Problem:
@@ -162,11 +149,15 @@ class Problem:
         except DirconvError as exc:
             raise SpecError(str(exc), "semigroup")
         arith = raw.get("arithmetic", {})
+        if not isinstance(arith, dict):
+            raise SpecError("arithmetic must be an object", "arithmetic")
+        for field in arith:
+            if field != "mode":
+                raise SpecError(f"unknown field {field!r}", f"arithmetic.{field}")
         mode = arith.get("mode", "exact")
         if mode not in ("exact", "double"):
             raise SpecError(f"unknown mode {mode!r}", "arithmetic.mode")
         self.exact = mode == "exact"
-        self.tolerance = _tolerance(arith.get("tolerance", DEFAULT_TOLERANCE))
         eq = _need(raw, "equation", "")
         coeff_specs = _need(eq, "coefficients", "equation")
         if not isinstance(coeff_specs, list) or not coeff_specs:
@@ -198,7 +189,7 @@ class Problem:
     def root(self):
         if "root" not in self.task:
             raise SpecError(f"task {self.task_type!r} needs a root", "task.root")
-        return parse_scalar(self.task["root"], self.exact)
+        return _parsed("task.root", parse_scalar, self.task["root"], self.exact)
 
     def points(self):
         pts = self.task.get("points")
@@ -208,11 +199,14 @@ class Problem:
                 for i, p in enumerate(pts)]
 
     def rho(self):
-        return parse_rational(self.task.get("rho", 0))
+        return _parsed("task.rho", parse_rational, self.task.get("rho", 0))
 
     def norm_bounds(self):
         nb = self.task.get("norm_bounds")
-        return None if nb is None else [float(v) for v in nb]
+        if nb is not None and not isinstance(nb, list):
+            raise SpecError("norm_bounds must be a list of numbers", "task.norm_bounds")
+        return None if nb is None else _parsed("task.norm_bounds",
+                                               lambda: [float(v) for v in nb])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +282,7 @@ def run_problem(problem: Problem) -> dict:
     doc = {**_header(problem), "window_size": len(problem.enum)}
     ttype = problem.task_type
     if ttype == "invert":
-        g = algebra.invert(problem.coefficients[0], tol=problem.tolerance)
+        g = algebra.invert(problem.coefficients[0])
         doc["solution"] = _function_table(g)
         return doc
 
@@ -307,7 +301,7 @@ def run_problem(problem: Problem) -> dict:
         return doc
 
     if ttype == "solve-all":
-        result = solver.solve_all(T, tol=problem.tolerance)
+        result = solver.solve_all(T)
         doc["root_report"] = _root_report_doc(result.report)
         doc["solutions"] = [{
             "root": format_scalar(root.value),
@@ -430,7 +424,7 @@ def _render_table(rows, title):
 # entry points
 
 
-def run(spec_path: str, threads: int = 1, tolerance=None):
+def run(spec_path: str, threads: int = 1):
     """Load, validate and execute a spec file; returns (document, exit_code)."""
     try:
         with open(spec_path) as fh:
@@ -446,8 +440,6 @@ def run(spec_path: str, threads: int = 1, tolerance=None):
         return {"error": "--threads must be >= 1"}, 1
     try:
         problem = Problem(raw)
-        if tolerance is not None:
-            problem.tolerance = _tolerance(tolerance)
         started = time.perf_counter()
         doc = run_problem(problem)
         elapsed = time.perf_counter() - started
@@ -489,11 +481,9 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None, help="write output to a file")
     runp.add_argument("--threads", type=int, default=1,
                       help="worker threads (results are identical for any value)")
-    runp.add_argument("--tolerance", type=float, default=None,
-                      help="double-mode comparison tolerance")
     args = parser.parse_args(argv)
 
-    doc, code = run(args.spec, threads=args.threads, tolerance=args.tolerance)
+    doc, code = run(args.spec, threads=args.threads)
     if "error" in doc:
         sys.stderr.write(f"error: {doc['error']}\n")
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"

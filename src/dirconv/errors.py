@@ -40,7 +40,7 @@ class BackendMismatch(DirconvError):
 
 
 class NotInvertible(MathematicalRefusal):
-    """Convolution inverse requested for a function vanishing at 0."""
+    """g(0) fails the anchor gate of g * h - unit = 0: g has no inverse."""
 
 
 # -- solver ------------------------------------------------------------------

@@ -185,31 +185,46 @@ def _deflate_exact(coeffs, root):
 
 
 def tau_root(f_coeffs) -> float:
-    """Double-mode root gate: z passes as a root of f when |f(z)| <= tau_root,
-    and approximate roots closer than tau_root are merged into one."""
+    """The double-mode threshold of :func:`is_root`; approximate roots
+    closer than tau_root are also merged into one."""
     return 1e-8 * (1.0 + max(abs(complex(c)) for c in f_coeffs))
 
 
 def tau_simple(f_coeffs) -> float:
-    """Double-mode simplicity gate: a root z is simple when |f'(z)| > tau_simple."""
+    """The double-mode threshold of :func:`simple_inverse`."""
     return 1e-6 * max(abs(complex(c)) for c in f_coeffs)
+
+
+def is_root(v, coeffs_at_0, exact: bool) -> bool:
+    """The root test for one component v of a base-point map: v = 0 in
+    exact mode, |v| <= tau_root over the coefficient values at 0 in
+    double mode (so NaN fails)."""
+    return not v if exact else abs(v) <= tau_root(coeffs_at_0)
+
+
+def simple_inverse(J, coeffs_at_0, exact: bool):
+    """The simplicity test: J^{-1} when J is invertible and, in double
+    mode, tau_simple * ||J^{-1}||_inf < 1 over the coefficient values at
+    0; otherwise None.  For J = [[f'(z)]] this reads |f'(z)| > tau_simple."""
+    Jinv = _inverse(J, exact)
+    if Jinv is None or exact:
+        return Jinv
+    gate = tau_simple(coeffs_at_0)
+    return Jinv if all(gate * sum(map(abs, row)) < 1 for row in Jinv) else None
 
 
 def anchor_gate(F, J, coeffs_at_0, exact: bool):
     """J^{-1} when the base point is a simple zero of the base-point map F
     with Jacobian J; otherwise :class:`NotASimpleRoot`.
 
-    Exact mode demands F = 0 and J invertible.  Double mode demands
-    max |F_i| <= tau_root and tau_simple * ||J^{-1}||_inf < 1, both over
-    the coefficient values at 0; for one equation, F = [f(z0)] and
-    J = [[f'(z0)]], these read |f(z0)| <= tau_root and |f'(z0)| > tau_simple.
+    Every F_i must pass :func:`is_root` and J :func:`simple_inverse`; for
+    one equation, F = [f(z0)] and J = [[f'(z0)]].
     """
     for i, v in enumerate(F):
-        if v if exact else not abs(v) <= tau_root(coeffs_at_0):
+        if not is_root(v, coeffs_at_0, exact):
             raise NotASimpleRoot(f"the base point is not a root: F_{i} = {v!r}")
-    Jinv = _inverse(J, exact)
-    if Jinv is None or not exact and not all(
-            tau_simple(coeffs_at_0) * sum(map(abs, row)) < 1 for row in Jinv):
+    Jinv = simple_inverse(J, coeffs_at_0, exact)
+    if Jinv is None:
         raise NotASimpleRoot("the base-point Jacobian is "
                              + ("singular" if exact else "below the simplicity gate")
                              + "; the root is not simple")
@@ -246,41 +261,32 @@ def find_roots(f_coeffs, exact: bool):
     """All roots of the anchor polynomial, flagged simple/exact.
 
     ``f_coeffs`` is the list a_0(0), ..., a_d(0) (already trimmed of
-    leading zeros by the caller).  Simplicity is decided exactly where
-    the root is exact and through the gate |f'(z)| > tau_simple(f)
+    leading zeros by the caller).  A root of multiplicity 1 is simple
+    when J = [[f'(z)]] passes :func:`simple_inverse`, the test of
+    :func:`anchor_gate`: exactly where the root is exact and in doubles
     otherwise.
     """
     d = len(f_coeffs) - 1
-    root_gate = tau_root(f_coeffs)
-    simple_gate = tau_simple(f_coeffs)
-
     fprime = poly_derivative(f_coeffs)
-    roots: list[Root] = []
+    fprime_double = [complex(c) for c in fprime]
 
-    # the root 0, exactly
-    m0 = 0
-    work = list(f_coeffs)
-    while not work[0]:
-        work = work[1:]
-        m0 += 1
-    if m0:
-        zero = Fraction(0) if exact else 0j
-        roots.append(Root(zero, m0, _is_simple(f_coeffs, fprime, zero, m0,
-                                               exact, simple_gate), exact))
+    def root(value, mult, is_exact):
+        simple = mult == 1 and simple_inverse(
+            [[poly_eval(fprime if is_exact else fprime_double, value)]],
+            f_coeffs, is_exact) is not None
+        return Root(value, mult, simple, is_exact)
+
+    m0 = next(i for i, c in enumerate(f_coeffs) if c)   # the root 0, exactly
+    work = list(f_coeffs[m0:])
+    roots = [root(Fraction(0) if exact else 0j, m0, exact)] if m0 else []
 
     if exact:
         work, exact_roots = _exact_roots(work)
-        for val, mult in exact_roots:
-            roots.append(Root(val, mult,
-                              _is_simple(f_coeffs, fprime, val, mult, True,
-                                         simple_gate), True))
+        roots += [root(val, mult, True) for val, mult in exact_roots]
 
     if len(work) > 1:
-        approx = durand_kerner(work)
-        for center, mult in cluster(approx, root_gate):
-            simple = mult == 1 and abs(
-                poly_eval([complex(c) for c in fprime], center)) > simple_gate
-            roots.append(Root(center, mult, simple, False))
+        roots += [root(center, mult, False)
+                  for center, mult in cluster(durand_kerner(work), tau_root(f_coeffs))]
 
     roots.sort(key=lambda r: _value_sort_key(r.value))
     assert sum(r.multiplicity for r in roots) == d
@@ -325,15 +331,6 @@ def _exact_roots(work):
                 changed = True
                 continue
     return work, sorted(found.items(), key=lambda kv: _value_sort_key(kv[0]))
-
-
-def _is_simple(f_coeffs, fprime, value, mult, exact, gate):
-    if mult != 1:
-        return False
-    if exact and not isinstance(value, complex):
-        return bool(poly_eval([_as_qc(c) for c in fprime], _as_qc(value)))
-    fp = poly_eval([complex(c) for c in fprime], complex(value))
-    return abs(fp) > gate
 
 
 def _value_sort_key(v):

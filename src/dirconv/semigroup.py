@@ -43,9 +43,10 @@ from .errors import EmptyTruncation, NotEnumerated, OnlyZero, WindowTooLarge
 from .rounding import dn, frac_bounds, up
 from .scalars import format_rational, parse_rational
 
-#: windows are refused past these: identities a walk lists, pairs i <= j of a table
+#: windows are refused past these: identities a walk lists, pairs i <= j of a
+#: table, and entries (k per identity) a divisor walk lists
 MAX_ELEMENTS = 10 ** 6
-MAX_PAIRS = 10 ** 7
+MAX_PAIRS = MAX_ENTRIES = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -179,8 +180,8 @@ class OrdinaryDirichlet:
     kind = "ordinary-dirichlet"
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("dimension must be >= 1")
+        if not 1 <= self.k <= MAX_ELEMENTS:
+            raise ValueError(f"dimension must be from 1 to {MAX_ELEMENTS}")
 
     def zero_ident(self):
         return (1,) * self.k
@@ -207,9 +208,14 @@ class OrdinaryDirichlet:
         return list(ident)
 
     def idents_up_to(self, bound):
-        # bound is the maximal product (an int); the size bound is log(bound)
-        return list(itertools.islice(_tuples_product_at_most(self.k, int(bound)),
-                                     MAX_ELEMENTS + 1))
+        # bound is the maximal product (an int); the size bound is log(bound).
+        # Past k = 10 the limit of MAX_ENTRIES binds first
+        cap = min(MAX_ELEMENTS, MAX_ENTRIES // self.k)
+        idents = list(itertools.islice(_tuples_product_at_most(self.k, int(bound)),
+                                       cap + 1))
+        if cap < len(idents) <= MAX_ELEMENTS:
+            raise WindowTooLarge(f"the walk passes {MAX_ENTRIES} identity entries")
+        return idents
 
     def initial_bound(self):
         return 4
@@ -232,13 +238,19 @@ class OrdinaryDirichlet:
 
 
 def _tuples_product_at_most(k, n):
-    if k == 1:
-        for i in range(1, n + 1):
-            yield (i,)
+    """The k-tuples of positive integers with product <= n, in lexicographic
+    order, recursing once per entry v >= 2 (at most log2(n) of them): after
+    j ones and v come the tuples with product <= n // v."""
+    if n < 1:
         return
-    for i in range(1, n + 1):
-        for rest in _tuples_product_at_most(k - 1, n // i):
-            yield (i,) + rest
+    yield (1,) * k
+    if n < 2:
+        return
+    yield from map(((1,) * (k - 1)).__add__, zip(range(2, n + 1)))
+    for j in range(k - 2, -1, -1):
+        for v in range(2, n + 1):
+            yield from map(((1,) * j + (v,)).__add__,
+                           _tuples_product_at_most(k - j - 1, n // v))
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (DEFAULT_TOLERANCE, TruncatedFunction, check_compatible,
-                      convolve, prefix_tree, sweep, unit)
+from .algebra import (TruncatedFunction, check_compatible, convolve,
+                      prefix_tree, sweep, unit)
 from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
                      ZeroPolynomial)
-from .roots import anchor_gate, find_roots, poly_derivative, poly_eval
+from .roots import anchor_gate, find_roots, is_root, poly_derivative, poly_eval
 from .scalars import double_value, exact_value
 
 
@@ -157,36 +157,31 @@ def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
     return _convolution_values([terms], (g,))[0]
 
 
-def _obstructions(T: ConvPolynomial, report: RootReport, tol: float):
+def _obstructions(T: ConvPolynomial, report: RootReport):
     """Per root, look for a minimal-size element q forcing (T g)(q) != 0.
 
     At a minimal-size q the only decompositions are trivial, so
     (T g)(q) = f'(z0) g(q) + sum_j a_j(q) z0^j; with f'(z0) = 0 the
-    whole value is pinned independently of g(q).
+    whole value is pinned independently of g(q).  The value counts as
+    non-zero only when it fails the root test of the anchor gate, in
+    doubles wherever the root is approximate.
     """
     enum = T.enum
     if len(enum.levels) < 2:
         return ()
     first_level = enum.levels[1][1]
-    scale = max(1.0, max(abs(complex(c)) for c in report.f_coeffs))
     found = []
     for root in report.roots:
-        z = root.value
-        zp = [exact_value(1) if T.exact else 1 + 0j]
-        for _ in range(T.degree):
-            zp.append(zp[-1] * z)
+        U = T if root.exact else T.to_double()
         for q_idx in first_level:
-            val = sum((T.coeffs[j].values[q_idx] * zp[j]
-                       for j in range(T.degree + 1)),
-                      Fraction(0) if T.exact else 0j)
-            nonzero = bool(val) if T.exact else abs(complex(val)) > tol * scale
-            if nonzero:
-                found.append(Obstruction(z, enum[q_idx], val))
+            val = poly_eval([c.values[q_idx] for c in U.coeffs], root.value)
+            if not is_root(val, report.f_coeffs, root.exact):
+                found.append(Obstruction(root.value, enum[q_idx], val))
                 break
     return tuple(found)
 
 
-def solve_all(T: ConvPolynomial, tol: float = DEFAULT_TOLERANCE) -> SolveAllResult:
+def solve_all(T: ConvPolynomial) -> SolveAllResult:
     """One solution per simple root of the anchor polynomial.
 
     With no simple root at all, the instance is refused; if every root
@@ -197,7 +192,7 @@ def solve_all(T: ConvPolynomial, tol: float = DEFAULT_TOLERANCE) -> SolveAllResu
     report = initial_polynomial(T)
     simple = report.simple_roots
     if not simple:
-        obs = _obstructions(T, report, tol)
+        obs = _obstructions(T, report)
         proven = len(obs) == len(report.roots) and len(obs) > 0
         raise NoSimpleRoots(
             "the anchor polynomial has no simple roots"
@@ -210,6 +205,10 @@ def solve_all(T: ConvPolynomial, tol: float = DEFAULT_TOLERANCE) -> SolveAllResu
     solutions = tuple((r, solve(T.to_double(), complex(r.value))
                        if T.exact and not r.exact else solve(T, r.value)) for r in simple)
     return SolveAllResult(solutions, skipped, report)
+
+
+#: factorization_check's comparison tolerance in double mode
+DEFAULT_TOLERANCE = 1e-10
 
 
 def factorization_check(T: ConvPolynomial, solutions):

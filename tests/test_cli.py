@@ -263,18 +263,25 @@ def test_double_mode_spec(tmp_path):
     assert values[4] == pytest.approx(0.375)
 
 
-def test_tolerance_flag_controls_double_gates(tmp_path):
+def test_double_invert_is_gated_by_the_anchor_gate(tmp_path, capsys):
+    # g * h - unit = 0 at h(0) = 1/g(0) is simple only for |g(0)| > 1e-6
     spec = {
         "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 10},
         "arithmetic": {"mode": "double"},
         "equation": {"coefficients": [{"const": 1e-8}]},
         "task": {"type": "invert"},
     }
-    doc, code = run_spec(tmp_path, spec)           # default tolerance 1e-10
-    assert code == 0
-    doc, code = run_spec(tmp_path, spec, tolerance=1e-6)
+    doc, code = run_spec(tmp_path, spec)
     assert code == 2
-    assert "NotInvertible" in doc["diagnostic"]
+    assert doc["diagnostic"].startswith("NotInvertible: ")
+    assert "simplicity gate" in doc["diagnostic"]
+    spec["equation"]["coefficients"][0]["const"] = 1e-5
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 0
+    assert doc["solution"][0]["value"] == format_scalar(1 / 1e-5 + 0j)
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    assert "--tolerance" not in capsys.readouterr().out
 
 
 INDICATOR_INVERT_SPEC = {
@@ -287,7 +294,7 @@ INDICATOR_INVERT_SPEC = {
 
 @pytest.mark.parametrize("tol", [-1, "nan", "inf", "x"])
 def test_bad_tolerance_in_the_spec_exits_1(tmp_path, tol):
-    """g(0) = 0 is only refused as not invertible under a tolerance >= 0."""
+    """``tolerance`` is not a spec field: any value is refused at its path."""
     spec = copy.deepcopy(INDICATOR_INVERT_SPEC)
     spec["arithmetic"]["tolerance"] = tol
     doc, code = run_spec(tmp_path, spec)
@@ -295,17 +302,41 @@ def test_bad_tolerance_in_the_spec_exits_1(tmp_path, tol):
     assert doc["field"] == "arithmetic.tolerance"
 
 
-@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-def test_bad_tolerance_flag_exits_1(tmp_path, tol, capsys):
-    doc, code = run_spec(tmp_path, INDICATOR_INVERT_SPEC, tolerance=tol)
+@pytest.mark.parametrize("arith, field", [
+    ("double", "arithmetic"), (["double"], "arithmetic"),
+    ({"mode": "double", "precision": 53}, "arithmetic.precision"),
+    ({"tolerance": 1e-10, "mode": "double"}, "arithmetic.tolerance"),
+])
+def test_arithmetic_is_an_object_with_only_a_mode(tmp_path, arith, field):
+    spec = copy.deepcopy(INDICATOR_INVERT_SPEC)
+    spec["arithmetic"] = arith
+    doc, code = run_spec(tmp_path, spec)
     assert code == 1
-    assert doc["field"] == "arithmetic.tolerance"
-    path = write_spec(tmp_path, INDICATOR_INVERT_SPEC)
-    assert cli.main(["run", path, "--tolerance", str(tol)]) == 1
-    assert json.loads(capsys.readouterr().out)["field"] == "arithmetic.tolerance"
-    doc, code = run_spec(tmp_path, INDICATOR_INVERT_SPEC, tolerance=0.0)
-    assert code == 2
-    assert "NotInvertible" in doc["diagnostic"]
+    assert doc["field"] == field
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k", "x"), ("k", 0), ("k", 10**9), ("max_product", "x"),
+])
+def test_malformed_semigroup_fields_exit_1_at_their_field(tmp_path, key, value):
+    spec = copy.deepcopy(MOBIUS_SPEC)
+    spec["semigroup"][key] = value
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["field"] == f"semigroup.{key}"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho", "abc"), ("rho", [1]), ("root", "1/0"), ("root", "x"),
+    ("norm_bounds", 5), ("norm_bounds", "123"), ("norm_bounds", ["x", 1, 1]),
+])
+def test_malformed_task_fields_exit_1_at_their_field(tmp_path, key, value):
+    with open(GOLDEN / "certify-rho.spec.json") as fh:
+        spec = json.load(fh)
+    spec["task"][key] = value
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["field"] == f"task.{key}"
 
 
 @pytest.mark.parametrize("bound", ["nan", -1.0])

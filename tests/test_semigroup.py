@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -32,6 +33,31 @@ def test_ordinary_dirichlet_k2_tie_break_on_index_tuple():
     e = dc.enumerate_semigroup(dc.OrdinaryDirichlet(2), size_bound=4)
     assert [x.ident for x in e] == [
         (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (1, 4), (2, 2), (4, 1)]
+
+
+@pytest.mark.parametrize("k, n", [(1, 12), (2, 30), (3, 24), (4, 17)])
+def test_divisor_tuples_are_every_tuple_with_product_at_most_n_in_order(k, n):
+    every = [t for t in itertools.product(range(1, n + 1), repeat=k) if math.prod(t) <= n]
+    assert dc.OrdinaryDirichlet(k).idents_up_to(n) == every
+
+
+def test_a_divisor_window_with_many_coordinates_needs_no_deep_recursion():
+    # 2000 coordinates and product <= 2: the unit, and a 2 in one place;
+    # the walk recurses once per entry above 1, not once per coordinate
+    e = dc.enumerate_semigroup(dc.OrdinaryDirichlet(2000), size_bound=2)
+    assert len(e) == 2001
+    assert sorted(x.ident.index(2) for x in e if x.key == 2) == list(range(2000))
+
+
+def test_divisor_walks_are_refused_past_the_identity_entry_limit(monkeypatch):
+    # a walk holds k entries per identity: with room for 10**5 entries, 50
+    # identities of 2000 entries; product <= 4 lists about 2 million of them
+    monkeypatch.setattr(dc.semigroup, "MAX_ENTRIES", 10**5)
+    for window in ({"size_bound": 4}, {"max_elements": 100}, {"size_bound": 2}):
+        with pytest.raises(dc.WindowTooLarge, match="passes 100000 identity entries"):
+            dc.enumerate_semigroup(dc.OrdinaryDirichlet(2000), **window)
+    with pytest.raises(ValueError, match="dimension"):
+        dc.OrdinaryDirichlet(dc.semigroup.MAX_ELEMENTS + 1)
 
 
 def test_fractional_generators():
