@@ -29,6 +29,7 @@ from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
 from .rounding import (abs_bounds, add_dn, add_up, div_up, dn, exp_up,
                        frac_bounds, log_dn, mul_dn, mul_up, poly_eval_up,
                        pow_up, sub_dn, sub_up, up)
+from .scalars import double_value
 from .solver import ConvPolynomial
 
 #: scope markers for the coefficient norms entering Q
@@ -209,9 +210,13 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     requires S_r(m) <= t_star, and checks the level-to-level bound
     S(m_n) <= P(S(m_{n-1})) + e^{-(r-rho) m1} Q(|z0| + S(m_{n-1})).
     A violation raises :class:`CertificateViolated`: it means a bug or
-    an under-reported norm, never a sound certificate.  The same pass
-    sums the window part rounded down, for the tail bound of g.
+    an under-reported norm, never a sound certificate; so does a g whose
+    g(0), compared in g's mode, is not the certified anchor z0.  The same
+    pass sums the window part rounded down, for the tail bound of g.
     """
+    if g.values[0] != (cert.z0 if g.exact else double_value(cert.z0)):
+        raise CertificateViolated(
+            f"g(0) = {g.values[0]} is not the certified anchor z0 = {cert.z0}", level=0.0)
     r, levels = cert.r, g.enum.levels
     terms = weighted_terms(g, r)
     # S_r(m) leaves out x = 0, the window sum includes it; clamping keeps

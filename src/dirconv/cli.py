@@ -322,19 +322,13 @@ def run_problem(problem: Problem) -> dict:
     points = problem.points() if ttype == "verify" else None
     cert = certificate.certify(T, z0, rho, norm_bounds)
     g = solver.solve(T, z0)
-    report = certificate.validate(cert, g)
-    doc["certificate"] = _certificate_doc(cert, problem.backend)
-    doc["validation"] = {
-        "ok": report.ok,
-        "sum_margin": report.sum_margin,
-        "recursive_margin": report.recursive_margin,
-    }
     if ttype == "certify":
+        report = certificate.validate(cert, g)
         doc["root_report"] = _root_report_doc(solver.initial_polynomial(T))
         doc["solution"] = _function_table(g)
     else:
-        vr = series.verify_scalar_equation(T, g, points, cert=cert,
-                                           cert_tail=report.tail)
+        vr = series.verify_scalar_equation(T, g, points, cert=cert)
+        report = vr.validation
         doc["scalar_equation"] = {
             "all_ok": vr.all_ok,
             "worst_ratio": vr.worst_ratio,
@@ -346,6 +340,12 @@ def run_problem(problem: Problem) -> dict:
             } for pc in vr.points],
         }
         doc["series"] = _series_doc(vr.points)
+    doc["certificate"] = _certificate_doc(cert, problem.backend)
+    doc["validation"] = {
+        "ok": report.ok,
+        "sum_margin": report.sum_margin,
+        "recursive_margin": report.recursive_margin,
+    }
     doc["residual"] = _residual_doc(T, g)
     return doc
 

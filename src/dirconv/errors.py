@@ -26,7 +26,7 @@ class OnlyZero(MathematicalRefusal):
 
 
 class WindowTooLarge(MathematicalRefusal):
-    """The window walk or its table passes ``MAX_ELEMENTS`` or ``MAX_PAIRS``."""
+    """A window walk or table passes ``MAX_ELEMENTS``, ``MAX_ENTRIES`` or ``MAX_PAIRS``."""
 
 
 class NotEnumerated(DirconvError):

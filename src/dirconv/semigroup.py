@@ -44,7 +44,7 @@ from .rounding import dn, frac_bounds, up
 from .scalars import format_rational, parse_rational
 
 #: windows are refused past these: identities a walk lists, pairs i <= j of a
-#: table, and entries (k per identity) a divisor walk lists
+#: table, and entries a walk holds (k per identity and per step vector)
 MAX_ELEMENTS = 10 ** 6
 MAX_PAIRS = MAX_ENTRIES = 10 ** 7
 
@@ -104,14 +104,15 @@ class _Additive:
         return frac_bounds(Fraction(key, self.q))
 
     def idents_up_to(self, bound):
-        """The identities of size <= bound, unordered: a walk over the
-        scaled vectors, whose keys grow by every step, cut past MAX_ELEMENTS."""
+        """The identities of size <= bound, unordered, lazily: a walk over the
+        scaled vectors, whose keys grow by every step, yields each once."""
         top = math.floor(parse_rational(bound) * self.q)
         steps = [(sum(s), s) for s in self._steps]
         zero = (0,) * self.k
         seen = {zero}
         stack = [(0, zero)]
-        while stack and len(seen) <= MAX_ELEMENTS:
+        yield self._ident(zero)
+        while stack:
             vkey, v = stack.pop()
             for skey, s in steps:
                 if vkey + skey <= top:
@@ -119,7 +120,7 @@ class _Additive:
                     if nxt not in seen:
                         seen.add(nxt)
                         stack.append((vkey + skey, nxt))
-        return list(map(self._ident, seen))
+                        yield self._ident(nxt)
 
     def scan_plan(self, idents, keys):
         top = keys[-1]
@@ -144,6 +145,8 @@ class Lattice(_Additive):
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("lattice dimension must be >= 1")
+
+    n_steps = property(lambda self: self.k)
 
     @property
     def _steps(self):
@@ -178,6 +181,7 @@ class OrdinaryDirichlet:
 
     k: int
     kind = "ordinary-dirichlet"
+    n_steps = 0
 
     def __post_init__(self):
         if not 1 <= self.k <= MAX_ELEMENTS:
@@ -208,14 +212,8 @@ class OrdinaryDirichlet:
         return list(ident)
 
     def idents_up_to(self, bound):
-        # bound is the maximal product (an int); the size bound is log(bound).
-        # Past k = 10 the limit of MAX_ENTRIES binds first
-        cap = min(MAX_ELEMENTS, MAX_ENTRIES // self.k)
-        idents = list(itertools.islice(_tuples_product_at_most(self.k, int(bound)),
-                                       cap + 1))
-        if cap < len(idents) <= MAX_ELEMENTS:
-            raise WindowTooLarge(f"the walk passes {MAX_ENTRIES} identity entries")
-        return idents
+        # bound is the maximal product (an int); the size bound is log(bound)
+        return _tuples_product_at_most(self.k, int(bound))
 
     def initial_bound(self):
         return 4
@@ -286,6 +284,8 @@ class RationalGenerators(_Additive):
     @property
     def k(self):
         return len(self.generators[0])
+
+    n_steps = property(lambda self: len(self.generators))
 
     @property
     def _steps(self):
@@ -452,31 +452,38 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
     is the maximal index product, i.e. B = log(bound)).  ``max_elements``
     keeps the N smallest elements in the total order; the window is then
     size-complete below its top size level, which is all convolution
-    ever needs.  Walks past ``MAX_ELEMENTS`` are refused.
+    ever needs.  A walk past ``MAX_ELEMENTS`` identities or ``MAX_ENTRIES``
+    entries (k per identity and per step vector) is cut and refused.
     """
     if (size_bound is None) == (max_elements is None):
         raise ValueError("specify exactly one of size_bound, max_elements")
+    cap = min(MAX_ELEMENTS, MAX_ENTRIES // backend.k - backend.n_steps)
+
+    def walk(bound):
+        return list(itertools.islice(backend.idents_up_to(bound), max(0, cap + 1)))
 
     if size_bound is not None:
         if size_bound < 0:
             raise EmptyTruncation(f"size bound {size_bound} is negative")
-        idents = backend.idents_up_to(size_bound)
+        idents = walk(size_bound)
         truncation = ("size_bound", size_bound)
     else:
         n = int(max_elements)
         if n < 1:
             raise EmptyTruncation("max_elements must be >= 1")
         bound = backend.initial_bound()
-        idents = backend.idents_up_to(bound)
-        while len(idents) < min(n, MAX_ELEMENTS + 1):
+        idents = walk(bound)
+        while len(idents) < min(n, cap + 1):
             bound *= 2
-            new = backend.idents_up_to(bound)
+            new = walk(bound)
             if len(new) == len(idents):  # semigroup exhausted below any bound?
                 break
             idents = new
         truncation = ("max_elements", n)
-    if len(idents) > MAX_ELEMENTS:
-        raise WindowTooLarge(f"the walk passes the limit of {MAX_ELEMENTS} elements")
+    if len(idents) > cap:
+        raise WindowTooLarge(f"the walk passes the limit of {MAX_ELEMENTS} elements"
+                             if cap == MAX_ELEMENTS else
+                             f"the walk passes {MAX_ENTRIES} identity entries")
 
     order = sorted(zip(map(backend.key, idents), idents))
     if max_elements is not None:

@@ -17,10 +17,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import TruncatedFunction, weighted_terms
-from .certificate import NormCertificate
+from . import certificate
+from .algebra import TruncatedFunction
 from .errors import OutOfHalfPlane
-from .rounding import add_dn, add_up, mul_up, pow_up
+from .rounding import add_up, mul_up, pow_up
 from .solver import ConvPolynomial
 
 
@@ -86,24 +86,21 @@ def evaluate(g: TruncatedFunction, s) -> SeriesValue:
     return SeriesValue(value=_window_sum(g.values, characters(g.enum, pt)), s=pt)
 
 
-def tail_bound(g: TruncatedFunction, cert: NormCertificate, s) -> float:
+def tail_bound(g: TruncatedFunction, cert: certificate.NormCertificate, s) -> float:
     """Upper bound for the absolute series tail beyond the window.
 
     Valid when min_i Re(s_i) >= cert.r: then |e^{-x.s}| <= e^{-r|x|}
-    pointwise, so the tail is at most ``cert.tail`` of the round-down
-    window part of the r-weighted sum (as in ``certificate.validate``).
+    pointwise, so the tail is at most the certified norm |z0| + t* minus
+    the round-down window part of the r-weighted sum.  That bound does not
+    depend on s; it is ``certificate.validate(cert, g).tail``, so a g the
+    certificate does not hold for raises ``CertificateViolated``.
     """
     pt = _normalize_point(g.enum, s)
     sigma = min(c.real for c in pt)
     if sigma < cert.r:
         raise OutOfHalfPlane(
             f"min Re(s) = {sigma} lies below the certified rate r = {cert.r}")
-    window = 0.0
-    for _, lo, _ in weighted_terms(g, cert.r):
-        # clamping keeps the lower bound monotone when terms fall below
-        # one ulp of the accumulator
-        window = max(window, add_dn(window, lo))
-    return cert.tail(window)
+    return certificate.validate(cert, g).tail
 
 
 @dataclass(frozen=True)
@@ -121,6 +118,7 @@ class VerifyReport:
     points: tuple
     all_ok: bool
     worst_ratio: float         # max residual/allowance over the points
+    validation: object = None  # the certificate's ValidationReport, or None
 
 
 #: relative float round-off allowed on the scale sum_j |a~_j| max(1, |g~|)^j
@@ -128,38 +126,35 @@ FUZZ = 1e-12
 
 
 def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
-                           cert: NormCertificate = None, g_tail=None,
-                           coeff_tails=None, cert_tail=None) -> VerifyReport:
+                           cert: certificate.NormCertificate = None, g_tail=None,
+                           coeff_tails=None) -> VerifyReport:
     """Check the scalar equation at sample points against propagated tails.
 
-    Tail sources: the solution tail comes from ``g_tail(s)`` when given,
-    otherwise from the certificate, which requires min Re(s) >= r and
-    gives one bound for all such s: ``cert_tail`` when already known
-    (``ValidationReport.tail``), else ``tail_bound``.  ``coeff_tails`` gives
-    per-coefficient tails as a callable (j, s) -> bound, or None for
-    window-supported coefficients.  The allowed residual at s is
+    Tail sources: the solution tail comes from ``g_tail(s)`` when given.
+    Otherwise the certificate gives it: ``certificate.validate(cert, g)``
+    runs once, before any point is checked, and its ``tail`` is one bound
+    for every s with min Re(s) >= r; the report carries that validation.
+    ``coeff_tails`` gives per-coefficient tails as a callable (j, s) ->
+    bound, or None for window-supported coefficients.  The allowed
+    residual at s is
 
         sum_j [ tail_aj * (|g~| + tail_g)^j
                 + |a~_j| * j * (|g~| + tail_g)^{j-1} * tail_g ]
 
     plus a small multiple of the evaluation scale for float round-off.
     """
+    if g_tail is None and cert is None:
+        raise ValueError("need a certificate or an explicit g_tail")
+    validation = certificate.validate(cert, g) if g_tail is None else None
     checks = []
     worst = 0.0
     for s in points:
         pt = _normalize_point(T.enum, s)
         arg = pt if len(pt) > 1 else pt[0]
-        if g_tail is not None:
-            tg = float(g_tail(arg))
-        elif cert is not None:
-            if min(c.real for c in pt) < cert.r:
-                raise OutOfHalfPlane(
-                    f"point {pt} below the certified half-plane r = {cert.r}")
-            if cert_tail is None:
-                cert_tail = tail_bound(g, cert, pt)
-            tg = cert_tail
-        else:
-            raise ValueError("need a certificate or an explicit g_tail")
+        if validation is not None and min(c.real for c in pt) < cert.r:
+            raise OutOfHalfPlane(
+                f"point {pt} below the certified half-plane r = {cert.r}")
+        tg = float(g_tail(arg)) if validation is None else validation.tail
         chars = characters(T.enum, pt)
         gval = _window_sum(g.values, chars)
         avals = [_window_sum(c.values, chars) for c in T.coeffs]
@@ -181,4 +176,4 @@ def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
         ratio = resid / allowance if allowance > 0 else math.inf
         worst = max(worst, ratio)
         checks.append(PointCheck(pt, resid, allowance, ok, gval, tg))
-    return VerifyReport(tuple(checks), all(c.ok for c in checks), worst)
+    return VerifyReport(tuple(checks), all(c.ok for c in checks), worst, validation)

@@ -226,36 +226,25 @@ def factorization_check(T: ConvPolynomial, solutions):
         raise PreconditionFailed(
             "factorization needs deg f = d with all roots simple")
     gs = [g if isinstance(g, TruncatedFunction) else g[1] for g in solutions]
-    enum = T.enum
-    exact = all(g.exact for g in gs) and T.exact
-    # expand prod (g - g_i) in the indeterminate g
-    c = [unit(enum, exact)]
+    # expand prod (g - g_i) in the indeterminate g; convolve and - put mixed
+    # modes in double through coerce_pair
+    c = [unit(T.enum)]
     for gi in gs:
-        if gi.exact and not exact:
-            gi = gi.to_double()
         new = [-convolve(gi, c[0])]
         for k in range(1, len(c)):
             new.append(c[k - 1] - convolve(gi, c[k]))
         new.append(c[-1])
         c = new
-    ad = T.coeffs[-1] if exact == T.exact else T.coeffs[-1].to_double()
     worst = 0.0
     ok = True
     for k in range(d):
-        lhs = convolve(ad, c[k])
-        rhs = T.coeffs[k] if exact == T.exact else T.coeffs[k].to_double()
-        if exact:
-            if lhs != rhs:
-                ok = False
-                worst = max(worst, max(
-                    abs(complex(x - y)) for x, y in zip(lhs.values, rhs.values)))
-        else:
-            dev = max(abs(complex(x) - complex(y))
-                      for x, y in zip(lhs.values, rhs.values))
-            worst = max(worst, dev)
-            scale = max(1.0, rhs.max_abs())
-            if dev > DEFAULT_TOLERANCE * scale:
-                ok = False
+        diff = convolve(T.coeffs[-1], c[k]) - T.coeffs[k]
+        dev = max(abs(complex(v)) for v in diff.values)
+        worst = max(worst, dev)
+        if diff.exact:
+            ok = ok and diff.is_zero()
+        elif dev > DEFAULT_TOLERANCE * max(1.0, T.coeffs[k].max_abs()):
+            ok = False
     return ok, worst
 
 

@@ -177,18 +177,25 @@ def test_verify_task(tmp_path, monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(series, name, counted)
-    passes = []
+    passes, validations = [], []
 
     def counted_terms(g, r, _fn=algebra.weighted_terms):
         passes.append((g, r))
         return _fn(g, r)
 
-    for module in (algebra, certificate, series):
+    def counted_validate(cert, g, _fn=certificate.validate):
+        validations.append(g)
+        return _fn(cert, g)
+
+    for module in (algebra, certificate):
         monkeypatch.setattr(module, "weighted_terms", counted_terms)
+    monkeypatch.setattr(certificate, "validate", counted_validate)
     doc, code = run_spec(tmp_path, spec)
     # per point one characters pass serves g and the 3 coefficients; the
-    # tail bound does not depend on the point and comes from validate
+    # tail bound does not depend on the point and comes from the one
+    # validate call that verify_scalar_equation makes
     assert calls == {"evaluate": 0, "tail_bound": 0, "characters": 2}
+    assert len(validations) == 1
     monkeypatch.undo()
     assert code == 0
     assert doc["scalar_equation"]["all_ok"] is True

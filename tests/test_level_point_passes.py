@@ -135,3 +135,16 @@ def test_validate_tail_equals_tail_bound_and_the_element_loop():
         s = (cert.r + 1, complex(cert.r + 2, 3))
         assert bits(series.tail_bound(g_, cert, s)) == bits(want)
         assert list(report.partial_sums) == level_partial_sums(g_, cert.r)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "double"])
+def test_tail_bound_is_the_validation_tail(window, exact):
+    """tail_bound reads validate's one weighted pass: the same float on
+    divisor, lattice and generator windows, in both modes."""
+    T = dc.ConvPolynomial((-dc.one(window), dc.constant(window, 0), dc.unit(window)))
+    T = T if exact else T.to_double()
+    cert = certificate.certify(T, 1)
+    g = dc.solve(T, 1)
+    want = certificate.validate(cert, g).tail
+    for s in (cert.r, complex(cert.r + 2, 3), (cert.r + 1,) * window.backend.k):
+        assert bits(series.tail_bound(g, cert, s)) == bits(want)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ def test_ordinary_dirichlet_k2_tie_break_on_index_tuple():
 @pytest.mark.parametrize("k, n", [(1, 12), (2, 30), (3, 24), (4, 17)])
 def test_divisor_tuples_are_every_tuple_with_product_at_most_n_in_order(k, n):
     every = [t for t in itertools.product(range(1, n + 1), repeat=k) if math.prod(t) <= n]
-    assert dc.OrdinaryDirichlet(k).idents_up_to(n) == every
+    assert list(dc.OrdinaryDirichlet(k).idents_up_to(n)) == every
 
 
 def test_a_divisor_window_with_many_coordinates_needs_no_deep_recursion():
@@ -58,6 +59,24 @@ def test_divisor_walks_are_refused_past_the_identity_entry_limit(monkeypatch):
             dc.enumerate_semigroup(dc.OrdinaryDirichlet(2000), **window)
     with pytest.raises(ValueError, match="dimension"):
         dc.OrdinaryDirichlet(dc.semigroup.MAX_ELEMENTS + 1)
+
+
+def test_lattice_walks_are_refused_before_their_entries_exist(monkeypatch):
+    # Lattice(200) to size 2 has 20,301 identities of 200 entries, about 4
+    # million, and its walk holds 200 unit steps of 200 entries: with room
+    # for 10**5 entries the walk stops after 500 - 200 identities
+    monkeypatch.setattr(dc.semigroup, "MAX_ENTRIES", 10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(dc.WindowTooLarge, match="passes 100000 identity entries"):
+            dc.enumerate_semigroup(dc.Lattice(200), size_bound=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10**6   # the whole walk peaks near 38 MB
+    # more steps than entries: refused before the steps are built
+    with pytest.raises(dc.WindowTooLarge, match="identity entries"):
+        dc.enumerate_semigroup(dc.Lattice(10**6), max_elements=1)
 
 
 def test_fractional_generators():

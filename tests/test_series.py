@@ -81,12 +81,54 @@ def test_non_finite_points_are_refused(od20, part):
 
 
 def test_tail_bound_sound_for_unit(od20):
-    # the true tail of the unit series is 0
-    a0 = dc.constant(od20, 0)
-    T = dc.ConvPolynomial((a0, dc.unit(od20)))
-    cert = dc.certify(T, 0)
+    # the true tail of the unit series is 0; the unit solves g - unit = 0
     u = dc.unit(od20)
+    T = dc.ConvPolynomial((-u, u))
+    cert = dc.certify(T, 1)
     assert dc.tail_bound(u, cert, cert.r + 1) >= 0.0
+    # a certificate of another function, here the zero solution of g = 0,
+    # bounds nothing about the unit
+    zero_cert = dc.certify(dc.ConvPolynomial((dc.constant(od20, 0), u)), 0)
+    with pytest.raises(dc.CertificateViolated, match="anchor"):
+        dc.tail_bound(u, zero_cert, zero_cert.r + 1)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "double"])
+def test_a_multiple_of_the_solution_is_refused(exact):
+    """50 g is not the certified g: its g(0) is 50, not z0 = 1, and its
+    window sum passes |z0| + t*, so a tail from it would read 0."""
+    e = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=200)
+    T = sqrt_one(e) if exact else sqrt_one(e).to_double()
+    cert = dc.certify(T, 1)
+    g = dc.solve(T, 1)
+    assert dc.validate(cert, g).ok
+    with pytest.raises(dc.CertificateViolated, match="anchor"):
+        dc.validate(cert, g.scale(50))
+    with pytest.raises(dc.CertificateViolated, match="anchor"):
+        dc.tail_bound(g.scale(50), cert, cert.r + 1)
+    with pytest.raises(dc.CertificateViolated, match="anchor"):
+        dc.verify_scalar_equation(T, g.scale(50), [cert.r + 1], cert=cert)
+
+
+def test_verify_validates_once_and_reports_it(od20, monkeypatch):
+    T = sqrt_one(od20)
+    cert = dc.certify(T, 1)
+    g = dc.solve(T, 1)
+    calls = []
+
+    def counted(cert, g, _fn=dc.certificate.validate):
+        calls.append(g)
+        return _fn(cert, g)
+
+    monkeypatch.setattr(dc.certificate, "validate", counted)
+    points = [cert.r + 1, complex(cert.r + 2, 3), cert.r + 4]
+    report = dc.verify_scalar_equation(T, g, points, cert=cert)
+    assert calls == [g]
+    assert report.validation == dc.validate(cert, g)
+    assert {pc.tail for pc in report.points} == {report.validation.tail}
+    calls.clear()
+    report = dc.verify_scalar_equation(T, g, points, cert=cert, g_tail=lambda s: 0.0)
+    assert calls == [] and report.validation is None
 
 
 def test_tail_bound_monotone_in_window():
