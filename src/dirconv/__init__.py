@@ -8,7 +8,7 @@ certifies geometric decay rates for the solutions, and evaluates the
 associated generalized Dirichlet series with rigorous tail bounds.
 """
 
-from .algebra import (TruncatedFunction, constant, convolve, damp,
+from .algebra import (Monomial, TruncatedFunction, constant, convolve, damp,
                       from_pairs, from_values, indicator, invert, one, power,
                       r_norm_partial, unit)
 from .certificate import (NormCertificate, ValidationReport, build_PQ,
@@ -25,8 +25,8 @@ from .semigroup import (Element, Enumeration, Lattice, OrdinaryDirichlet,
                         RationalGenerators, enumerate_semigroup)
 from .series import (SeriesValue, VerifyReport, evaluate, tail_bound,
                      verify_scalar_equation)
-from .solver import (DEFAULT_TOLERANCE, ConvPolynomial, Monomial,
-                     Obstruction, PolySystem, RootReport, SolveAllResult,
+from .solver import (DEFAULT_TOLERANCE, ConvPolynomial, Obstruction,
+                     PolySystem, RootReport, SolveAllResult,
                      factorization_check, initial_polynomial, residual, solve,
                      solve_all, solve_system, system_residual)
 

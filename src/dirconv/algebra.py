@@ -9,12 +9,17 @@ the window.
 Values are exact Gaussian rationals (``exact=True``) or complex doubles.
 Norm-flavoured quantities are always floats computed with outward
 rounding so that certificates never under-report a sum.
+
+An equation in unknowns g_1, ..., g_m is a list of :class:`Monomial`
+terms, the one form :func:`sweep` reads: scalar equations, square
+systems and the convolution inverse all reach it that way.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add, mul
@@ -88,6 +93,18 @@ class TruncatedFunction:
     def max_abs(self) -> float:
         """Round-up bound of max |g(x)| over the window."""
         return max(0.0, *(abs_bounds(v)[1] for v in self.values))
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """c * g_1^{*e_1} * ... * g_m^{*e_m}: one term of an equation in m
+    unknowns, and the only term form the sweep and the residual read."""
+
+    coeff: TruncatedFunction
+    exponents: tuple
+
+    def total_degree(self) -> int:
+        return sum(self.exponents)
 
 
 def check_compatible(g: TruncatedFunction, h: TruncatedFunction):
@@ -303,8 +320,8 @@ def invert(g: TruncatedFunction) -> TruncatedFunction:
         Jinv = anchor_gate([v0 * h0 - 1], [[v0]], [-1, v0], g.exact)
     except NotASimpleRoot as exc:
         raise NotInvertible(f"g(0) = {v0!r} has no convolution inverse: {exc}") from None
-    terms = [((-unit(g.enum, g.exact)).values, ()), (g.values, (0,))]
-    return sweep(g.enum, [terms], (h0,), Jinv, g.exact)[0]
+    terms = [Monomial(-unit(g.enum, g.exact), (0,)), Monomial(g, (1,))]
+    return sweep(g.enum, [terms], (h0,), g.exact, Jinv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +353,17 @@ def prefix_tree(equations, z0, zero):
     return index, nodes, at0, grad
 
 
-def sweep(enum, equations, z0, Jinv, exact):
+def sweep(enum, equations, z0, exact, Jinv=None):
     """The window functions g_1, ..., g_m that the equations force.
 
-    ``equations`` lists, per equation, its terms as (coefficient values,
-    factor sequence); ``z0`` holds the values at 0 and ``Jinv`` the
-    inverse of the base-point Jacobian.  One product table is kept per
-    factor prefix: g_l itself for one factor, and a longer one only
-    where a pair product reads it.  Every pair product has one
-    :func:`reader`, so a coefficient that vanishes off 0 meets no inner
-    pair, and one constant off 0 or a table times itself reads by
+    ``equations`` lists, per equation, its :class:`Monomial` terms; ``z0``
+    holds the values at 0.  ``Jinv`` is the inverse of the base-point
+    Jacobian when the caller's gate has one; otherwise F and J are summed
+    over the prefix tree and :func:`anchor_gate` judges them.  One product
+    table is kept per factor prefix: g_l itself for one factor, and a
+    longer one only where a pair product reads it.  Every pair product has
+    one :func:`reader`, so a coefficient that vanishes off 0 meets no
+    inner pair, and one constant off 0 or a table times itself reads by
     structure.  At each element the tables and equations are evaluated
     with the unknowns masked out, J^{-1} is applied once, and each table
     gets the linear term the base point fixes.
@@ -353,7 +371,16 @@ def sweep(enum, equations, z0, Jinv, exact):
     zero = Fraction(0) if exact else 0j
     operand, table = (Ratios, Ratios) if exact else (tuple, list)
     m, n = len(z0), len(enum)
+    # each term as (coefficient values, factor sequence): (0, 0, 1) for g_1 * g_1 * g_2
+    equations = [[(t.coeff.values, tuple(l for l, e in enumerate(t.exponents)
+                                         for _ in range(e))) for t in eq]
+                 for eq in equations]
     index, nodes, at0, grad = prefix_tree(equations, z0, zero)
+    if Jinv is None:
+        F = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
+        J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
+              for l in range(m)] for eq in equations]
+        Jinv = anchor_gate(F, J, [c[0] for eq in equations for c, _ in eq], exact)
     linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
     G = [table([z] + [zero] * (n - 1)) for z in z0]
     Q = [None] + [None if p else G[l] for p, l in nodes[1:]]

@@ -10,6 +10,7 @@ root, so the report flags which roots are simple and which are exact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -294,43 +295,24 @@ def find_roots(f_coeffs, exact: bool):
 
 
 def _exact_roots(work):
-    """Strip every exactly representable root from ``work``."""
-    found = {}
-
-    def note(val, n=1):
-        found[val] = found.get(val, 0) + n
-
-    changed = True
-    while changed and len(work) > 1:
-        changed = False
-        if len(work) == 2:  # linear: always exact
-            val = exact_value(-_as_qc(work[0]) / _as_qc(work[1]))
-            note(val)
-            work = [work[1]]
-            changed = True
-            continue
-        if all(isinstance(c, Fraction) or (isinstance(c, QC) and c.im == 0)
-               for c in work):
-            rats = [c if isinstance(c, Fraction) else c.re for c in work]
-            rroots, deflated = rational_roots(rats)
-            if rroots:
-                for v in rroots:
-                    note(v)
-                work = deflated
-                changed = True
-                continue
-        if len(work) == 3:  # quadratic with a Gaussian-rational discriminant
-            a, b, c = _as_qc(work[2]), _as_qc(work[1]), _as_qc(work[0])
-            disc = b * b - QC(4) * a * c
-            s = qc_sqrt(disc)
-            if s is not None:
-                for sign in (1, -1):
-                    val = exact_value((-b + (s if sign > 0 else -s)) / (QC(2) * a))
-                    note(val)
-                work = [work[2]]
-                changed = True
-                continue
-    return work, sorted(found.items(), key=lambda kv: _value_sort_key(kv[0]))
+    """Strip every exactly representable root from ``work``: the rational
+    roots when the coefficients are real and the degree is at least 2,
+    then a linear rest, or a quadratic rest whose discriminant has a
+    Gaussian-rational square root."""
+    found = []
+    if len(work) > 2 and all(isinstance(c, Fraction) or (isinstance(c, QC) and c.im == 0)
+                             for c in work):
+        found, work = rational_roots([c if isinstance(c, Fraction) else c.re for c in work])
+    if len(work) == 2:
+        found.append(exact_value(-_as_qc(work[0]) / _as_qc(work[1])))
+        work = work[1:]
+    elif len(work) == 3:
+        a, b, c = _as_qc(work[2]), _as_qc(work[1]), _as_qc(work[0])
+        s = qc_sqrt(b * b - QC(4) * a * c)
+        if s is not None:
+            found += [exact_value((-b + r) / (QC(2) * a)) for r in (s, -s)]
+            work = work[2:]
+    return work, sorted(Counter(found).items(), key=lambda kv: _value_sort_key(kv[0]))
 
 
 def _value_sort_key(v):

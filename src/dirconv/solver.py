@@ -7,28 +7,32 @@ values are forced one element at a time in the window order, because
 every term of (T g)(x) either contains g(x) linearly with total
 coefficient f'(z0) or only touches strictly smaller sizes.
 
-A square system in unknowns g_1, ..., g_m is the same recursion with
-the base-point Jacobian J in place of f'(z0), and a scalar equation is
-the system with m = 1 and J = [[f'(z0)]].  One sweep,
-:func:`dirconv.algebra.sweep`, serves both (and the convolution
-inverse, the degree-1 case); this module supplies its anchors, and one
-gate, :func:`dirconv.roots.anchor_gate`, judges each and returns J^{-1}.
+Every equation is a list of :class:`Monomial` terms, c * g_1^{*e_1} *
+... * g_m^{*e_m}.  A square system in unknowns g_1, ..., g_m is the same
+recursion with the base-point Jacobian J in place of f'(z0), and a
+scalar equation is the one-unknown system ``T.equations``, whose J is
+[[f'(z0)]].  One sweep, :func:`dirconv.algebra.sweep`, serves both (and
+the convolution inverse, the degree-1 case); a system's F and J come
+from its prefix tree, a scalar equation's from Horner in
+:meth:`ConvPolynomial.anchor`, and one gate,
+:func:`dirconv.roots.anchor_gate`, judges each and returns J^{-1}.
 
 ``residual`` and ``system_residual`` share one evaluator that
-recomputes the equations through plain convolutions, building each
-power g_l^{*e} once; it is an independent check of the sweep.
+recomputes the same Monomial terms through plain convolutions,
+building each power g_l^{*e} once; it is an independent check of the
+sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import (TruncatedFunction, check_compatible, convolve,
-                      prefix_tree, sweep, unit)
+from .algebra import (Monomial, TruncatedFunction, check_compatible, convolve,
+                      sweep, unit)
 from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
                      ZeroPolynomial)
-from .roots import anchor_gate, find_roots, is_root, poly_derivative, poly_eval
+from .roots import (_trim, anchor_gate, find_roots, is_root, poly_derivative,
+                    poly_eval)
 from .scalars import double_value, exact_value
 
 
@@ -66,6 +70,11 @@ class ConvPolynomial:
         if not self.exact:
             return self
         return ConvPolynomial(tuple(c.to_double() for c in self.coeffs))
+
+    @property
+    def equations(self) -> tuple:
+        """The equation as the one-unknown system: ([a_0, a_1 g, ..., a_d g^{*d}],)."""
+        return ([Monomial(c, (j,)) for j, c in enumerate(self.coeffs)],)
 
     def anchor_coeffs(self):
         """The values a_j(0), constant term first."""
@@ -128,9 +137,7 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
         raise ZeroPolynomial(
             "every coefficient vanishes at 0; anchor values are unconstrained "
             "and no solution can be selected")
-    trimmed = list(f)
-    while not trimmed[-1]:
-        trimmed.pop()
+    trimmed = _trim(f)
     if len(trimmed) == 1:
         raise DegenerateConstant(
             "the anchor polynomial is a non-zero constant; the equation has "
@@ -141,10 +148,12 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
 
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     """The unique solution g of T g = 0 with g(0) = z0, for a simple root
-    z0 that passes the gate of :meth:`ConvPolynomial.anchor`."""
+    z0 that passes the gate of :meth:`ConvPolynomial.anchor`.
+
+    J^{-1} comes from that Horner f'(z0): a prefix-tree J can differ in
+    the last bit, and the sweep amplifies it in double mode."""
     z0, _, Jinv = T.anchor(z0)
-    terms = [(c.values, (0,) * j) for j, c in enumerate(T.coeffs)]
-    return sweep(T.enum, [terms], (z0,), Jinv, T.exact)[0]
+    return sweep(T.enum, T.equations, (z0,), T.exact, Jinv)[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
@@ -153,8 +162,7 @@ def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
     Independent of the incremental bookkeeping in :func:`solve`, so it
     doubles as a cross-check of the recursion.
     """
-    terms = [(c, (j,)) for j, c in enumerate(T.coeffs)]
-    return _convolution_values([terms], (g,))[0]
+    return _convolution_values(T.equations, (g,))[0]
 
 
 def _obstructions(T: ConvPolynomial, report: RootReport):
@@ -253,17 +261,6 @@ def factorization_check(T: ConvPolynomial, solutions):
 
 
 @dataclass(frozen=True)
-class Monomial:
-    """c * g_1^{*e_1} * ... * g_m^{*e_m} inside one system equation."""
-
-    coeff: TruncatedFunction
-    exponents: tuple
-
-    def total_degree(self) -> int:
-        return sum(self.exponents)
-
-
-@dataclass(frozen=True)
 class PolySystem:
     """m polynomial equations in m unknown window functions, plus a base point."""
 
@@ -292,11 +289,6 @@ class PolySystem:
         return all(t.coeff.exact for eq in self.equations for t in eq)
 
 
-def _factors(t: Monomial) -> tuple:
-    """The factor sequence of a monomial: (0, 0, 1) for g_1 * g_1 * g_2."""
-    return tuple(l for l, e in enumerate(t.exponents) for _ in range(e))
-
-
 #: limits of :func:`solve_system`: unknowns and monomial degree
 MAX_UNKNOWNS = 8
 MAX_DEGREE = 8
@@ -319,23 +311,13 @@ def solve_system(S: PolySystem):
                 raise PreconditionFailed(
                     f"monomial degree {t.total_degree()} exceeds limit {MAX_DEGREE}")
     exact = S.exact
-    zero = Fraction(0) if exact else 0j
     z0 = tuple(exact_value(z) if exact else double_value(z) for z in S.z0)
-    equations = [[(t.coeff.values, _factors(t)) for t in eq] for eq in S.equations]
-
-    index, _, at0, grad = prefix_tree(equations, z0, zero)
-    F0 = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
-    J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
-          for l in range(S.m)] for eq in equations]
-    at_0 = [t.coeff.values[0] for eq in S.equations for t in eq]
-    Jinv = anchor_gate(F0, J, at_0, exact)
-    return sweep(S.enum, equations, z0, Jinv, exact)
+    return sweep(S.enum, S.equations, z0, exact)
 
 
 def system_residual(S: PolySystem, gs) -> list:
     """Each equation evaluated by plain convolutions; the independent check."""
-    return _convolution_values(
-        [[(t.coeff, t.exponents) for t in eq] for eq in S.equations], gs)
+    return _convolution_values(S.equations, gs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +325,15 @@ def system_residual(S: PolySystem, gs) -> list:
 
 
 def _convolution_values(equations, gs) -> list:
-    """Each equation, given as (coefficient, exponents) terms, evaluated
-    at gs by plain convolutions; every power g_l^{*e} is built once."""
+    """Each equation, a list of :class:`Monomial` terms, evaluated at gs
+    by plain convolutions; every power g_l^{*e} is built once."""
     powers = [[g] for g in gs]   # powers[l][e - 1] = g_l^{*e}
     out = []
     for eq in equations:
         acc = None
-        for term, exponents in eq:
-            for l, e in enumerate(exponents):
+        for t in eq:
+            term = t.coeff
+            for l, e in enumerate(t.exponents):
                 while len(powers[l]) < e:
                     powers[l].append(convolve(powers[l][-1], gs[l]))
                 if e:

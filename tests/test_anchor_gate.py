@@ -71,8 +71,7 @@ def _equation(enum, a, rng):
 
 
 def _one_unknown_system(T, z0):
-    return dc.PolySystem(1, ([dc.Monomial(c, (j,)) for j, c in enumerate(T.coeffs)],),
-                         (z0,))
+    return dc.PolySystem(1, T.equations, (z0,))
 
 
 def _close(got, want):

@@ -37,6 +37,43 @@ def test_document_unchanged(spec):
     assert text == expected_path(spec).read_text()
 
 
+def _block_lines(doc):
+    """The table line (or the first of its lines) each block of ``doc`` must give."""
+    out = [f"dirconv  task={doc['task']}  backend={doc['backend']['kind']}"
+           f"(k={doc['backend']['k']})  mode={doc['mode']}",
+           f"spec sha256: {doc['spec_sha256']}"]
+    if "diagnostic" in doc:
+        out.append(f"REFUSED: {doc['diagnostic']}")
+    if "root_report" in doc:
+        out.append("anchor roots:")
+        out += [f"multiplicity={r['multiplicity']} simple={r['simple']}"
+                for r in doc["root_report"]["roots"]]
+    if "solution" in doc:
+        out.append("solution:")
+    for sol in doc.get("solutions", ()):
+        out.append(f"solution at root {cli._fmt_val(sol['root'])}:")
+    for block in ("certificate", "validation", "residual"):
+        if block in doc:
+            out.append(f"{block}:")
+    if "scalar_equation" in doc:
+        se = doc["scalar_equation"]
+        out.append(f"scalar equation: all_ok={se['all_ok']}  "
+                   f"worst_ratio={se['worst_ratio']:.6g}")
+    if "series" in doc:
+        out.append("series values:")
+        out += [f"  s=({', '.join(cli._fmt_val(c) for c in e['s'])}): "
+                f"value={cli._fmt_val(e['value'])}" for e in doc["series"]]
+    return out
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.name[:-len(".spec.json")])
+def test_table_renders_every_block(spec):
+    doc = json.loads(expected_path(spec).read_text())
+    lines = cli.render(doc, "table").splitlines()
+    for want in _block_lines(doc):
+        assert any(line.startswith(want) or line.endswith(want) for line in lines), want
+
+
 def test_every_spec_has_a_document():
     assert SPECS
     assert sorted(GOLDEN.glob("*.json")) == sorted(

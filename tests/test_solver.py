@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import dirconv as dc
+from dirconv.roots import find_roots
+from dirconv.scalars import QC, exact_value
 
 from oracles import (binom_half, instance_with_anchor_roots,
                      random_exact_function)
@@ -49,6 +52,30 @@ def test_anchor_gaussian_roots(od20):
     vals = sorted(complex(r.value).imag for r in rep.roots)
     assert vals == [-1.0, 1.0]
     assert all(r.exact and r.simple for r in rep.roots)
+
+
+def _from_roots(roots):
+    """prod (z - r) as exact coefficients, constant term first."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return [exact_value(c) for c in coeffs]
+
+
+@pytest.mark.parametrize("roots", [
+    [QC(2, 1), QC(-2, -1)],                      # z^2 - (3+4i): a non-real sqrt
+    [QC(1, 1), Fraction(3)],                     # complex coefficients, disc 3-4i
+    [Fraction(1, 2), Fraction(-3), QC(1, 2), QC(1, -2)],
+    [Fraction(1, 3), Fraction(1, 3), Fraction(-2), Fraction(5, 2)],
+    [QC(0, Fraction(1, 2))],
+    [Fraction(-7, 4), Fraction(-7, 4)],
+])
+def test_exact_roots_come_back_exactly(roots):
+    got = find_roots(_from_roots(roots), True)
+    assert all(r.exact for r in got)
+    want = Counter(exact_value(r) for r in roots)
+    assert {r.value: r.multiplicity for r in got} == want
+    assert [r.simple for r in got] == [want[r.value] == 1 for r in got]
 
 
 def test_anchor_degenerate_constant(od20):
@@ -224,6 +251,16 @@ def test_factorization_linear(od20):
     assert ok and dev == 0.0
 
 
+def test_factorization_check_in_double_mode(od20):
+    T = sqrt_one_equation(od20, exact=False)
+    sols = [g for _, g in dc.solve_all(T)]
+    assert dc.factorization_check(T, sols)[0]
+    bad = list(sols[0].values)
+    bad[3] += 1e-6
+    ok, worst = dc.factorization_check(T, [dc.from_values(od20, bad, False), sols[1]])
+    assert not ok and worst > dc.DEFAULT_TOLERANCE
+
+
 def test_factorization_precondition(od20):
     a = dc.from_pairs(od20, [((2,), 1)])
     T = dc.ConvPolynomial((-a, dc.constant(od20, 0), dc.unit(od20)))
@@ -246,6 +283,17 @@ def test_system_m1_matches_solve(od20):
             scale = g.max_abs()
             assert all(abs(a - b) <= 1e-12 * scale
                        for a, b in zip(h.values, g.values))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_an_equation_is_its_one_unknown_system(od20, exact):
+    T = instance_with_anchor_roots(od20, [Fraction(1, 2), 2, -1], random.Random(15))
+    T = T if exact else T.to_double()
+    S = dc.PolySystem(1, T.equations, (Fraction(1, 2) if exact else 0.5,))
+    g = dc.solve(T, S.z0[0])
+    assert dc.residual(T, g).values == dc.system_residual(S, [g])[0].values
+    if exact:
+        assert dc.solve_system(S) == (g,)
 
 
 @pytest.mark.parametrize("window", ["lat2", "gens23"])
