@@ -123,19 +123,13 @@ def coerce_pair(g, h):
     return g, h
 
 
-def _zero(exact: bool):
-    return Fraction(0) if exact else 0j
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def unit(enum: Enumeration, exact: bool = True) -> TruncatedFunction:
     """The convolution identity: 1 at the zero element, 0 elsewhere."""
-    vals = [_zero(exact)] * len(enum)
-    vals[0] = Fraction(1) if exact else 1 + 0j
-    return TruncatedFunction(enum, vals, exact)
+    return from_pairs(enum, [(enum[0].ident, 1)], exact)
 
 
 def constant(enum: Enumeration, c, exact: bool = True) -> TruncatedFunction:
@@ -151,14 +145,12 @@ def one(enum: Enumeration, exact: bool = True) -> TruncatedFunction:
 
 def indicator(enum: Enumeration, ident, value=1, exact: bool = True) -> TruncatedFunction:
     """The point mass ``value`` at one enumerated element."""
-    vals = [_zero(exact)] * len(enum)
-    vals[enum.index_of(ident)] = exact_value(value) if exact else double_value(value)
-    return TruncatedFunction(enum, vals, exact)
+    return from_pairs(enum, [(ident, value)], exact)
 
 
 def from_pairs(enum: Enumeration, pairs, exact: bool = True) -> TruncatedFunction:
     """Build a function from (ident, value) pairs; unnamed entries are 0."""
-    vals = [_zero(exact)] * len(enum)
+    vals = [Fraction(0) if exact else 0j] * len(enum)
     for ident, value in pairs:
         vals[enum.index_of(tuple(ident))] = (
             exact_value(value) if exact else double_value(value))
@@ -267,24 +259,24 @@ def qdot(a: Ratios, b: Ratios, us, vs, d):
 def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """(g*h)(x) = sum over all decompositions x = x' + x'' of g(x')h(x'').
 
-    Exact on the whole window because sizes are additive.  Exact mode
-    sums each half row through :func:`qdot`.  In double mode an operand
-    that vanishes off 0 scales the other, and otherwise each row is its
-    pair with 0, both ways, plus the rest read through :func:`reader`;
-    results are deterministic.
+    Exact on the whole window because sizes are additive.  In both modes
+    an operand that vanishes off 0 scales the other.  Otherwise exact
+    mode sums each half row through :func:`qdot`, and double mode takes
+    each row's pair with 0, both ways, plus the rest read through
+    :func:`reader`; results are deterministic.
     """
     g, h = coerce_pair(g, h)
+    gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
+    g0, h0, shape_g = gv[0], hv[0], shape(gv)
+    if not shape_g:
+        return TruncatedFunction(g.enum, [g0 * v for v in hv], g.exact)
     dec = g.enum.decomp
     first, second = dec.first, dec.second
     rows = zip(dec.offsets, dec.offsets[1:], dec.middle)  # a list would outweigh the table
     if g.exact:
-        gv, hv = Ratios(g.values), Ratios(h.values)
+        gv, hv = Ratios(gv), Ratios(hv)
         return TruncatedFunction(g.enum, [qdot(gv, hv, first[a:b], second[a:b], d)
                                           for a, b, d in rows], True)
-    gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
-    g0, h0, shape_g = gv[0], hv[0], shape(gv)
-    if not shape_g:
-        return TruncatedFunction(g.enum, [g0 * v for v in hv], False)
     read = reader(gv, hv, False, shape_g == 1)
     return TruncatedFunction(g.enum, [g0 * h0] + [
         g0 * hv[x] + gv[x] * h0 + read(first[a + 1:b], second[a + 1:b], d)

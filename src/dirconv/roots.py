@@ -249,7 +249,7 @@ def _inverse(A, exact):
             return None
         M[col], M[piv] = M[piv], M[col]
         pivot = M[col][col]
-        inv = (1 / pivot) if exact else (1.0 / pivot)
+        inv = 1 / pivot
         M[col] = [inv * v for v in M[col]]
         for r in range(n):
             if r != col and M[r][col]:

@@ -18,9 +18,9 @@ from its prefix tree, a scalar equation's from Horner in
 :func:`dirconv.roots.anchor_gate`, judges each and returns J^{-1}.
 
 ``residual`` and ``system_residual`` share one evaluator that
-recomputes the same Monomial terms through plain convolutions,
-building each power g_l^{*e} once; it is an independent check of the
-sweep.
+recomputes the same Monomial terms through plain convolutions, by
+Horner in one unknown at a time, so a degree-d scalar equation costs d
+convolutions; it is an independent check of the sweep.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
     Independent of the incremental bookkeeping in :func:`solve`, so it
     doubles as a cross-check of the recursion.
     """
-    return _convolution_values(T.equations, (g,))[0]
+    return _horner(T.equations[0], (g,))
 
 
 def _obstructions(T: ConvPolynomial, report: RootReport):
@@ -317,27 +317,28 @@ def solve_system(S: PolySystem):
 
 def system_residual(S: PolySystem, gs) -> list:
     """Each equation evaluated by plain convolutions; the independent check."""
-    return _convolution_values(S.equations, gs)
+    return [_horner(eq, gs) for eq in S.equations]
 
 
 # ---------------------------------------------------------------------------
 # the convolution check shared by equations and systems
 
 
-def _convolution_values(equations, gs) -> list:
-    """Each equation, a list of :class:`Monomial` terms, evaluated at gs
-    by plain convolutions; every power g_l^{*e} is built once."""
-    powers = [[g] for g in gs]   # powers[l][e - 1] = g_l^{*e}
-    out = []
-    for eq in equations:
-        acc = None
-        for t in eq:
-            term = t.coeff
-            for l, e in enumerate(t.exponents):
-                while len(powers[l]) < e:
-                    powers[l].append(convolve(powers[l][-1], gs[l]))
-                if e:
-                    term = convolve(term, powers[l][e - 1])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return out
+def _horner(terms, gs):
+    """The sum of :class:`Monomial` terms at gs by plain convolutions:
+    Horner in the last unknown, whose coefficients are the groups of
+    terms with equal exponent there, each evaluated the same way in the
+    unknowns before it.  A top exponent e there costs e convolutions."""
+    if not gs:
+        return sum((t.coeff for t in terms[1:]), terms[0].coeff)
+    groups = {}
+    for t in terms:
+        groups.setdefault(t.exponents[-1], []).append(
+            Monomial(t.coeff, t.exponents[:-1]))
+    top = max(groups)
+    acc = _horner(groups[top], gs[:-1])
+    for e in range(top - 1, -1, -1):
+        acc = convolve(acc, gs[-1])
+        if e in groups:
+            acc = acc + _horner(groups[e], gs[:-1])
+    return acc

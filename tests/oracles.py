@@ -204,6 +204,22 @@ def residual_fractions(T, g):
     return total
 
 
+def system_residual_fractions(S, gs):
+    """Each equation of S at gs term by term: c * g_1^{*e_1} * ... *
+    g_m^{*e_m} through :func:`convolve_fractions`, one factor at a time."""
+    out = []
+    for eq in S.equations:
+        total = None
+        for t in eq:
+            term = t.coeff
+            for g, e in zip(gs, t.exponents):
+                for _ in range(e):
+                    term = convolve_fractions(term, g)
+            total = term if total is None else total + term
+        out.append(total)
+    return out
+
+
 def dot_pairs(a, b, pairs):
     """sum of a[i] * b[j] over the index pairs, added left to right from 0."""
     acc = 0

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dirconv as dc
+from dirconv import algebra
+from dirconv.scalars import QC
 
 from oracles import (divisor_count_brute, level_partial_sums,
                      random_exact_function, sieve_mobius)
@@ -30,6 +33,14 @@ def test_unit_is_identity(od20):
     u = dc.unit(od20)
     assert dc.convolve(u, g) == g
     assert dc.convolve(g, u) == g
+
+
+def test_constructors_keep_their_value_types(od20):
+    for exact, zero, one in ((True, Fraction(0), Fraction(1)), (False, 0j, 1 + 0j)):
+        for f in (dc.unit(od20, exact), dc.indicator(od20, (1,), 1, exact),
+                  dc.from_pairs(od20, [((1,), 1)], exact)):
+            assert f.values == (one,) + (zero,) * (len(od20) - 1)
+            assert {type(v) for v in f.values} == {type(zero)}
 
 
 def test_invert_unit(od20):
@@ -63,6 +74,26 @@ def test_power_zero_is_unit(od20):
     g = random_exact_function(od20, rng)
     assert dc.power(g, 0) == dc.unit(od20)
     assert dc.power(g, 2) == dc.convolve(g, g)
+
+
+# -- point masses at 0 ---------------------------------------------------------
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("c", [Fraction(-3, 4), QC(1, 2), 0])
+def test_a_point_mass_at_zero_scales_the_other_operand(od20, monkeypatch, exact, c):
+    """c * unit times g is g.scale(c) in both orders and both modes, and
+    in exact mode it reads no table row through qdot."""
+    calls = Counter()
+    qdot = algebra.qdot
+    monkeypatch.setattr(algebra, "qdot", lambda *a: calls.update(["qdot"]) or qdot(*a))
+    g = random_exact_function(od20, random.Random(5))
+    g = g if exact else g.to_double()
+    mass = dc.unit(od20, exact).scale(c)
+    assert dc.convolve(mass, g) == g.scale(c)
+    assert dc.convolve(g, mass) == g.scale(c)
+    assert not calls
+    dc.convolve(g, g)
+    assert calls["qdot"] == (len(od20) if exact else 0)
 
 
 # -- inversion -----------------------------------------------------------------

@@ -346,6 +346,54 @@ def test_malformed_task_fields_exit_1_at_their_field(tmp_path, key, value):
     assert doc["field"] == f"task.{key}"
 
 
+def _with(**fields):
+    return {**SQRT_SPEC, **fields}
+
+
+def _coefficients(first):
+    return {"coefficients": [first, {"builtin": "unit"}]}
+
+
+@pytest.mark.parametrize("spec, field", [
+    ([SQRT_SPEC], ""),
+    (_with(semigroup={"k": 1, "max_product": 50}), "semigroup"),
+    (_with(semigroup={"kind": "tree", "k": 1}), "semigroup.kind"),
+    (_with(semigroup={"kind": "lattice", "k": 1, "size_bound": 3, "max_elements": 9}),
+     "semigroup"),
+    (_with(semigroup={"kind": "ordinary-dirichlet", "k": 1, "size_bound": 3}), "semigroup"),
+    (_with(semigroup={"kind": "lattice", "k": 1, "max_product": 50}), "semigroup"),
+    (_with(arithmetic={"mode": "quad"}), "arithmetic.mode"),
+    (_with(equation=_coefficients(5)), "equation.coefficients[0]"),
+    (_with(equation=_coefficients({"const": 1, "builtin": "one"})),
+     "equation.coefficients[0]"),
+    (_with(equation=_coefficients({"builtin": "zeta"})), "equation.coefficients[0]"),
+    (_with(equation=_coefficients({"table": [[[2]]]})), "equation.coefficients[0].table[0]"),
+    (_with(equation=_coefficients({"table": [[2, "1"]]})),
+     "equation.coefficients[0].table[0]"),
+    (_with(task={"type": "factor"}), "task.type"),
+    (_with(task={"type": "invert"}), "equation.coefficients"),
+    (_with(task={"type": "solve"}), "task.root"),
+])
+def test_malformed_specs_exit_1_at_their_field(tmp_path, spec, field):
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["field"] == field
+
+
+def test_a_max_elements_window_gives_the_size_bound_document(tmp_path):
+    """The 10 smallest elements of the k = 2 lattice are those of size <= 3."""
+    docs = []
+    for truncation in ({"max_elements": 10}, {"size_bound": 3}):
+        doc, code = run_spec(tmp_path, _with(
+            semigroup={"kind": "lattice", "k": 2, **truncation},
+            equation={"coefficients": [{"builtin": "one"}, {"const": 0}, {"const": -1}]}))
+        assert code == 0
+        del doc["spec_sha256"], doc["timing"]
+        docs.append(cli.render(doc, "json"))
+    assert docs[0] == docs[1]
+    assert len(json.loads(docs[0])["solution"]) == 10
+
+
 @pytest.mark.parametrize("bound", ["nan", -1.0])
 def test_nan_or_negative_norm_bound_exits_1(tmp_path, bound):
     with open(GOLDEN / "verify-two-points.spec.json") as fh:

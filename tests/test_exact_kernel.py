@@ -12,6 +12,7 @@ double.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +21,7 @@ from dirconv.rounding import INF, MAX, abs_bounds_exact
 from dirconv.scalars import QC
 
 from oracles import (abs_bounds_fractions, convolve_fractions, invert_fractions,
-                     literal_solve, residual_fractions)
+                     literal_solve, residual_fractions, system_residual_fractions)
 
 WINDOWS = (
     dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=36),
@@ -103,6 +104,39 @@ def test_exact_kernel_matches_the_fraction_loops(seed):
         for c in T.coeffs:
             if c.values[0]:
                 assert dc.invert(c).values == invert_fractions(c).values
+
+
+def _gapped_system(enum, rng, m, gauss):
+    """m equations in m unknowns for the Horner grouping: the last unknown
+    appears cubed with no square and linearly with a zero coefficient, one
+    equation leaves it out, one repeats an exponent vector, and each has a
+    constant-only term."""
+    def term(last, zero=False):
+        head = tuple(rng.randint(0, 2) for _ in range(m - 1))
+        coeff = dc.constant(enum, 0) if zero else _function(enum, rng, gauss)
+        return dc.Monomial(coeff, head + (last,))
+
+    const = (0,) * m
+    equations = [
+        [term(3), term(1), term(1, zero=True), dc.Monomial(_function(enum, rng, gauss), const)],
+        [term(0), term(0), dc.Monomial(_function(enum, rng, gauss), const)],
+        [term(2), dc.Monomial(_function(enum, rng, gauss), const)],
+    ]
+    equations[2].append(dc.Monomial(_function(enum, rng, gauss), equations[2][0].exponents))
+    return dc.PolySystem(m, equations[:m], (1,) * m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", [2, 3])
+def test_system_residual_matches_the_term_by_term_loop(seed, m):
+    rng = random.Random(seed)
+    gauss = rng.random() < 0.5
+    for enum in WINDOWS:
+        S = _gapped_system(enum, rng, m, gauss)
+        gs = [_function(enum, rng, gauss) for _ in range(m)]
+        got = dc.system_residual(S, gs)
+        want = system_residual_fractions(S, gs)
+        assert [r.values for r in got] == [r.values for r in want]
 
 
 def test_invert_a_gaussian_function(od100):

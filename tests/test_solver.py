@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 import dirconv as dc
+from dirconv import algebra, solver
 from dirconv.roots import find_roots
 from dirconv.scalars import QC, exact_value
 
 from oracles import (binom_half, instance_with_anchor_roots,
-                     random_exact_function)
+                     random_exact_function, residual_fractions)
 
 
 def sqrt_one_equation(enum, exact=True):
@@ -228,6 +229,27 @@ def test_residual_detects_perturbation(od20):
     bad_vals[k] = bad_vals[k] + Fraction(1, 97)
     bad = dc.from_values(od20, bad_vals)
     assert not dc.residual(T, bad).is_zero()
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_a_degree_d_residual_makes_d_convolutions(od20, monkeypatch, exact, d):
+    """Horner: d products with g, the first a scale of g by the unit in a_d."""
+    rng = random.Random(d)
+    coeffs = [random_exact_function(od20, rng) for _ in range(d)] + [dc.unit(od20)]
+    T = dc.ConvPolynomial(tuple(coeffs))
+    T = T if exact else T.to_double()
+    g = random_exact_function(od20, rng)
+    g = g if exact else g.to_double()
+    calls = Counter()
+    convolve, qdot = solver.convolve, algebra.qdot
+    monkeypatch.setattr(solver, "convolve", lambda *a: calls.update(["convolve"]) or convolve(*a))
+    monkeypatch.setattr(algebra, "qdot", lambda *a: calls.update(["qdot"]) or qdot(*a))
+    res = dc.residual(T, g)
+    assert calls["convolve"] == d
+    assert calls["qdot"] == ((d - 1) * len(od20) if exact else 0)
+    if exact:
+        assert res.values == residual_fractions(T, g).values
 
 
 # -- factorization ----------------------------------------------------------------
