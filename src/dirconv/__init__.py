@@ -15,11 +15,11 @@ from .certificate import (NormCertificate, ValidationReport, build_PQ,
                           certify, maximize_R, validate)
 from .errors import (AllCoefficientsZero, BackendMismatch,
                      CertificateViolated, DegenerateConstant, DirconvError,
-                     EmptyTruncation, InconsistentBasePoint,
-                     MathematicalRefusal, NoPositiveR, NoSimpleRoots,
-                     NotASimpleRoot, NotEnumerated, NotInvertible, OnlyZero,
-                     OutOfHalfPlane, PreconditionFailed, SingularJacobian,
-                     SpecError, WindowTooLarge, ZeroDerivative, ZeroPolynomial)
+                     EmptyTruncation, MathematicalRefusal, NoPositiveR,
+                     NoSimpleRoots, NotASimpleRoot, NotEnumerated,
+                     NotInvertible, OnlyZero, OutOfHalfPlane,
+                     PreconditionFailed, SpecError, WindowTooLarge,
+                     ZeroPolynomial)
 from .scalars import QC
 from .semigroup import (Element, Enumeration, Lattice, OrdinaryDirichlet,
                         RationalGenerators, enumerate_semigroup)
@@ -49,7 +49,6 @@ __all__ = [
     "DirconvError", "MathematicalRefusal", "EmptyTruncation", "OnlyZero",
     "NotEnumerated", "WindowTooLarge", "BackendMismatch", "NotInvertible",
     "DegenerateConstant", "ZeroPolynomial", "NotASimpleRoot", "NoSimpleRoots",
-    "SingularJacobian", "InconsistentBasePoint", "PreconditionFailed",
-    "ZeroDerivative", "AllCoefficientsZero", "NoPositiveR",
+    "PreconditionFailed", "AllCoefficientsZero", "NoPositiveR",
     "CertificateViolated", "OutOfHalfPlane", "SpecError",
 ]

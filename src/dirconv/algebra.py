@@ -302,18 +302,16 @@ def invert(g: TruncatedFunction) -> TruncatedFunction:
     """The convolution inverse, defined whenever g(0) != 0.
 
     The inverse h solves the degree-1 equation g * h - unit = 0 with
-    h(0) = 1/g(0), so the anchor gate judges F = [g(0) h(0) - 1] and
-    J = [[g(0)]] over the coefficient values (-1, g(0)) as it would for
-    that equation; in double mode it refuses |g(0)| <= 1e-6 and NaN or inf.
+    h(0) = 1/g(0), and it is that equation's :func:`sweep`: the sweep's
+    gate judges the base point, so in double mode |g(0)| <= 1e-6, NaN
+    and inf are refused, as :class:`NotInvertible`.
     """
     v0 = g.values[0]
-    h0 = 1 / v0 if v0 else v0   # g(0) = 0 then fails the root test, F = [-1]
-    try:
-        Jinv = anchor_gate([v0 * h0 - 1], [[v0]], [-1, v0], g.exact)
+    terms = [Monomial(-unit(g.enum, g.exact), (0,)), Monomial(g, (1,))]
+    try:   # g(0) = 0 keeps h(0) = 0, which fails the root test: F = [-1]
+        return sweep(g.enum, [terms], (1 / v0 if v0 else v0,), g.exact)[0]
     except NotASimpleRoot as exc:
         raise NotInvertible(f"g(0) = {v0!r} has no convolution inverse: {exc}") from None
-    terms = [Monomial(-unit(g.enum, g.exact), (0,)), Monomial(g, (1,))]
-    return sweep(g.enum, [terms], (h0,), g.exact, Jinv)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +343,14 @@ def prefix_tree(equations, z0, zero):
     return index, nodes, at0, grad
 
 
-def sweep(enum, equations, z0, exact, Jinv=None):
+def sweep(enum, equations, z0, exact):
     """The window functions g_1, ..., g_m that the equations force.
 
     ``equations`` lists, per equation, its :class:`Monomial` terms; ``z0``
-    holds the values at 0.  ``Jinv`` is the inverse of the base-point
-    Jacobian when the caller's gate has one; otherwise F and J are summed
-    over the prefix tree and :func:`anchor_gate` judges them.  One product
+    holds the values at 0, taken into the sweep's mode.  F and J are
+    summed over the prefix tree and :func:`anchor_gate` judges them: the
+    one gate of every sweep, so a scalar equation and its one-unknown
+    system get one verdict and one J^{-1}.  One product
     table is kept per factor prefix: g_l itself for one factor, and a
     longer one only where a pair product reads it.  Every pair product has
     one :func:`reader`, so a coefficient that vanishes off 0 meets no
@@ -362,17 +361,17 @@ def sweep(enum, equations, z0, exact, Jinv=None):
     """
     zero = Fraction(0) if exact else 0j
     operand, table = (Ratios, Ratios) if exact else (tuple, list)
+    z0 = tuple(map(exact_value if exact else double_value, z0))
     m, n = len(z0), len(enum)
     # each term as (coefficient values, factor sequence): (0, 0, 1) for g_1 * g_1 * g_2
     equations = [[(t.coeff.values, tuple(l for l, e in enumerate(t.exponents)
                                          for _ in range(e))) for t in eq]
                  for eq in equations]
     index, nodes, at0, grad = prefix_tree(equations, z0, zero)
-    if Jinv is None:
-        F = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
-        J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
-              for l in range(m)] for eq in equations]
-        Jinv = anchor_gate(F, J, [c[0] for eq in equations for c, _ in eq], exact)
+    F = [sum((c[0] * at0[index[fs]] for c, fs in eq), zero) for eq in equations]
+    J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
+          for l in range(m)] for eq in equations]
+    Jinv = anchor_gate(F, J, [c[0] for eq in equations for c, _ in eq], exact)
     linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
     G = [table([z] + [zero] * (n - 1)) for z in z0]
     Q = [None] + [None if p else G[l] for p, l in nodes[1:]]

@@ -82,7 +82,7 @@ def _norms(T: ConvPolynomial, rho, norm_bounds):
 
 def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     """The two comparison polynomials as round-up coefficient tuples."""
-    z0, fp, _ = T.anchor(z0)
+    z0, fp = T.anchor(z0)
     d = T.degree
     fp_dn = abs_bounds(fp)[0]
     if fp_dn <= 0.0:

@@ -464,7 +464,9 @@ def run(spec_path: str, threads: int = 1):
 def _refusal_text(exc) -> str:
     text = f"{type(exc).__name__}: {exc}"
     for ob in getattr(exc, "obstructions", ()):
-        text += (f"; at q = {ob.q.ident} the equation forces the value "
+        q = ", ".join(map(format_rational, ob.q.ident))
+        q = f"({q},)" if len(ob.q.ident) == 1 else f"({q})"
+        text += (f"; at q = {q} the equation forces the value "
                  f"{format_scalar(ob.value)} != 0 whatever g(q) is")
     return text
 

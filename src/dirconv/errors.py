@@ -58,10 +58,6 @@ class NotASimpleRoot(MathematicalRefusal):
     or f'(z0) = 0 for an equation, F(z0) != 0 or J singular for a system."""
 
 
-#: the same refusal under its former system-side and certificate-side names
-InconsistentBasePoint = SingularJacobian = ZeroDerivative = NotASimpleRoot
-
-
 class NoSimpleRoots(MathematicalRefusal):
     """The anchor polynomial has no simple roots.
 

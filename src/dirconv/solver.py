@@ -12,10 +12,10 @@ Every equation is a list of :class:`Monomial` terms, c * g_1^{*e_1} *
 recursion with the base-point Jacobian J in place of f'(z0), and a
 scalar equation is the one-unknown system ``T.equations``, whose J is
 [[f'(z0)]].  One sweep, :func:`dirconv.algebra.sweep`, serves both (and
-the convolution inverse, the degree-1 case); a system's F and J come
-from its prefix tree, a scalar equation's from Horner in
-:meth:`ConvPolynomial.anchor`, and one gate,
-:func:`dirconv.roots.anchor_gate`, judges each and returns J^{-1}.
+the convolution inverse, the degree-1 case).  It sums F and J over its
+prefix tree, and one gate, :func:`dirconv.roots.anchor_gate`, judges
+them and returns J^{-1}; so an equation and its one-unknown system get
+the same verdict and the same values in both modes.
 
 ``residual`` and ``system_residual`` share one evaluator that
 recomputes the same Monomial terms through plain convolutions, by
@@ -81,16 +81,17 @@ class ConvPolynomial:
         return [c.values[0] for c in self.coeffs]
 
     def anchor(self, z0):
-        """(z0, f'(z0), J^{-1}) in the equation's mode, for a simple root z0
-        of f: the one-unknown case of :func:`anchor_gate`, with J = [[f'(z0)]]
-        and both values by Horner."""
+        """(z0, f'(z0)) in the equation's mode, for a simple root z0 of f:
+        the certificate's base point, gated as the one-unknown case of
+        :func:`anchor_gate` with J = [[f'(z0)]] and both values by Horner."""
         f = self.anchor_coeffs()
         if self.exact:
             z0 = exact_value(z0)
         else:
             z0, f = double_value(z0), [complex(c) for c in f]
         fp = poly_eval(poly_derivative(f), z0)
-        return z0, fp, anchor_gate([poly_eval(f, z0)], [[fp]], f, self.exact)
+        anchor_gate([poly_eval(f, z0)], [[fp]], f, self.exact)
+        return z0, fp
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,8 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
 
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     """The unique solution g of T g = 0 with g(0) = z0, for a simple root
-    z0 that passes the gate of :meth:`ConvPolynomial.anchor`.
-
-    J^{-1} comes from that Horner f'(z0): a prefix-tree J can differ in
-    the last bit, and the sweep amplifies it in double mode."""
-    z0, _, Jinv = T.anchor(z0)
-    return sweep(T.enum, T.equations, (z0,), T.exact, Jinv)[0]
+    z0: the sweep of the one-unknown system ``T.equations``."""
+    return sweep(T.enum, T.equations, (z0,), T.exact)[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
@@ -210,8 +207,8 @@ def solve_all(T: ConvPolynomial) -> SolveAllResult:
     skipped = tuple((r, f"multiplicity {r.multiplicity}; not a simple root")
                     for r in report.roots if not r.simple)
     # an irrational anchor cannot live in exact arithmetic
-    solutions = tuple((r, solve(T.to_double(), complex(r.value))
-                       if T.exact and not r.exact else solve(T, r.value)) for r in simple)
+    solutions = tuple((r, solve(T if r.exact else T.to_double(), r.value))
+                      for r in simple)
     return SolveAllResult(solutions, skipped, report)
 
 
@@ -310,9 +307,7 @@ def solve_system(S: PolySystem):
             if t.total_degree() > MAX_DEGREE:
                 raise PreconditionFailed(
                     f"monomial degree {t.total_degree()} exceeds limit {MAX_DEGREE}")
-    exact = S.exact
-    z0 = tuple(exact_value(z) if exact else double_value(z) for z in S.z0)
-    return sweep(S.enum, S.equations, z0, exact)
+    return sweep(S.enum, S.equations, S.z0, S.exact)
 
 
 def system_residual(S: PolySystem, gs) -> list:

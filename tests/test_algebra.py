@@ -98,6 +98,16 @@ def test_a_point_mass_at_zero_scales_the_other_operand(od20, monkeypatch, exact,
 
 # -- inversion -----------------------------------------------------------------
 
+@pytest.mark.parametrize("call, match", [
+    (lambda enum: dc.TruncatedFunction(enum, [0] * (len(enum) - 1), True),
+     "does not match the enumeration length"),
+    (lambda enum: dc.power(dc.one(enum), -1), "non-negative"),
+])
+def test_malformed_algebra_calls_are_refused(od20, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(od20)
+
+
 def test_invert_one_is_mobius(od100):
     mu = dc.invert(dc.one(od100))
     oracle = sieve_mobius(100)

@@ -133,11 +133,6 @@ def test_a_nan_base_point_is_not_a_root(od20, z0):
         dc.solve_system(_one_unknown_system(T, z0))
 
 
-def test_the_old_class_names_are_the_one_refusal():
-    assert dc.InconsistentBasePoint is dc.SingularJacobian is dc.NotASimpleRoot
-    assert dc.ZeroDerivative is dc.NotASimpleRoot
-
-
 @pytest.mark.parametrize("swap", [False, True])
 def test_system_coefficients_must_share_one_window(swap):
     divisors = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=12)

@@ -58,7 +58,7 @@ def test_build_pq_degree2_centered(od20):
 def test_build_pq_requires_nonzero_derivative(od20):
     a = dc.indicator(od20, (2,), 1)
     T = dc.ConvPolynomial((-a, dc.constant(od20, 0), dc.unit(od20)))
-    with pytest.raises(dc.ZeroDerivative):
+    with pytest.raises(dc.NotASimpleRoot):
         dc.build_PQ(T, 0)
 
 
@@ -97,6 +97,19 @@ def test_nan_or_negative_norm_bound_is_refused(od20, bound):
     # max(w, nan) is w, so a NaN bound would silently become the window norm
     with pytest.raises(ValueError, match="norm bounds"):
         dc.certify(sqrt_one(od20), 1, norm_bounds=[bound, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("coeffs, norm_bounds, error, match", [
+    (lambda enum: sqrt_one(enum).coeffs, [1.0, 1.0], ValueError,
+     "one norm bound per coefficient"),
+    # f(z) = 10^-400 (z - 1): f'(1) is not 0, but no double bounds it away from 0
+    (lambda enum: (dc.constant(enum, -Fraction(1, 10**400)),
+                   dc.from_pairs(enum, [((1,), Fraction(1, 10**400))])), None,
+     dc.NotASimpleRoot, "numerically zero"),
+])
+def test_certify_refusals(od20, coeffs, norm_bounds, error, match):
+    with pytest.raises(error, match=match):
+        dc.certify(dc.ConvPolynomial(coeffs(od20)), 1, norm_bounds=norm_bounds)
 
 
 # -- maximize_R ------------------------------------------------------------------

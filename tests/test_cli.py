@@ -261,6 +261,23 @@ def test_rational_generator_spec(tmp_path):
     assert "unsolvable" in doc["diagnostic"]
 
 
+def test_obstruction_elements_print_as_rationals(tmp_path):
+    spec = {
+        "semigroup": {"kind": "rational-generators",
+                      "generators": [["1/2", "0"], ["0", "1/3"]], "size_bound": 2},
+        "equation": {"coefficients": [
+            {"table": [[["0", "0"], "1"], [["1/2", "0"], "1"]]},
+            {"const": "-2"},
+            {"builtin": "unit"},
+        ]},
+        "task": {"type": "solve-all"},
+    }
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 2
+    assert "; at q = (0, 1/3) the equation forces" in doc["diagnostic"]
+    assert "Fraction" not in doc["diagnostic"]
+
+
 def test_double_mode_spec(tmp_path):
     spec = copy.deepcopy(SQRT_SPEC)
     spec["arithmetic"] = {"mode": "double"}
@@ -373,11 +390,27 @@ def _coefficients(first):
     (_with(task={"type": "factor"}), "task.type"),
     (_with(task={"type": "invert"}), "equation.coefficients"),
     (_with(task={"type": "solve"}), "task.root"),
+    (_with(equation=_coefficients({"const": "abc"})), "equation.coefficients[0]"),
 ])
 def test_malformed_specs_exit_1_at_their_field(tmp_path, spec, field):
     doc, code = run_spec(tmp_path, spec)
     assert code == 1
     assert doc["field"] == field
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda spec: cli.run(spec + ".missing"), "No such file"),
+    (lambda spec: cli.run(spec, threads=0), "--threads must be >= 1"),
+    (lambda spec: cli.render(cli.run(spec)[0], "yaml"), "unknown format 'yaml'"),
+])
+def test_calls_beside_the_spec_are_refused(tmp_path, call, message):
+    # run reports in its document; render raises
+    try:
+        doc, code = call(write_spec(tmp_path, SQRT_SPEC))
+    except ValueError as exc:
+        doc, code = {"error": str(exc)}, 1
+    assert code == 1
+    assert message in doc["error"]
 
 
 def test_a_max_elements_window_gives_the_size_bound_document(tmp_path):

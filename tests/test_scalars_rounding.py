@@ -17,6 +17,18 @@ fractions_st = st.fractions(min_value=-20, max_value=20, max_denominator=50)
 
 # -- Gaussian rationals -------------------------------------------------------
 
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: QC(1, 2) / QC(0), ZeroDivisionError, "zero Gaussian rational"),
+    (lambda: exact_value(True), TypeError, "booleans are not scalars"),
+    (lambda: exact_value(0.5), TypeError, "floating-point value in exact mode"),
+    (lambda: exact_value([1]), TypeError, "cannot interpret"),
+    (lambda: parse_scalar({"re": "1", "x": "2"}, True), ValueError, "bad scalar object"),
+])
+def test_malformed_scalars_are_refused(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_qc_field_arithmetic():
     a = QC(Fraction(1, 2), Fraction(3))
     b = QC(Fraction(-2), Fraction(1, 3))

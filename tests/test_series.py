@@ -110,6 +110,14 @@ def test_a_multiple_of_the_solution_is_refused(exact):
         dc.verify_scalar_equation(T, g.scale(50), [cert.r + 1], cert=cert)
 
 
+@pytest.mark.parametrize("window", ["od20", "lat8"])
+def test_verify_needs_a_tail_source(window, request):
+    enum = request.getfixturevalue(window)
+    T = sqrt_one(enum)
+    with pytest.raises(ValueError, match="certificate or an explicit g_tail"):
+        dc.verify_scalar_equation(T, dc.solve(T, 1), [2])
+
+
 def test_verify_validates_once_and_reports_it(od20, monkeypatch):
     T = sqrt_one(od20)
     cert = dc.certify(T, 1)

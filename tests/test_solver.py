@@ -309,13 +309,38 @@ def test_system_m1_matches_solve(od20):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_an_equation_is_its_one_unknown_system(od20, exact):
-    T = instance_with_anchor_roots(od20, [Fraction(1, 2), 2, -1], random.Random(15))
-    T = T if exact else T.to_double()
-    S = dc.PolySystem(1, T.equations, (Fraction(1, 2) if exact else 0.5,))
-    g = dc.solve(T, S.z0[0])
-    assert dc.residual(T, g).values == dc.system_residual(S, [g])[0].values
-    if exact:
+    # one sweep and one gate: the same values, bit for bit, in both modes
+    for z0 in (Fraction(1, 2), Fraction(1, 3)):
+        T = instance_with_anchor_roots(od20, [z0, 2, -1], random.Random(15))
+        T = T if exact else T.to_double()
+        S = dc.PolySystem(1, T.equations, (z0 if exact else float(z0),))
+        g = dc.solve(T, S.z0[0])
+        assert dc.residual(T, g).values == dc.system_residual(S, [g])[0].values
         assert dc.solve_system(S) == (g,)
+
+
+@pytest.mark.parametrize("exact, g0, invertible", [
+    (True, Fraction(3, 7), True), (False, Fraction(3, 7), True),
+    (True, QC(1, -2), True), (False, QC(1, -2), True), (True, Fraction(1, 10**7), True),
+    (True, 0, False), (False, 0, False), (False, 1e-7, False),
+    (False, float("nan"), False), (False, float("inf"), False)])
+def test_invert_is_the_degree_one_solve(od20, exact, g0, invertible):
+    rest = random_exact_function(od20, random.Random(16)).values[1:]
+    g = dc.from_values(od20, (g0,) + rest, exact)
+    T = dc.ConvPolynomial((-dc.unit(od20, exact), g))
+    v0 = g.values[0]
+    z0 = 1 / v0 if v0 else v0
+    if not invertible:
+        with pytest.raises(dc.NotInvertible):
+            dc.invert(g)
+        with pytest.raises(dc.NotASimpleRoot):
+            dc.solve(T, z0)
+        return
+    h, s = dc.invert(g), dc.solve(T, z0)
+    assert h.values == s.values
+    if not exact:   # == does not see the sign of a zero
+        bits = lambda f: [(v.real.hex(), v.imag.hex()) for v in f.values]
+        assert bits(h) == bits(s)
 
 
 @pytest.mark.parametrize("window", ["lat2", "gens23"])
@@ -373,14 +398,14 @@ def test_system_singular_jacobian(od20):
     S = dc.PolySystem(2, (
         (dc.Monomial(u, (1, 0)), dc.Monomial(u, (0, 1))),
         (dc.Monomial(u, (1, 0)), dc.Monomial(u, (0, 1)))), (0, 0))
-    with pytest.raises(dc.SingularJacobian, match="not simple"):
+    with pytest.raises(dc.NotASimpleRoot, match="not simple"):
         dc.solve_system(S)
 
 
 def test_system_inconsistent_base_point(od20):
     u = dc.unit(od20)
     S = dc.PolySystem(1, ((dc.Monomial(u, (1,)), dc.Monomial(u, (0,))),), (0,))
-    with pytest.raises(dc.InconsistentBasePoint, match="not a root"):
+    with pytest.raises(dc.NotASimpleRoot, match="not a root"):
         dc.solve_system(S)
 
 
@@ -389,6 +414,27 @@ def test_system_degree_guard(od20):
     S = dc.PolySystem(1, ((dc.Monomial(u, (9,)),),), (0,))
     with pytest.raises(dc.PreconditionFailed):
         dc.solve_system(S)
+
+
+def _unit_system(enum, m, eqs=None):
+    """g_l - unit(0) = 0 for l < m, as ``eqs`` equations (m by default)."""
+    u = dc.unit(enum)
+    return dc.PolySystem(m, [[dc.Monomial(u, tuple(int(i == l) for i in range(m)))]
+                             for l in range(m if eqs is None else eqs)], (0,) * m)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda enum: dc.factorization_check(sqrt_one_equation(enum), [dc.one(enum)]),
+     dc.PreconditionFailed, "need 2 solutions, got 1"),
+    (lambda enum: _unit_system(enum, 2, eqs=1), ValueError, "need m equations"),
+    (lambda enum: dc.PolySystem(1, [[dc.Monomial(dc.unit(enum), (1, 0))]], (0,)),
+     ValueError, "exponent vectors must have length m"),
+    (lambda enum: dc.solve_system(_unit_system(enum, solver.MAX_UNKNOWNS + 1)),
+     dc.PreconditionFailed, "9 unknowns; limit 8"),
+])
+def test_malformed_solver_calls_are_refused(od20, call, error, match):
+    with pytest.raises(error, match=match):
+        call(od20)
 
 
 # -- exact instances with irrational anchors ---------------------------------

@@ -170,7 +170,7 @@ def test_solve_system_matches_the_pair_loop(window, seed):
         S = dc.PolySystem(2, [[dc.Monomial(c, e) for c, e in eq] for eq in eqs], z0)
         try:
             gs = dc.solve_system(S)
-        except dc.SingularJacobian:
+        except dc.NotASimpleRoot:
             continue
         want = sweep_pairs(window, [[(c.values, e) for c, e in eq] for eq in eqs], z0)
         for g, w in zip(gs, want):
