@@ -6,7 +6,8 @@ window {|x| <= B} is closed under decomposition and convolution of two
 window functions agrees with the untruncated convolution everywhere on
 the window.
 
-Values are exact Gaussian rationals (``exact=True``) or complex doubles.
+Values are exact Gaussian rationals (``exact=True``) or doubles: a
+``float`` where real, a ``complex`` where not.
 Norm-flavoured quantities are always floats computed with outward
 rounding so that certificates never under-report a sum.
 
@@ -150,7 +151,7 @@ def indicator(enum: Enumeration, ident, value=1, exact: bool = True) -> Truncate
 
 def from_pairs(enum: Enumeration, pairs, exact: bool = True) -> TruncatedFunction:
     """Build a function from (ident, value) pairs; unnamed entries are 0."""
-    vals = [Fraction(0) if exact else 0j] * len(enum)
+    vals = [Fraction(0) if exact else 0.0] * len(enum)
     for ident, value in pairs:
         vals[enum.index_of(tuple(ident))] = (
             exact_value(value) if exact else double_value(value))
@@ -169,7 +170,7 @@ def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunct
 def dot(a, b, us, vs, d):
     """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row,
     plus a[d] * b[d] for a middle pair d >= 0 (a plain loop: faster here
-    than a chain of ``map`` calls on complex values)."""
+    than a chain of ``map`` calls on double values)."""
     acc = a[d] * b[d] if d >= 0 else 0
     for u, v in zip(us, vs):
         acc = acc + a[u] * b[v] + a[v] * b[u]
@@ -359,7 +360,7 @@ def sweep(enum, equations, z0, exact):
     with the unknowns masked out, J^{-1} is applied once, and each table
     gets the linear term the base point fixes.
     """
-    zero = Fraction(0) if exact else 0j
+    zero = Fraction(0) if exact else 0.0
     operand, table = (Ratios, Ratios) if exact else (tuple, list)
     z0 = tuple(map(exact_value if exact else double_value, z0))
     m, n = len(z0), len(enum)
@@ -387,6 +388,8 @@ def sweep(enum, equations, z0, exact):
               for c, fs in eq for k in [index[fs]]] for eq in equations]
     kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
+    # double sums start at +0.0, or -1.0 * 0.0 would leave a value 0 at -0.0
+    start = () if exact else (zero,)
     dec = enum.decomp
     first, second, offsets, middle = dec.first, dec.second, dec.offsets, dec.middle
     for x in range(1, n):
@@ -413,7 +416,7 @@ def sweep(enum, equations, z0, exact):
                 if part:
                     parts.append(part)
             known.append(reduce(add, parts) if parts else zero)
-        gx = [reduce(add, map(mul, row, known)) for row in negJinv]
+        gx = [reduce(add, map(mul, row, known), *start) for row in negJinv]
         for l in range(m):
             G[l][x] = gx[l]
         for k in kept:

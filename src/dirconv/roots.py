@@ -20,7 +20,7 @@ from .scalars import QC, exact_value
 
 @dataclass(frozen=True)
 class Root:
-    value: object          # Fraction | QC | complex
+    value: object          # Fraction | QC | float | complex
     multiplicity: int
     simple: bool
     exact: bool
@@ -235,17 +235,13 @@ def anchor_gate(F, J, coeffs_at_0, exact: bool):
 def _inverse(A, exact):
     """Gauss-Jordan inverse of a square matrix, as rows; None if singular."""
     n = len(A)
-    zero = Fraction(0) if exact else 0j
+    zero = Fraction(0) if exact else 0.0
     M = [list(row) + [zero + 1 if r == c else zero for c in range(n)]
          for r, row in enumerate(A)]
     for col in range(n):
-        if exact:
-            piv = next((r for r in range(col, n) if M[r][col]), None)
-        else:
-            piv = max(range(col, n), key=lambda r: abs(complex(M[r][col])))
-            if abs(complex(M[piv][col])) == 0.0:
-                piv = None
-        if piv is None:
+        piv = (next((r for r in range(col, n) if M[r][col]), None) if exact
+               else max(range(col, n), key=lambda r: abs(M[r][col])))
+        if piv is None or not M[piv][col]:
             return None
         M[col], M[piv] = M[piv], M[col]
         pivot = M[col][col]
@@ -279,7 +275,7 @@ def find_roots(f_coeffs, exact: bool):
 
     m0 = next(i for i, c in enumerate(f_coeffs) if c)   # the root 0, exactly
     work = list(f_coeffs[m0:])
-    roots = [root(Fraction(0) if exact else 0j, m0, exact)] if m0 else []
+    roots = [root(Fraction(0) if exact else 0.0, m0, exact)] if m0 else []
 
     if exact:
         work, exact_roots = _exact_roots(work)

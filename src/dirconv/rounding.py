@@ -142,9 +142,9 @@ def abs_bounds_exact(q) -> tuple[float, float]:
 
 
 def abs_bounds(value) -> tuple[float, float]:
-    """Directed bounds of |value| for any supported scalar; for a complex
-    double from hypot, which is within 1 ulp."""
-    if not isinstance(value, complex):
+    """Directed bounds of |value| for any supported scalar; for a double
+    from hypot, which is within 1 ulp."""
+    if not isinstance(value, (float, complex)):
         return abs_bounds_exact(value)
     a = math.hypot(value.real, value.imag)
     if a == 0.0:

@@ -3,9 +3,9 @@
 Exact mode works over Gaussian rationals: real values are plain
 :class:`fractions.Fraction`, complex values are :class:`QC` (a pair of
 fractions).  Arithmetic between the two mixes freely and is error-free.
-Double mode uses the builtin ``complex``.  Norm-style quantities are
-always computed in floating point with outward rounding; see
-``rounding.py``.
+Double mode uses a ``float`` for a real value and a ``complex`` only for
+a non-real one.  Norm-style quantities are always computed in floating
+point with outward rounding; see ``rounding.py``.
 """
 
 from __future__ import annotations
@@ -127,13 +127,10 @@ def exact_value(x):
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-def double_value(x) -> complex:
-    """Coerce ``x`` into a complex double."""
-    if isinstance(x, QC):
-        return complex(x)
-    if isinstance(x, str):
-        return complex(float(Fraction(x)))
-    return complex(x)
+def double_value(x):
+    """Coerce ``x`` into a double: a float when it is real, else a complex."""
+    z = complex(Fraction(x) if isinstance(x, str) else x)
+    return z.real if z.imag == 0 else z
 
 
 # -- lossless text forms -----------------------------------------------------
@@ -173,6 +170,6 @@ def parse_scalar(obj, exact: bool):
         im = obj.get("im", 0)
         if exact:
             return exact_value(QC(parse_rational(re), parse_rational(im)))
-        return complex(float(parse_rational(re)) if isinstance(re, str) else float(re),
-                       float(parse_rational(im)) if isinstance(im, str) else float(im))
+        obj = complex(*(float(parse_rational(v) if isinstance(v, str) else v)
+                        for v in (re, im)))
     return exact_value(obj) if exact else double_value(obj)

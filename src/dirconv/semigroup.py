@@ -219,17 +219,18 @@ class OrdinaryDirichlet:
         return 4
 
     def scan_plan(self, idents, keys):
-        """The code of e_i * e_j is sum_m (n_m w_m) n'_m for the place
-        values w_m, so the codes of one row are k int products per
-        partner, summed."""
+        """The code of e_i * e_j is that of e_j plus (n - 1) w_m n'_m for
+        each entry n > 1 of e_i at place value w_m, so a row costs one int
+        product per partner and such entry, and the entries 1 cost none."""
         top = keys[-1]
         weights = _radix_weights(self.k, top)
         columns = list(zip(*idents))
 
         def sums(i, jmax):
             return reduce(partial(map, add), [
-                map(mul, itertools.repeat(n * w), col[i:jmax])
-                for n, w, col in zip(idents[i], weights, columns)])
+                map(mul, itertools.repeat((n - 1) * w), col[i:jmax])
+                for n, w, col in zip(idents[i], weights, columns) if n > 1],
+                itertools.islice(codes, i, jmax))
 
         codes = [sum(map(mul, t, weights)) for t in idents]
         return codes, lambda key: top // key, sums

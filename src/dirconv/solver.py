@@ -85,10 +85,7 @@ class ConvPolynomial:
         the certificate's base point, gated as the one-unknown case of
         :func:`anchor_gate` with J = [[f'(z0)]] and both values by Horner."""
         f = self.anchor_coeffs()
-        if self.exact:
-            z0 = exact_value(z0)
-        else:
-            z0, f = double_value(z0), [complex(c) for c in f]
+        z0 = exact_value(z0) if self.exact else double_value(z0)
         fp = poly_eval(poly_derivative(f), z0)
         anchor_gate([poly_eval(f, z0)], [[fp]], f, self.exact)
         return z0, fp

@@ -36,7 +36,7 @@ def test_unit_is_identity(od20):
 
 
 def test_constructors_keep_their_value_types(od20):
-    for exact, zero, one in ((True, Fraction(0), Fraction(1)), (False, 0j, 1 + 0j)):
+    for exact, zero, one in ((True, Fraction(0), Fraction(1)), (False, 0.0, 1.0)):
         for f in (dc.unit(od20, exact), dc.indicator(od20, (1,), 1, exact),
                   dc.from_pairs(od20, [((1,), 1)], exact)):
             assert f.values == (one,) + (zero,) * (len(od20) - 1)

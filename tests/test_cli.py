@@ -287,6 +287,29 @@ def test_double_mode_spec(tmp_path):
     assert values[4] == pytest.approx(0.375)
 
 
+def test_both_spellings_of_a_real_root_give_one_double_document(tmp_path):
+    # g*g - 1/4 - [n = 2] = 0 at g(1) = 1/2, written as a rational and as
+    # a complex object with imaginary part 0: both read as the float 0.5
+    spec = {
+        "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 40},
+        "arithmetic": {"mode": "double"},
+        "equation": {"coefficients": [
+            {"table": [[[1], "-1/4"], [[2], -1]]}, {"const": 0}, {"builtin": "unit"}]},
+        "task": {"type": "certify", "root": "1/2"},
+    }
+    texts = []
+    for root in ("1/2", {"re": "1/2", "im": 0}, {"re": 0.5}):
+        spec["task"]["root"] = root
+        assert cli.Problem(spec).root() == 0.5 and type(cli.Problem(spec).root()) is float
+        doc, code = run_spec(tmp_path, spec)
+        assert code == 0
+        assert doc["solution"][0]["value"] == 0.5
+        del doc["timing"], doc["spec_sha256"]
+        texts.append(cli.render(doc, "json"))
+    assert texts[0] == texts[1] == texts[2]
+    assert "-0.0" not in texts[0]
+
+
 def test_double_invert_is_gated_by_the_anchor_gate(tmp_path, capsys):
     # g * h - unit = 0 at h(0) = 1/g(0) is simple only for |g(0)| > 1e-6
     spec = {

@@ -39,6 +39,9 @@ WINDOWS = {
     "divisor1-max": (dc.OrdinaryDirichlet(1), {"max_elements": 77}),
     "divisor2-max": (dc.OrdinaryDirichlet(2), {"max_elements": 150}),
     "divisor3-max": (dc.OrdinaryDirichlet(3), {"max_elements": 90}),
+    # one pair per element, partnered with (1, ..., 1), whose entries
+    # add nothing to a code
+    "divisor2000-size": (dc.OrdinaryDirichlet(2000), {"size_bound": 2}),
     "generators1-size": (dc.RationalGenerators((("2/3",), ("5/4",))),
                          {"size_bound": 9}),
     "generators2-size": (dc.RationalGenerators((("1/2", "1"), ("2", "1/3"))),
