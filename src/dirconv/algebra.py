@@ -168,9 +168,8 @@ def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunct
 
 
 def dot(a, b, us, vs, d):
-    """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row,
-    plus a[d] * b[d] for a middle pair d >= 0 (a plain loop: faster here
-    than a chain of ``map`` calls on double values)."""
+    """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row plus
+    a[d] * b[d] for a middle pair d >= 0; a plain loop beats ``map`` chains here."""
     acc = a[d] * b[d] if d >= 0 else 0
     for u, v in zip(us, vs):
         acc = acc + a[u] * b[v] + a[v] * b[u]
@@ -186,21 +185,24 @@ def square(a, us, vs, d):
 
 
 def shape(v) -> int:
-    """0 if the values vanish off 0, 1 if they are otherwise constant off 0, else 2."""
-    return 2 if v[1:].count(v[-1]) != len(v) - 1 else 1 if v[-1] else 0
+    """0 if the values vanish off 0, 1 if they are constant on the whole
+    window, else 2: the one structure test of every product."""
+    c = v[-1]
+    return 2 if v[1:].count(c) != len(v) - 1 else 0 if not c else 1 if v[0] == c else 2
 
 
 def reader(a, b, exact, a_const=False):
-    """How one product, the sum of a[u] * b[v] over the pairs of a table
-    row that avoid 0, reads the half row and its middle pair; decided once.
+    """How one product, the sum of a[u] * b[v] over the ordered pairs of the
+    half rows it is handed (whole ones from :func:`convolve`, the sweep's
+    after (0, x)) and their middle pairs, reads them; decided once.
 
-    Exact mode reads every pair through :func:`qdot`.  In double mode a
-    table times itself is the :func:`square`, an ``a`` constant off 0
-    gathers b over both columns at C speed and scales the sum once, and
-    anything else is the plain :func:`dot`.
+    Exact mode reads every pair through :func:`qdot`, over :class:`Ratios`
+    built here (the sweep's live tables are Ratios already).  In double mode
+    a table times itself is the :func:`square`, an ``a`` constant on the
+    whole window gathers b over both columns at C speed, else :func:`dot`.
     """
     if exact:
-        return partial(qdot, a, b)
+        return partial(qdot, *(v if type(v) is Ratios else Ratios(v) for v in (a, b)))
     if a is b:
         return partial(square, a)
     if a_const:
@@ -260,36 +262,27 @@ def qdot(a: Ratios, b: Ratios, us, vs, d):
 def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """(g*h)(x) = sum over all decompositions x = x' + x'' of g(x')h(x'').
 
-    Exact on the whole window because sizes are additive.  In both modes
-    an operand that vanishes off 0 scales the other.  Otherwise exact
-    mode sums each half row through :func:`qdot`, and double mode takes
-    each row's pair with 0, both ways, plus the rest read through
-    :func:`reader`; results are deterministic.
+    Exact on the whole window because sizes are additive.  An operand
+    that vanishes off 0 scales the other; otherwise each whole half row
+    and its middle pair are read through one :func:`reader`, in either
+    mode.  Results are deterministic.
     """
     g, h = coerce_pair(g, h)
     gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
-    g0, h0, shape_g = gv[0], hv[0], shape(gv)
-    if not shape_g:
-        return TruncatedFunction(g.enum, [g0 * v for v in hv], g.exact)
+    if not (shape_g := shape(gv)):
+        return TruncatedFunction(g.enum, [gv[0] * v for v in hv], g.exact)
     dec = g.enum.decomp
-    first, second = dec.first, dec.second
-    rows = zip(dec.offsets, dec.offsets[1:], dec.middle)  # a list would outweigh the table
-    if g.exact:
-        gv, hv = Ratios(gv), Ratios(hv)
-        return TruncatedFunction(g.enum, [qdot(gv, hv, first[a:b], second[a:b], d)
-                                          for a, b, d in rows], True)
-    read = reader(gv, hv, False, shape_g == 1)
-    return TruncatedFunction(g.enum, [g0 * h0] + [
-        g0 * hv[x] + gv[x] * h0 + read(first[a + 1:b], second[a + 1:b], d)
-        for x, (a, b, d) in enumerate(itertools.islice(rows, 1, None), 1)], False)
+    first, second, read = dec.first, dec.second, reader(gv, hv, g.exact, shape_g == 1)
+    return TruncatedFunction(g.enum, [  # rows as an iterator: a list would outweigh the table
+        read(first[a:b], second[a:b], d)
+        for a, b, d in zip(dec.offsets, dec.offsets[1:], dec.middle)], g.exact)
 
 
 def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
     """j-fold convolution power; power(g, 0) is the unit."""
     if j < 0:
         raise ValueError("power exponent must be non-negative")
-    result = unit(g.enum, g.exact)
-    base = g
+    result, base = unit(g.enum, g.exact), g
     while j:
         if j & 1:
             result = convolve(result, base)
@@ -355,13 +348,13 @@ def sweep(enum, equations, z0, exact):
     table is kept per factor prefix: g_l itself for one factor, and a
     longer one only where a pair product reads it.  Every pair product has
     one :func:`reader`, so a coefficient that vanishes off 0 meets no
-    inner pair, and one constant off 0 or a table times itself reads by
+    inner pair, and a constant one or a table times itself reads by
     structure.  At each element the tables and equations are evaluated
     with the unknowns masked out, J^{-1} is applied once, and each table
     gets the linear term the base point fixes.
     """
     zero = Fraction(0) if exact else 0.0
-    operand, table = (Ratios, Ratios) if exact else (tuple, list)
+    table = Ratios if exact else list
     z0 = tuple(map(exact_value if exact else double_value, z0))
     m, n = len(z0), len(enum)
     # each term as (coefficient values, factor sequence): (0, 0, 1) for g_1 * g_1 * g_2
@@ -383,9 +376,8 @@ def sweep(enum, equations, z0, exact):
 
     chain = [(k, p, z0[l], reader(tab(p), G[l], exact))
              for k, (p, l) in enumerate(nodes[1:], 1) if p]
-    terms = [[(c, k, c[0], reader(operand(c), tab(k), exact, shape(c) == 1)
-               if fs and any(c[1:]) else None)
-              for c, fs in eq for k in [index[fs]]] for eq in equations]
+    terms = [[(c, k, c[0], reader(c, tab(k), exact, s == 1) if fs and s else None)
+              for c, fs in eq for k, s in [(index[fs], shape(c))]] for eq in equations]
     kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
     # double sums start at +0.0, or -1.0 * 0.0 would leave a value 0 at -0.0

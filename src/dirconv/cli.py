@@ -11,7 +11,6 @@ spec; the timing block is the only field that varies between runs.
 from __future__ import annotations
 
 import argparse
-import cmath
 import hashlib
 import json
 import sys
@@ -102,7 +101,7 @@ def _parse_function(obj, enum, exact, path):
         return algebra.from_pairs(enum, pairs, exact)
     except SpecError:
         raise
-    except (DirconvError, ValueError, TypeError) as exc:
+    except (DirconvError, ValueError, TypeError, ArithmeticError) as exc:
         raise SpecError(str(exc), path)
 
 
@@ -120,10 +119,7 @@ def _parse_point(raw, k, path):
     many = isinstance(raw, (list, tuple))
     if many and len(raw) != k:
         raise SpecError(f"point needs {k} components", path)
-    pt = _parsed(path, lambda: [parse_scalar(v, False)
-                                for v in (raw if many else [raw])])
-    if not all(map(cmath.isfinite, pt)):
-        raise SpecError(f"point parts must be finite numbers, not {raw!r}", path)
+    pt = _parsed(path, lambda: [parse_scalar(v, False) for v in (raw if many else [raw])])
     return tuple(pt) if many else pt[0]
 
 

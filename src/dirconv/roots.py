@@ -146,22 +146,25 @@ def _divisors(n: int, cap: int = 10**12):
     return sorted(set(out))
 
 
+#: the most candidates p/q :func:`rational_roots` tries: about a second
+MAX_CANDIDATES = 250_000
+
+
 def rational_roots(coeffs):
     """Rational roots (with multiplicity) of a rational polynomial.
 
     ``coeffs`` are Fractions, constant term first and non-zero.  Returns
     (roots, deflated) where ``deflated`` has all found roots divided
     out.  Gives up (returns no roots) when the integerized ends are too
-    large to factor quickly.
+    large to factor quickly or give more than MAX_CANDIDATES quotients.
     """
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    ps = _divisors(ints[0])
-    qs = _divisors(ints[-1])
-    if ps is None or qs is None:
+    ps, qs = _divisors(ints[0]), _divisors(ints[-1])
+    if ps is None or qs is None or 2 * len(ps) * len(qs) > MAX_CANDIDATES:
         return [], list(coeffs)
     candidates = sorted(
         {Fraction(sp * p, q) for p in ps for q in qs for sp in (1, -1)})

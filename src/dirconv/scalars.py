@@ -10,6 +10,7 @@ point with outward rounding; see ``rounding.py``.
 
 from __future__ import annotations
 
+import cmath
 import numbers
 from fractions import Fraction
 
@@ -162,14 +163,19 @@ def format_scalar(x):
 
 
 def parse_scalar(obj, exact: bool):
-    """Inverse of :func:`format_scalar` for the given mode."""
+    """Inverse of :func:`format_scalar` for the given mode; booleans and
+    non-finite doubles are refused."""
+    if any(isinstance(v, bool) for v in (obj.values() if isinstance(obj, dict) else [obj])):
+        raise TypeError("booleans are not scalars")
     if isinstance(obj, dict):
         if set(obj) - {"re", "im"}:
             raise ValueError(f"bad scalar object {obj!r}")
-        re = obj.get("re", 0)
-        im = obj.get("im", 0)
+        re, im = obj.get("re", 0), obj.get("im", 0)
         if exact:
             return exact_value(QC(parse_rational(re), parse_rational(im)))
         obj = complex(*(float(parse_rational(v) if isinstance(v, str) else v)
                         for v in (re, im)))
-    return exact_value(obj) if exact else double_value(obj)
+    z = exact_value(obj) if exact else double_value(obj)
+    if not (exact or cmath.isfinite(z)):
+        raise ValueError(f"scalars must be finite numbers, not {obj!r}")
+    return z

@@ -25,6 +25,7 @@ convolutions; it is an independent check of the sweep.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .algebra import (Monomial, TruncatedFunction, check_compatible, convolve,
@@ -165,8 +166,8 @@ def _obstructions(T: ConvPolynomial, report: RootReport):
     At a minimal-size q the only decompositions are trivial, so
     (T g)(q) = f'(z0) g(q) + sum_j a_j(q) z0^j; with f'(z0) = 0 the
     whole value is pinned independently of g(q).  The value counts as
-    non-zero only when it fails the root test of the anchor gate, in
-    doubles wherever the root is approximate.
+    non-zero only when it is finite and fails the root test of the anchor
+    gate, in doubles wherever the root is approximate.
     """
     enum = T.enum
     if len(enum.levels) < 2:
@@ -177,7 +178,8 @@ def _obstructions(T: ConvPolynomial, report: RootReport):
         U = T if root.exact else T.to_double()
         for q_idx in first_level:
             val = poly_eval([c.values[q_idx] for c in U.coeffs], root.value)
-            if not is_root(val, report.f_coeffs, root.exact):
+            if (root.exact or cmath.isfinite(val)) and not is_root(
+                    val, report.f_coeffs, root.exact):
                 found.append(Obstruction(root.value, enum[q_idx], val))
                 break
     return tuple(found)

@@ -286,6 +286,23 @@ def test_a_double_obstruction_must_fail_the_root_test(od20, units, proven):
     assert len(info.value.obstructions) == proven
 
 
+@pytest.mark.parametrize("c, exact, proven", [
+    (Fraction(1, 4), True, True), (Fraction(1, 4), False, True),
+    (math.nan, False, False), (math.inf, False, False), (-math.inf, False, False)])
+def test_a_non_finite_value_is_no_obstruction(c, exact, proven):
+    # c - g + g*g on Lattice(1): c = 1/4 gives the double root 1/2, and at
+    # the element 1 the equation forces the value 1/4 whatever g(1) is; a
+    # non-finite c leaves non-finite roots and values, which prove nothing
+    enum = dc.enumerate_semigroup(dc.Lattice(1), size_bound=6)
+    T = dc.ConvPolynomial((dc.constant(enum, c, exact), -dc.unit(enum, exact),
+                           dc.unit(enum, exact)))
+    with pytest.raises(dc.NoSimpleRoots) as info:
+        dc.solve_all(T)
+    assert info.value.proven_unsolvable is proven
+    assert ("unsolvable" if proven else "existence is undecided") in str(info.value)
+    assert all(math.isfinite(abs(complex(ob.value))) for ob in info.value.obstructions)
+
+
 def test_an_approximate_root_is_obstructed_in_doubles(od20):
     # (z^2 - i)^2 has the double roots +-sqrt(i), which only Durand-Kerner
     # finds; at the element 2 the constants force -z0^4 = 1 whatever g(2) is

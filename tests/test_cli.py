@@ -507,6 +507,33 @@ def test_points_beyond_the_double_range_exit_1(tmp_path, part):
     assert code == 1 and doc["field"] == "task.points[0]"
 
 
+@pytest.mark.parametrize("mode, at, value, field", [
+    ("double", 0, {"const": math.nan}, "equation.coefficients[0]"),
+    ("double", 0, {"const": math.inf}, "equation.coefficients[0]"),
+    ("double", 0, {"const": True}, "equation.coefficients[0]"),
+    ("double", 1, {"const": {"re": 2, "im": False}}, "equation.coefficients[1]"),
+    ("double", 0, {"const": "1e400"}, "equation.coefficients[0]"),
+    ("exact", 1, {"indicator": [2], "value": "1/0"}, "equation.coefficients[1]"),
+    ("double", 1, {"indicator": [2], "value": "1/0"}, "equation.coefficients[1]"),
+    ("double", None, math.nan, "task.root"),
+])
+def test_every_spec_scalar_is_refused_at_its_field(tmp_path, capsys, mode, at, value, field):
+    """Booleans, non-finite doubles and values with no double or no
+    rational form exit 1 with an error document, not a refusal or a
+    traceback."""
+    coefficients = [{"const": "-1"}, {"const": 0}, {"builtin": "unit"}]
+    task = {"type": "solve-all"}
+    if at is None:
+        task = {"type": "solve", "root": value}
+    else:
+        coefficients[at] = value
+    path = write_spec(tmp_path, {**SQRT_SPEC, "arithmetic": {"mode": mode}, "task": task,
+                                 "equation": {"coefficients": coefficients}})
+    assert cli.main(["run", path, "--format", "json"]) == 1
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["field"] == field
+
+
 def test_too_large_windows_are_refused_before_they_are_built(tmp_path, capsys):
     """A walk past MAX_ELEMENTS ends in a spec error (exit 1), a table
     past MAX_PAIRS in a refusal (exit 2), each within a second."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import dirconv as dc
-from dirconv import algebra, solver
+from dirconv import algebra, roots, solver
 from dirconv.roots import find_roots
 from dirconv.scalars import QC, exact_value
 
@@ -450,6 +450,26 @@ def test_solve_all_falls_back_to_double_for_irrational_roots(od20):
         assert not g.exact
         assert abs(complex(root.value)) == pytest.approx(2 ** 0.5, rel=1e-12)
         assert dc.residual(T.to_double(), g).max_abs() < 1e-10
+
+
+@pytest.mark.parametrize("cap, exact", [(8, True), (7, False)])
+def test_the_rational_root_search_gives_up_past_its_candidate_cap(od20, monkeypatch,
+                                                                  cap, exact):
+    # (z - 1)(z - 2)(z - 3) = z^3 - 6z^2 + 11z - 6: the candidates p/q are
+    # +-1, +-2, +-3, +-6 over 1, eight in all
+    monkeypatch.setattr(roots, "MAX_CANDIDATES", cap)
+    f = [Fraction(c) for c in (-6, 11, -6, 1)]
+    evaluated = Counter()
+    poly_eval = roots.poly_eval
+    monkeypatch.setattr(roots, "poly_eval",
+                        lambda c, z: evaluated.update(["eval"]) or poly_eval(c, z))
+    found, rest = roots.rational_roots(f)
+    assert (found, len(rest), bool(evaluated)) == (([1, 2, 3], 1, True) if exact
+                                                    else ([], 4, False))
+    T = dc.ConvPolynomial(tuple(dc.constant(od20, c) for c in f[:-1]) + (dc.unit(od20),))
+    result = dc.solve_all(T)
+    assert [r.exact for r, _ in result] == [exact] * 3
+    assert [complex(r.value) for r, _ in result] == pytest.approx([1, 2, 3], rel=1e-12)
 
 
 def test_leading_coefficient_must_not_vanish(od20):

@@ -1,10 +1,11 @@
 """Double-mode products read by structure agree with the plain pair loop.
 
 In double mode ``convolve`` and the sweep decide once per product how it
-reads the decomposition table: an operand that vanishes off 0 scales the
-other, a coefficient constant off 0 gathers the other operand over both
-columns of the half row, and a table times itself takes each stored
-pair's product once.  Each rule must give the values of the plain pair loop over the reference scan
+reads the decomposition table, by ``algebra.shape``: an operand that
+vanishes off 0 scales the other, a coefficient constant on the whole
+window gathers the other operand over both columns of the half row, and
+a table times itself takes each stored pair's product once.  Each rule
+must give the values of the plain pair loop over the reference scan
 (``oracles.convolve_pairs``, ``oracles.sweep_pairs``) up to rounding.
 """
 
@@ -14,7 +15,6 @@ from fractions import Fraction
 import pytest
 
 import dirconv as dc
-from dirconv.algebra import Ratios
 
 from oracles import convolve_pairs, pair_scan, sweep_pairs
 from test_decomp_table import WINDOWS as TABLE_WINDOWS
@@ -178,6 +178,21 @@ def test_solve_system_matches_the_pair_loop(window, seed):
         done += 1
 
 
+@pytest.mark.parametrize("exact", [True, False])
+def test_shape_tells_vanishing_constant_and_other_values_apart(window, exact):
+    """0 for values that vanish off 0, 1 for values constant on the whole
+    window, 2 for anything else, "const off 0" included."""
+    want = {"unit": 0, "point mass": 0, "one": 1, "const": 1,
+            "const off 0": 2, "const but at top": 2, "dense": 2}
+    ops = _operands(window, random.Random(3))
+    for name, shape in want.items():
+        g = ops[name]
+        if exact:
+            g = dc.from_values(window, [Fraction(v.real).limit_denominator(99)
+                                        for v in g.values])
+        assert dc.algebra.shape(g.values) == shape, name
+
+
 def _row_operands(n, rng):
     """Seeded dense, sparse and constant operands, exact and double."""
     def exact(density):
@@ -187,37 +202,31 @@ def _row_operands(n, rng):
     def double(density):
         return [_cplx(rng) if rng.random() < density else 0j for _ in range(n)]
 
-    c, c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 9))
-    z, z0 = _cplx(rng), _cplx(rng)
-    return {True: (exact(1.0), exact(0.3), [c] * n, [c0] + [c] * (n - 1)),
-            False: (double(1.0), double(0.3), [z] * n, [z0] + [z] * (n - 1))}
+    c, z = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), _cplx(rng)
+    return {True: (exact(1.0), exact(0.3), [c] * n),
+            False: (double(1.0), double(0.3), [z] * n)}
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
 def test_every_reader_matches_the_ordered_pair_sum(name):
     """Each reader of a half row and its middle pair (``dot``, ``square``,
-    the constant gather and ``qdot``) gives the plain sum of a[u] * b[v]
-    over the reference scan's ordered pairs: exactly in exact mode, to
-    1e-12 of the sum of |a[u] * b[v]| in double mode.  Whole rows are
-    read, and inner rows (the pairs that avoid 0, as ``convolve`` and
-    the sweep read them) from row 1 on."""
+    the constant gather and ``qdot``, over plain value lists) gives the
+    plain sum of a[u] * b[v] over the reference scan's ordered pairs:
+    exactly in exact mode, to 1e-12 of the sum of |a[u] * b[v]| in double
+    mode.  Whole rows are read, as ``convolve`` reads them, and inner rows
+    (the pairs after (0, x), as the sweep reads them) from row 1 on."""
     backend, truncation = TABLE_WINDOWS[name]
     enum = dc.enumerate_semigroup(backend, **truncation)
     dec, rows, n = enum.decomp, pair_scan(enum), len(enum)
     rng = random.Random(sum(map(ord, name)))
-    for exact, (dense, sparse, const, const_off_0) in _row_operands(n, rng).items():
-        wrap = Ratios if exact else list
+    for exact, (dense, sparse, const) in _row_operands(n, rng).items():
         for a, b, gather in [(dense, sparse, False), (sparse, dense, False),
                              (dense, dense, False), (sparse, sparse, False),
-                             (const, dense, True), (const, sparse, True),
-                             (const_off_0, dense, True)]:
-            wa, wb = wrap(a), wrap(b)
-            read = dc.algebra.reader(wa, wa if b is a else wb, exact, gather)
+                             (const, dense, True), (const, sparse, True)]:
+            read = dc.algebra.reader(a, b, exact, gather)
             for t, row in enumerate(rows):
                 lo, hi, d = dec.offsets[t], dec.offsets[t + 1], dec.middle[t]
                 for skip in (0, 1) if t else (0,):
-                    if skip == 0 and a is const_off_0:
-                        continue        # the gather reads a off 0 only
                     pairs = row[skip:len(row) - skip]
                     want = sum((a[u] * b[v] for u, v in pairs), a[0] * 0)
                     got = read(dec.first[lo + skip:hi], dec.second[lo + skip:hi], d)
