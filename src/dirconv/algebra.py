@@ -168,8 +168,9 @@ def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunct
 
 
 def dot(a, b, us, vs, d):
-    """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row plus
-    a[d] * b[d] for a middle pair d >= 0; a plain loop beats ``map`` chains here."""
+    """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row,
+    plus a[d] * b[d] for a middle pair d >= 0 (a plain loop: faster here
+    than a chain of ``map`` calls on double values)."""
     acc = a[d] * b[d] if d >= 0 else 0
     for u, v in zip(us, vs):
         acc = acc + a[u] * b[v] + a[v] * b[u]
@@ -186,9 +187,10 @@ def square(a, us, vs, d):
 
 def shape(v) -> int:
     """0 if the values vanish off 0, 1 if they are constant on the whole
-    window, else 2: the one structure test of every product."""
-    c = v[-1]
-    return 2 if v[1:].count(c) != len(v) - 1 else 0 if not c else 1 if v[0] == c else 2
+    window, else 2: the one structure test of every product.  Counted in
+    place: a slice would copy the values."""
+    c, head = v[-1], v[0] == v[-1]
+    return 2 if v.count(c) - head != len(v) - 1 else 0 if not c else 1 if head else 2
 
 
 def reader(a, b, exact, a_const=False):
@@ -199,7 +201,8 @@ def reader(a, b, exact, a_const=False):
     Exact mode reads every pair through :func:`qdot`, over :class:`Ratios`
     built here (the sweep's live tables are Ratios already).  In double mode
     a table times itself is the :func:`square`, an ``a`` constant on the
-    whole window gathers b over both columns at C speed, else :func:`dot`.
+    rows read (``a_const``) gathers b over both columns at C speed, else
+    :func:`dot`.
     """
     if exact:
         return partial(qdot, *(v if type(v) is Ratios else Ratios(v) for v in (a, b)))
@@ -269,20 +272,23 @@ def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """
     g, h = coerce_pair(g, h)
     gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
-    if not (shape_g := shape(gv)):
+    shape_g = shape(gv)
+    if not shape_g:
         return TruncatedFunction(g.enum, [gv[0] * v for v in hv], g.exact)
     dec = g.enum.decomp
-    first, second, read = dec.first, dec.second, reader(gv, hv, g.exact, shape_g == 1)
-    return TruncatedFunction(g.enum, [  # rows as an iterator: a list would outweigh the table
-        read(first[a:b], second[a:b], d)
-        for a, b, d in zip(dec.offsets, dec.offsets[1:], dec.middle)], g.exact)
+    first, second = dec.first, dec.second
+    rows = zip(dec.offsets, dec.offsets[1:], dec.middle)  # a list would outweigh the table
+    read = reader(gv, hv, g.exact, shape_g == 1)
+    return TruncatedFunction(g.enum, [read(first[a:b], second[a:b], d)
+                                      for a, b, d in rows], g.exact)
 
 
 def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
     """j-fold convolution power; power(g, 0) is the unit."""
     if j < 0:
         raise ValueError("power exponent must be non-negative")
-    result, base = unit(g.enum, g.exact), g
+    result = unit(g.enum, g.exact)
+    base = g
     while j:
         if j & 1:
             result = convolve(result, base)
@@ -348,7 +354,7 @@ def sweep(enum, equations, z0, exact):
     table is kept per factor prefix: g_l itself for one factor, and a
     longer one only where a pair product reads it.  Every pair product has
     one :func:`reader`, so a coefficient that vanishes off 0 meets no
-    inner pair, and a constant one or a table times itself reads by
+    inner pair, and one constant off 0 or a table times itself reads by
     structure.  At each element the tables and equations are evaluated
     with the unknowns masked out, J^{-1} is applied once, and each table
     gets the linear term the base point fixes.
@@ -366,6 +372,7 @@ def sweep(enum, equations, z0, exact):
     J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
           for l in range(m)] for eq in equations]
     Jinv = anchor_gate(F, J, [c[0] for eq in equations for c, _ in eq], exact)
+    dec = enum.decomp       # built before the tables below, which would add to its peak
     linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
     G = [table([z] + [zero] * (n - 1)) for z in z0]
     Q = [None] + [None if p else G[l] for p, l in nodes[1:]]
@@ -376,13 +383,14 @@ def sweep(enum, equations, z0, exact):
 
     chain = [(k, p, z0[l], reader(tab(p), G[l], exact))
              for k, (p, l) in enumerate(nodes[1:], 1) if p]
-    terms = [[(c, k, c[0], reader(c, tab(k), exact, s == 1) if fs and s else None)
-              for c, fs in eq for k, s in [(index[fs], shape(c))]] for eq in equations]
+    # the sweep reads c off 0 only, so its gather asks shape about c[1:]
+    terms = [[(c, k, c[0], reader(c, tab(k), exact, shape(c[1:] or c) == 1)
+               if fs and shape(c) else None)
+              for c, fs in eq for k in [index[fs]]] for eq in equations]
     kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
     # double sums start at +0.0, or -1.0 * 0.0 would leave a value 0 at -0.0
     start = () if exact else (zero,)
-    dec = enum.decomp
     first, second, offsets, middle = dec.first, dec.second, dec.offsets, dec.middle
     for x in range(1, n):
         # (0, x) opens every half row; the pairs after it and the middle

@@ -119,7 +119,8 @@ def _parse_point(raw, k, path):
     many = isinstance(raw, (list, tuple))
     if many and len(raw) != k:
         raise SpecError(f"point needs {k} components", path)
-    pt = _parsed(path, lambda: [parse_scalar(v, False) for v in (raw if many else [raw])])
+    pt = _parsed(path, lambda: [parse_scalar(v, False)
+                                for v in (raw if many else [raw])])
     return tuple(pt) if many else pt[0]
 
 

@@ -101,32 +101,22 @@ def cluster(points, radius):
 
 def _rational_sqrt(q: Fraction):
     """Exact square root of a non-negative rational, or None."""
-    if q < 0:
-        return None
     n, d = q.numerator, q.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
 
 
 def qc_sqrt(q: QC):
-    """Exact Gaussian-rational square root, or None if it does not exist."""
+    """Exact Gaussian-rational square root x + iy, x >= 0 and y of the sign
+    of Im q, or None if it does not exist: x^2 and y^2 are (|q| +- Re q) / 2."""
     a, b = q.re, q.im
-    if b == 0:
-        r = _rational_sqrt(a)
-        if r is not None:
-            return QC(r)
-        r = _rational_sqrt(-a)
-        if r is not None:
-            return QC(0, r)
-        return None
     s = _rational_sqrt(a * a + b * b)
     if s is None:
         return None
-    x2 = (a + s) / 2
-    x = _rational_sqrt(x2)
-    if x is None or x == 0:
+    x, y = _rational_sqrt((s + a) / 2), _rational_sqrt((s - a) / 2)
+    if x is None or y is None:
         return None
-    return QC(x, b / (2 * x))
+    return QC(x, y if b >= 0 else -y)
 
 
 def _as_qc(c) -> QC:
@@ -146,28 +136,28 @@ def _divisors(n: int, cap: int = 10**12):
     return sorted(set(out))
 
 
-#: the most candidates p/q :func:`rational_roots` tries: about a second
-MAX_CANDIDATES = 250_000
-
-
 def rational_roots(coeffs):
     """Rational roots (with multiplicity) of a rational polynomial.
 
     ``coeffs`` are Fractions, constant term first and non-zero.  Returns
     (roots, deflated) where ``deflated`` has all found roots divided
-    out.  Gives up (returns no roots) when the integerized ends are too
-    large to factor quickly or give more than MAX_CANDIDATES quotients.
+    out.  Each Durand-Kerner root is rounded onto every divisor q of the
+    integerized leading term and tested exactly, so a multiple root with
+    a large denominator may stay approximate.  Gives up (returns no
+    roots) when that term is too large to factor quickly.
     """
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
     g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    ps, qs = _divisors(ints[0]), _divisors(ints[-1])
-    if ps is None or qs is None or 2 * len(ps) * len(qs) > MAX_CANDIDATES:
-        return [], list(coeffs)
-    candidates = sorted(
-        {Fraction(sp * p, q) for p in ps for q in qs for sp in (1, -1)})
+    qs = _divisors(ints[-1])
+    # a root p/q in lowest terms has q | ints[-1] and p | ints[0]; the bounds
+    # keep Durand-Kerner's doubles and each x * q finite
+    fits = qs and max(map(abs, ints)) < 2 ** 1000
+    xs = [z.real for z in durand_kerner(ints) if abs(z.real) < 2 ** 900] if fits else []
+    candidates = sorted({Fraction(p, q) for x in xs for q in qs for p in [round(x * q)]
+                         if p and not ints[0] % p})
     work = list(coeffs)
     found = []
     for cand in candidates:

@@ -170,7 +170,8 @@ def parse_scalar(obj, exact: bool):
     if isinstance(obj, dict):
         if set(obj) - {"re", "im"}:
             raise ValueError(f"bad scalar object {obj!r}")
-        re, im = obj.get("re", 0), obj.get("im", 0)
+        re = obj.get("re", 0)
+        im = obj.get("im", 0)
         if exact:
             return exact_value(QC(parse_rational(re), parse_rational(im)))
         obj = complex(*(float(parse_rational(v) if isinstance(v, str) else v)

@@ -178,8 +178,7 @@ def _obstructions(T: ConvPolynomial, report: RootReport):
         U = T if root.exact else T.to_double()
         for q_idx in first_level:
             val = poly_eval([c.values[q_idx] for c in U.coeffs], root.value)
-            if (root.exact or cmath.isfinite(val)) and not is_root(
-                    val, report.f_coeffs, root.exact):
+            if (U.exact or cmath.isfinite(val)) and not is_root(val, report.f_coeffs, U.exact):
                 found.append(Obstruction(root.value, enum[q_idx], val))
                 break
     return tuple(found)

@@ -452,24 +452,40 @@ def test_solve_all_falls_back_to_double_for_irrational_roots(od20):
         assert dc.residual(T.to_double(), g).max_abs() < 1e-10
 
 
-@pytest.mark.parametrize("cap, exact", [(8, True), (7, False)])
-def test_the_rational_root_search_gives_up_past_its_candidate_cap(od20, monkeypatch,
-                                                                  cap, exact):
-    # (z - 1)(z - 2)(z - 3) = z^3 - 6z^2 + 11z - 6: the candidates p/q are
-    # +-1, +-2, +-3, +-6 over 1, eight in all
-    monkeypatch.setattr(roots, "MAX_CANDIDATES", cap)
+def _exact_points(monkeypatch):
+    """The rational points at which ``roots.rational_roots`` tests a candidate."""
+    points, poly_eval = [], roots.poly_eval
+    monkeypatch.setattr(roots, "poly_eval", lambda c, z: (
+        points.append(z) if type(z) is Fraction else None) or poly_eval(c, z))
+    return points
+
+
+def test_the_rational_root_search_tries_only_the_rounded_roots(od20, monkeypatch):
+    # (z - 1)(z - 2)(z - 3): the divisor candidates would be +-1, +-2, +-3, +-6
+    points = _exact_points(monkeypatch)
     f = [Fraction(c) for c in (-6, 11, -6, 1)]
-    evaluated = Counter()
-    poly_eval = roots.poly_eval
-    monkeypatch.setattr(roots, "poly_eval",
-                        lambda c, z: evaluated.update(["eval"]) or poly_eval(c, z))
-    found, rest = roots.rational_roots(f)
-    assert (found, len(rest), bool(evaluated)) == (([1, 2, 3], 1, True) if exact
-                                                    else ([], 4, False))
+    assert roots.rational_roots(f) == ([1, 2, 3], [1])
+    assert set(points) == {1, 2, 3}
     T = dc.ConvPolynomial(tuple(dc.constant(od20, c) for c in f[:-1]) + (dc.unit(od20),))
-    result = dc.solve_all(T)
-    assert [r.exact for r, _ in result] == [exact] * 3
-    assert [complex(r.value) for r, _ in result] == pytest.approx([1, 2, 3], rel=1e-12)
+    assert [(r.value, r.exact, r.simple) for r, _ in dc.solve_all(T)] == [
+        (1, True, True), (2, True, True), (3, True, True)]
+
+
+def test_close_rational_roots_stay_exact_and_simple(od20, monkeypatch):
+    """(A z - B)(A z - B - 1)(z + 1) with A = 720720, B = A + 1: two roots
+    1/A apart, far inside tau_root of the coefficients (about 5e3).  The
+    leading term A^2 has 3645 divisors and the constant term 32, so the
+    full divisor search would try 233,280 quotients; the rounded roots
+    are tried over the 3645 denominators only."""
+    A, B = 720720, 720721
+    f = [Fraction(c) for c in (B * (B + 1), B * (B + 1) - A * (2 * B + 1),
+                               A * A - A * (2 * B + 1), A * A)]
+    want = [Fraction(-1), Fraction(B, A), Fraction(B + 1, A)]
+    points = _exact_points(monkeypatch)
+    assert roots.rational_roots(f)[0] == want
+    assert len(points) <= 3 * 3645
+    assert [(r.value, r.exact, r.simple) for r in find_roots(f, True)] == [
+        (w, True, True) for w in want]
 
 
 def test_leading_coefficient_must_not_vanish(od20):

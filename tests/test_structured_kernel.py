@@ -193,6 +193,22 @@ def test_shape_tells_vanishing_constant_and_other_values_apart(window, exact):
         assert dc.algebra.shape(g.values) == shape, name
 
 
+def test_the_sweep_gathers_a_coefficient_constant_off_0(monkeypatch):
+    """The sweep reads a coefficient off 0 only, so one + unit (2 at 0, 1
+    elsewhere) is gathered there, while ``convolve``, which reads whole
+    rows, reads it as dense values; both give the pair loop's values."""
+    enum = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=48)
+    c = dc.one(enum, False) + dc.unit(enum, False)
+    rng = random.Random(5)
+    dense = dc.TruncatedFunction(enum, [_cplx(rng) for _ in enum], False)
+    gathered, reader = [], dc.algebra.reader
+    monkeypatch.setattr(dc.algebra, "reader", lambda a, b, exact, a_const=False: (
+        gathered.append(a_const) if a is c.values else None) or reader(a, b, exact, a_const))
+    _close(dc.convolve(dc.invert(c), c), dc.unit(enum, False))
+    _close(dc.convolve(c, dense), convolve_pairs(c, dense))
+    assert gathered == [True, False]
+
+
 def _row_operands(n, rng):
     """Seeded dense, sparse and constant operands, exact and double."""
     def exact(density):
@@ -202,9 +218,10 @@ def _row_operands(n, rng):
     def double(density):
         return [_cplx(rng) if rng.random() < density else 0j for _ in range(n)]
 
-    c, z = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), _cplx(rng)
-    return {True: (exact(1.0), exact(0.3), [c] * n),
-            False: (double(1.0), double(0.3), [z] * n)}
+    c, c0 = Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 9))
+    z, z0 = _cplx(rng), _cplx(rng)
+    return {True: (exact(1.0), exact(0.3), [c] * n, [c0] + [c] * (n - 1)),
+            False: (double(1.0), double(0.3), [z] * n, [z0] + [z] * (n - 1))}
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
@@ -214,19 +231,24 @@ def test_every_reader_matches_the_ordered_pair_sum(name):
     plain sum of a[u] * b[v] over the reference scan's ordered pairs:
     exactly in exact mode, to 1e-12 of the sum of |a[u] * b[v]| in double
     mode.  Whole rows are read, as ``convolve`` reads them, and inner rows
-    (the pairs after (0, x), as the sweep reads them) from row 1 on."""
+    (the pairs after (0, x), as the sweep reads them) from row 1 on; a
+    coefficient constant off 0 only, as the sweep gathers it, on inner
+    rows only."""
     backend, truncation = TABLE_WINDOWS[name]
     enum = dc.enumerate_semigroup(backend, **truncation)
     dec, rows, n = enum.decomp, pair_scan(enum), len(enum)
     rng = random.Random(sum(map(ord, name)))
-    for exact, (dense, sparse, const) in _row_operands(n, rng).items():
+    for exact, (dense, sparse, const, const_off_0) in _row_operands(n, rng).items():
         for a, b, gather in [(dense, sparse, False), (sparse, dense, False),
                              (dense, dense, False), (sparse, sparse, False),
-                             (const, dense, True), (const, sparse, True)]:
+                             (const, dense, True), (const, sparse, True),
+                             (const_off_0, dense, True)]:
             read = dc.algebra.reader(a, b, exact, gather)
             for t, row in enumerate(rows):
                 lo, hi, d = dec.offsets[t], dec.offsets[t + 1], dec.middle[t]
                 for skip in (0, 1) if t else (0,):
+                    if skip == 0 and a is const_off_0:
+                        continue        # the gather reads a off 0 only
                     pairs = row[skip:len(row) - skip]
                     want = sum((a[u] * b[v] for u, v in pairs), a[0] * 0)
                     got = read(dec.first[lo + skip:hi], dec.second[lo + skip:hi], d)
