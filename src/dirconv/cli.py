@@ -24,153 +24,182 @@ from .scalars import (format_rational, format_scalar, parse_rational,
 from .semigroup import (Lattice, OrdinaryDirichlet, RationalGenerators,
                         enumerate_semigroup)
 
-TASKS = ("solve", "solve-all", "invert", "certify", "eval", "verify")
+#: each task's fields beside ``type``
+TASKS = {"solve": ("root",), "solve-all": (), "invert": (), "eval": ("points",),
+         "certify": ("root", "rho", "norm_bounds"),
+         "verify": ("root", "rho", "norm_bounds", "points")}
 
 
 # ---------------------------------------------------------------------------
-# spec parsing
+# spec reading: one reader, one rule per kind of value
+
+_REQUIRED = object()
 
 
-def _need(obj, key, path):
-    if key not in obj:
-        raise SpecError(f"missing required field '{key}'", path)
-    return obj[key]
+class _Spec:
+    """A spec object (or list) at ``path``, read one field at a time.
+
+    ``only`` refuses the first field, in spec order, outside the given
+    ones.  ``read`` hands a field's value to its parser and refuses a
+    malformed value at ``<path>.<field>`` (``<path>[i]`` in a list), a
+    missing one at ``path``; a SpecError from the parser names its own field.
+    """
+
+    def __init__(self, raw, path, kind=dict):
+        if not isinstance(raw, kind):
+            raise SpecError(f"must be a JSON {'object' if kind is dict else 'list'}", path)
+        self.raw, self.path = raw, path
+
+    def at(self, field):
+        if isinstance(field, int):
+            return f"{self.path}[{field}]"
+        return f"{self.path}.{field}".lstrip(".")
+
+    def only(self, *fields):
+        for field in self.raw:
+            if field not in fields:
+                raise SpecError(f"unknown field {field!r}", self.at(field))
+        return self
+
+    def read(self, field, parse, *args, default=_REQUIRED):
+        try:
+            value = self.raw[field]
+        except KeyError:
+            if default is _REQUIRED:
+                raise SpecError(f"missing required field {field!r}", self.path)
+            value = default
+        try:
+            return parse(value, *args)
+        except (ValueError, TypeError, ArithmeticError) as exc:
+            raise SpecError(str(exc), self.at(field))
+
+    def sub(self, field, kind=dict, default=_REQUIRED):
+        """The object (or list) in ``field``, as a reader of its own."""
+        return self.read(field, _Spec, self.at(field), kind, default=default)
+
+    def entries(self):
+        """The indices of a list that must not be empty."""
+        if not self.raw:
+            raise SpecError("must be a non-empty list", self.path)
+        return range(len(self.raw))
 
 
-def _parse_backend(obj, path):
-    kind = _need(obj, "kind", path)
-    if kind in ("lattice", "ordinary-dirichlet"):
-        backend = Lattice if kind == "lattice" else OrdinaryDirichlet
-        return _parsed(f"{path}.k", lambda: backend(int(_need(obj, "k", path))))
-    if kind == "rational-generators":
-        gens = _need(obj, "generators", path)
-        return _parsed(f"{path}.generators",
-                       lambda: RationalGenerators(tuple(tuple(g) for g in gens)))
-    raise SpecError(f"unknown semigroup kind {kind!r}", f"{path}.kind")
+def _count(raw):
+    """A count: a rational whose denominator is 1."""
+    q = parse_rational(raw)
+    if q.denominator != 1:
+        raise ValueError(f"{raw!r} is not an integer")
+    return q.numerator
 
 
-def _parse_truncation(obj, backend, path):
-    has_size, has_prod, has_max = (
-        key in obj for key in ("size_bound", "max_product", "max_elements"))
-    if sum((has_size, has_prod, has_max)) != 1:
-        raise SpecError(
-            "give exactly one of size_bound / max_product / max_elements", path)
-    if has_max:
-        return {"max_elements": _parsed(f"{path}.max_elements", int, obj["max_elements"])}
-    if backend.kind == "ordinary-dirichlet":
-        if not has_prod:
-            raise SpecError(
-                "ordinary-dirichlet windows are truncated by max_product "
-                "(the size bound is then log(max_product))", path)
-        return {"size_bound": _parsed(f"{path}.max_product", int, obj["max_product"])}
-    if has_prod:
-        raise SpecError("max_product only applies to ordinary-dirichlet", path)
-    return {"size_bound": _parsed(f"{path}.size_bound", parse_rational,
-                                  obj["size_bound"])}
+def _choice(raw, names):
+    if not (isinstance(raw, str) and raw in names):
+        raise ValueError(f"{raw!r} is not one of {', '.join(names)}")
+    return raw
 
 
-def _parse_function(obj, enum, exact, path):
-    if not isinstance(obj, dict):
-        raise SpecError("a function spec must be an object", path)
-    keys = set(obj) & {"builtin", "const", "indicator", "table"}
-    if len(keys) != 1:
-        raise SpecError(
-            "need exactly one of builtin / const / indicator / table", path)
-    kind = keys.pop()
-    try:
-        if kind == "builtin":
-            name = obj["builtin"]
-            if name == "unit":
-                return algebra.unit(enum, exact)
-            if name == "one":
-                return algebra.one(enum, exact)
-            raise SpecError(f"unknown builtin {name!r}", path)
-        if kind == "const":
-            return algebra.constant(enum, parse_scalar(obj["const"], exact), exact)
-        if kind == "indicator":
-            ident = _ident(obj["indicator"], enum, path)
-            value = parse_scalar(obj.get("value", 1), exact)
-            return algebra.indicator(enum, ident, value, exact)
-        pairs = []
-        for row, entry in enumerate(obj["table"]):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise SpecError("table rows are [element, value] pairs",
-                                f"{path}.table[{row}]")
-            ident = _ident(entry[0], enum, f"{path}.table[{row}]")
-            pairs.append((ident, parse_scalar(entry[1], exact)))
-        return algebra.from_pairs(enum, pairs, exact)
-    except SpecError:
-        raise
-    except (DirconvError, ValueError, TypeError, ArithmeticError) as exc:
-        raise SpecError(str(exc), path)
+def _norm_bounds(raw):
+    """The caller's claimed norm levels as doubles, or None."""
+    if raw is not None and (not isinstance(raw, list)
+                            or any(isinstance(v, bool) for v in raw)):
+        raise TypeError("norm_bounds must be a list of numbers")
+    return None if raw is None else [float(v) for v in raw]
 
 
-def _ident(raw, enum, path):
-    if not isinstance(raw, (list, tuple)):
-        raise SpecError("an element is a list of per-coordinate entries", path)
-    ident = _parsed(path, enum.backend.validate_ident, raw)
+def _element(raw, enum):
+    """The window's own identity at the coordinates ``raw``: membership
+    refuses a wrong length, range or value."""
+    if not isinstance(raw, list):
+        raise TypeError("an element is a list of per-coordinate entries")
+    ident = tuple(map(parse_rational, raw))
     if ident not in enum:
-        raise SpecError(f"element {raw!r} lies outside the enumerated window",
-                        path)
-    return ident
+        raise ValueError(f"element {raw!r} lies outside the enumerated window")
+    return enum[enum.index_of(ident)].ident
 
 
-def _parse_point(raw, k, path):
-    many = isinstance(raw, (list, tuple))
+def _point(raw, k):
+    many = isinstance(raw, list)
     if many and len(raw) != k:
-        raise SpecError(f"point needs {k} components", path)
-    pt = _parsed(path, lambda: [parse_scalar(v, False)
-                                for v in (raw if many else [raw])])
+        raise ValueError(f"point needs {k} components")
+    pt = [parse_scalar(v, False) for v in (raw if many else [raw])]
     return tuple(pt) if many else pt[0]
 
 
-def _parsed(path, parse, *args):
-    """parse(*args), with a malformed value refused at ``path``."""
-    try:
-        return parse(*args)
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        raise SpecError(str(exc), path)
+#: each semigroup kind's parameter field and its reading
+BACKENDS = {
+    "lattice": ("k", lambda k: Lattice(_count(k))),
+    "ordinary-dirichlet": ("k", lambda k: OrdinaryDirichlet(_count(k))),
+    "rational-generators": ("generators",
+                            lambda gens: RationalGenerators(tuple(map(tuple, gens)))),
+}
+TRUNCATIONS = ("size_bound", "max_product", "max_elements")
+
+
+def _truncation(sg, backend):
+    given = [field for field in TRUNCATIONS if field in sg.raw]
+    if len(given) != 1:
+        raise SpecError(
+            "give exactly one of size_bound / max_product / max_elements", sg.path)
+    field = given[0]
+    if field == "max_elements":
+        return {field: sg.read(field, _count)}
+    if (field == "max_product") != (backend.kind == "ordinary-dirichlet"):
+        raise SpecError("ordinary-dirichlet windows are truncated by max_product (the "
+                        "size bound is then log(max_product)), the others by size_bound",
+                        sg.path)
+    return {"size_bound": sg.read(field, _count if field == "max_product"
+                                  else parse_rational)}
+
+
+def _function(raw, path, enum, exact):
+    """A coefficient spec; a malformed value is refused at ``path``, a
+    table row at its own field."""
+    spec = _Spec(raw, path)
+    kinds = [field for field in ("builtin", "const", "indicator", "table") if field in raw]
+    if len(kinds) != 1:
+        raise ValueError("need exactly one of builtin / const / indicator / table")
+    kind = kinds[0]
+    spec.only(kind, *["value"] * (kind == "indicator"))
+    if kind == "builtin":
+        return getattr(algebra, _choice(raw[kind], ("unit", "one")))(enum, exact)
+    if kind == "const":
+        return algebra.constant(enum, parse_scalar(raw[kind], exact), exact)
+    if kind == "indicator":
+        return algebra.indicator(enum, _element(raw[kind], enum),
+                                 parse_scalar(raw.get("value", 1), exact), exact)
+    table = spec.sub(kind, list)
+    return algebra.from_pairs(enum, [table.read(row, _table_row, enum, exact)
+                                     for row in range(len(table.raw))], exact)
+
+
+def _table_row(raw, enum, exact):
+    if not isinstance(raw, list) or len(raw) != 2:
+        raise ValueError("table rows are [element, value] pairs")
+    return _element(raw[0], enum), parse_scalar(raw[1], exact)
 
 
 class Problem:
     """A validated problem spec, ready to run."""
 
     def __init__(self, raw):
-        if not isinstance(raw, dict):
-            raise SpecError("the spec must be a JSON object")
-        sg = _need(raw, "semigroup", "")
-        self.backend = _parse_backend(sg, "semigroup")
-        trunc = _parse_truncation(sg, self.backend, "semigroup")
+        spec = _Spec(raw, "").only("semigroup", "arithmetic", "equation", "task")
+        sg = spec.sub("semigroup")
+        field, backend = BACKENDS[sg.read("kind", _choice, BACKENDS)]
+        self.backend = sg.only("kind", field, *TRUNCATIONS).read(field, backend)
+        truncation = _truncation(sg, self.backend)
         try:
-            self.enum = enumerate_semigroup(self.backend, **trunc)
+            self.enum = enumerate_semigroup(self.backend, **truncation)
         except DirconvError as exc:
             raise SpecError(str(exc), "semigroup")
-        arith = raw.get("arithmetic", {})
-        if not isinstance(arith, dict):
-            raise SpecError("arithmetic must be an object", "arithmetic")
-        for field in arith:
-            if field != "mode":
-                raise SpecError(f"unknown field {field!r}", f"arithmetic.{field}")
-        mode = arith.get("mode", "exact")
-        if mode not in ("exact", "double"):
-            raise SpecError(f"unknown mode {mode!r}", "arithmetic.mode")
-        self.exact = mode == "exact"
-        eq = _need(raw, "equation", "")
-        coeff_specs = _need(eq, "coefficients", "equation")
-        if not isinstance(coeff_specs, list) or not coeff_specs:
-            raise SpecError("equation.coefficients must be a non-empty list",
-                            "equation.coefficients")
-        self.coefficients = [
-            _parse_function(c, self.enum, self.exact,
-                            f"equation.coefficients[{i}]")
-            for i, c in enumerate(coeff_specs)]
-        task = _need(raw, "task", "")
-        self.task_type = _need(task, "type", "task")
-        if self.task_type not in TASKS:
-            raise SpecError(f"unknown task {self.task_type!r}", "task.type")
-        self.task = task
+        self.exact = spec.sub("arithmetic", default={}).only("mode").read(
+            "mode", _choice, ("exact", "double"), default="exact") == "exact"
+        coeffs = spec.sub("equation").only("coefficients").sub("coefficients", list)
+        self.coefficients = [coeffs.read(i, _function, coeffs.at(i), self.enum, self.exact)
+                             for i in coeffs.entries()]
+        self.task = spec.sub("task")
+        self.task_type = self.task.read("type", _choice, TASKS)
+        self.task.only("type", *TASKS[self.task_type])
         self._check_counts()
-        self.raw = raw
 
     def _check_counts(self):
         n = len(self.coefficients)
@@ -184,26 +213,19 @@ class Problem:
                             "equation.coefficients")
 
     def root(self):
-        if "root" not in self.task:
+        if "root" not in self.task.raw:
             raise SpecError(f"task {self.task_type!r} needs a root", "task.root")
-        return _parsed("task.root", parse_scalar, self.task["root"], self.exact)
+        return self.task.read("root", parse_scalar, self.exact)
 
     def points(self):
-        pts = self.task.get("points")
-        if not isinstance(pts, list) or not pts:
-            raise SpecError("task needs a non-empty list of points", "task.points")
-        return [_parse_point(p, self.backend.k, f"task.points[{i}]")
-                for i, p in enumerate(pts)]
+        points = self.task.sub("points", list, default=[])
+        return [points.read(i, _point, self.backend.k) for i in points.entries()]
 
     def rho(self):
-        return _parsed("task.rho", parse_rational, self.task.get("rho", 0))
+        return self.task.read("rho", parse_rational, default=0)
 
     def norm_bounds(self):
-        nb = self.task.get("norm_bounds")
-        if nb is not None and not isinstance(nb, list):
-            raise SpecError("norm_bounds must be a list of numbers", "task.norm_bounds")
-        return None if nb is None else _parsed("task.norm_bounds",
-                                               lambda: [float(v) for v in nb])
+        return self.task.read("norm_bounds", _norm_bounds, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +234,7 @@ class Problem:
 
 def _element_row(enum, i, value):
     e = enum[i]
-    ident = enum.backend.ident_json(e.ident)
+    ident = [c if type(c) is int else format_rational(c) for c in e.ident]
     return {"id": ident, "coords": ident, "size": enum.backend.size(e.key),
             "value": format_scalar(value)}
 
@@ -443,7 +465,7 @@ def run(spec_path: str, threads: int = 1):
         code = 0
     except SpecError as exc:
         return {"error": str(exc), "field": exc.path, "spec_sha256": spec_hash}, 1
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ArithmeticError) as exc:
         return {"error": f"{type(exc).__name__}: {exc}", "spec_sha256": spec_hash}, 1
     except MathematicalRefusal as exc:
         # Problem() turns library errors into SpecError, so a refusal

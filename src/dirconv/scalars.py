@@ -142,6 +142,8 @@ def format_rational(q) -> str:
 
 
 def parse_rational(text) -> Fraction:
+    if isinstance(text, bool):
+        raise TypeError("booleans are not rationals")
     if isinstance(text, numbers.Rational):
         return Fraction(text)
     return Fraction(str(text))

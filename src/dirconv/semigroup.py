@@ -41,7 +41,7 @@ from operator import add, mul
 
 from .errors import EmptyTruncation, NotEnumerated, OnlyZero, WindowTooLarge
 from .rounding import dn, frac_bounds, up
-from .scalars import format_rational, parse_rational
+from .scalars import parse_rational
 
 #: windows are refused past these: identities a walk lists, pairs i <= j of a
 #: table, and entries a walk holds (k per identity and per step vector)
@@ -158,15 +158,6 @@ class Lattice(_Additive):
     def _ident(self, v):
         return v
 
-    def validate_ident(self, raw):
-        t = tuple(int(v) for v in raw)
-        if len(t) != self.k or any(v < 0 for v in t):
-            raise ValueError(f"not a point of N0^{self.k}: {raw!r}")
-        return t
-
-    def ident_json(self, ident):
-        return list(ident)
-
     def initial_bound(self):
         return 4
 
@@ -201,15 +192,6 @@ class OrdinaryDirichlet:
             return 0.0, 0.0
         v = math.log(key)
         return dn(dn(v)), up(up(v))
-
-    def validate_ident(self, raw):
-        t = tuple(int(v) for v in raw)
-        if len(t) != self.k or any(v < 1 for v in t):
-            raise ValueError(f"not an index tuple of N^{self.k}: {raw!r}")
-        return t
-
-    def ident_json(self, ident):
-        return list(ident)
 
     def idents_up_to(self, bound):
         # bound is the maximal product (an int); the size bound is log(bound)
@@ -298,15 +280,6 @@ class RationalGenerators(_Additive):
 
     def _ident(self, v):
         return tuple(Fraction(c, self.q) for c in v)
-
-    def validate_ident(self, raw):
-        t = tuple(parse_rational(c) for c in raw)
-        if len(t) != self.k or any(c < 0 for c in t):
-            raise ValueError(f"not a point of the generated semigroup: {raw!r}")
-        return t
-
-    def ident_json(self, ident):
-        return [format_rational(c) for c in ident]
 
     def initial_bound(self):
         return min(sum(g, Fraction(0)) for g in self.generators) * 8

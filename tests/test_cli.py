@@ -650,3 +650,98 @@ def test_value_beyond_the_squared_double_range_gives_a_document(tmp_path):
     else:
         assert doc["validation"]["ok"]
         assert doc["solution"][1]["value"] == "-1" + "0" * 200
+
+
+LATTICE_CERTIFY_SPEC = {
+    "semigroup": {"kind": "lattice", "k": 1, "size_bound": 4},
+    "equation": {"coefficients": [{"const": "-1"}, {"const": 0}, {"builtin": "unit"}]},
+    "task": {"type": "certify", "root": 1, "rho": "1/2", "norm_bounds": [1, 0, 1]},
+}
+
+
+def _edited(base, *edits):
+    """A copy of ``base`` with each (path, value) edit made; an edit whose
+    value is ``None`` deletes the field."""
+    spec = copy.deepcopy(base)
+    for path, value in edits:
+        *parents, last = path
+        obj = spec
+        for key in parents:
+            obj = obj[key]
+        if value is None:
+            del obj[last]
+        else:
+            obj[last] = copy.deepcopy(value)
+    return spec
+
+
+def _first(base, coefficient):
+    return _edited(base, (("equation", "coefficients", 0), coefficient))
+
+
+GENERATORS = {"kind": "rational-generators", "generators": [["1/2", "0"], ["0", "1/3"]],
+              "size_bound": 2}
+LATTICE2 = {"kind": "lattice", "k": 2, "size_bound": 4}
+
+
+@pytest.mark.parametrize("spec, field", [
+    (_edited(LATTICE_CERTIFY_SPEC, (("semigroup", "k"), 1.9)), "semigroup.k"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("semigroup", "k"), True),
+             (("semigroup", "size_bound"), True), (("task", "rho"), True)), "semigroup.k"),
+    (_edited(SQRT_SPEC, (("semigroup", "max_product"), 6.9)), "semigroup.max_product"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("semigroup", "size_bound"), None),
+             (("semigroup", "max_elements"), 2.5)), "semigroup.max_elements"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("semigroup", "size_bound"), True)),
+     "semigroup.size_bound"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("semigroup",), GENERATORS),
+             (("semigroup", "generators", 1, 0), True)), "semigroup.generators"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("task", "rho"), True)), "task.rho"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("task", "norm_bounds"), [True, 0, 1])),
+     "task.norm_bounds"),
+    (_first(SQRT_SPEC, {"indicator": [1.7]}), "equation.coefficients[0]"),
+    (_first(SQRT_SPEC, {"table": [[[True], 2]]}), "equation.coefficients[0].table[0]"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("task", "rh0"), 2)), "task.rh0"),
+    (_edited(LATTICE_CERTIFY_SPEC, (("semigroup", "size_bond"), 2)), "semigroup.size_bond"),
+    (_first(SQRT_SPEC, {"const": "-1", "value": 2}), "equation.coefficients[0].value"),
+    # elements of the wrong length or out of range, on either backend
+    (_first(_edited(SQRT_SPEC, (("semigroup",), LATTICE2)), {"indicator": [1]}),
+     "equation.coefficients[0]"),
+    (_first(_edited(SQRT_SPEC, (("semigroup",), LATTICE2)), {"indicator": [1, -1]}),
+     "equation.coefficients[0]"),
+    (_first(_edited(SQRT_SPEC, (("semigroup",), GENERATORS)), {"table": [[["1/2"], 1]]}),
+     "equation.coefficients[0].table[0]"),
+    (_first(_edited(SQRT_SPEC, (("semigroup",), GENERATORS)),
+            {"table": [[["-1/2", "0"], 1]]}), "equation.coefficients[0].table[0]"),
+])
+def test_the_spec_reader_refuses_each_value_at_its_field(tmp_path, spec, field):
+    """Counts are integers, booleans are no numbers, elements lie in the
+    window and every spec object refuses unknown fields."""
+    assert run_spec(tmp_path, LATTICE_CERTIFY_SPEC)[1] == 0
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["field"] == field
+
+
+def test_every_spelling_of_an_element_names_one_element(tmp_path):
+    texts = set()
+    for element in ([2], ["2"], [2.0]):
+        doc, code = run_spec(tmp_path, {
+            "semigroup": {"kind": "lattice", "k": 1, "size_bound": 6},
+            "equation": {"coefficients": [{"table": [[[0], 1], [element, "1/2"]]}]},
+            "task": {"type": "invert"}})
+        assert code == 0
+        assert doc["solution"][2]["value"] == "-1/2"
+        del doc["timing"], doc["spec_sha256"]
+        texts.add(cli.render(doc, "json"))
+    assert len(texts) == 1
+
+
+def test_anchor_coefficients_beyond_the_double_range_exit_1_with_a_document(tmp_path):
+    doc, code = run_spec(tmp_path, {
+        "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
+        "arithmetic": {"mode": "exact"},
+        "equation": {"coefficients": [{"const": "1e400"}, {"const": 1},
+                                      {"const": "1e400"}]},
+        "task": {"type": "solve-all"}})
+    assert code == 1
+    assert doc["error"].startswith("OverflowError: ")

@@ -111,21 +111,13 @@ def test_max_elements_is_a_prefix_of_a_size_bound_window(backend, size_bound):
         assert list(window) == big[:n]
 
 
-GENS = (("1/2", "0"), ("0", "1/3"))
-
-
 @pytest.mark.parametrize("call, error, match", [
     (lambda: dc.Lattice(0), ValueError, "dimension must be >= 1"),
-    (lambda: dc.Lattice(2).validate_ident([1]), ValueError, "not a point of N0"),
-    (lambda: dc.Lattice(2).validate_ident([1, -1]), ValueError, "not a point of N0"),
     (lambda: dc.RationalGenerators(()), ValueError, "at least one generator"),
     (lambda: dc.RationalGenerators((("1",), ("1", "1"))), ValueError, "one dimension"),
     (lambda: dc.RationalGenerators((("1", "-1"),)), ValueError, "non-negative"),
     (lambda: dc.RationalGenerators((("0", "0"),)), ValueError, "positive size"),
-    (lambda: dc.RationalGenerators(GENS).validate_ident(["1/2"]), ValueError,
-     "generated semigroup"),
-    (lambda: dc.RationalGenerators(GENS).validate_ident(["-1/2", "0"]), ValueError,
-     "generated semigroup"),
+    (lambda: dc.RationalGenerators((("1", True),)), TypeError, "booleans"),
     (lambda: dc.enumerate_semigroup(dc.Lattice(1)), ValueError, "exactly one of"),
     (lambda: dc.enumerate_semigroup(dc.Lattice(1), size_bound=2, max_elements=3),
      ValueError, "exactly one of"),
