@@ -38,11 +38,11 @@ class TruncatedFunction:
     __slots__ = ("enum", "values", "exact")
 
     def __init__(self, enum: Enumeration, values, exact: bool):
-        if len(values) != len(enum):
-            raise ValueError("value vector does not match the enumeration length")
         self.enum = enum
         self.values = tuple(values)
         self.exact = exact
+        if len(self.values) != len(enum):
+            raise ValueError("value vector does not match the enumeration length")
 
     def __repr__(self):
         head = ", ".join(repr(v) for v in self.values[:6])
@@ -168,7 +168,7 @@ def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunct
 
 
 def dot(a, b, us, vs, d):
-    """Double mode: the sum of a[u] * b[v] + a[v] * b[u] over a half row,
+    """Doubles or ints: the sum of a[u] * b[v] + a[v] * b[u] over a half row,
     plus a[d] * b[d] for a middle pair d >= 0 (a plain loop: faster here
     than a chain of ``map`` calls on double values)."""
     acc = a[d] * b[d] if d >= 0 else 0
@@ -178,7 +178,7 @@ def dot(a, b, us, vs, d):
 
 
 def square(a, us, vs, d):
-    """Double mode: :func:`dot` of a with itself, each pair's product once, doubled."""
+    """Doubles or ints: :func:`dot` of a with itself, each pair's product once, doubled."""
     acc = 0
     for u, v in zip(us, vs):
         acc = acc + a[u] * a[v]
@@ -196,14 +196,12 @@ def shape(v) -> int:
 def reader(a, b, exact, a_const=False):
     """How one product, the sum of a[u] * b[v] over the ordered pairs of the
     half rows it is handed (whole ones from :func:`convolve`, the sweep's
-    after (0, x)) and their middle pairs, reads them; decided once.
-
-    Exact mode reads every pair through :func:`qdot`, over :class:`Ratios`
-    built here (the sweep's live tables are Ratios already).  In double mode
-    a table times itself is the :func:`square`, an ``a`` constant on the
-    rows read (``a_const``) gathers b over both columns at C speed, else
-    :func:`dot`.
-    """
+    after (0, x)) and their middle pairs, reads them; decided once.  With
+    ``exact`` every pair goes through :func:`qdot`, over :class:`Ratios`
+    built here (the sweep's live tables are Ratios already).  On doubles,
+    or on the Python ints of :func:`integral` data, a table times itself
+    is the :func:`square`, an ``a`` constant on the rows read (``a_const``)
+    gathers b over both columns at C speed, and any other is :func:`dot`."""
     if exact:
         return partial(qdot, *(v if type(v) is Ratios else Ratios(v) for v in (a, b)))
     if a is b:
@@ -262,13 +260,20 @@ def qdot(a: Ratios, b: Ratios, us, vs, d):
     return Fraction(num, den) if type(num) is int else exact_value(num / den)
 
 
+def integral(vectors):
+    """Each vector's values as Python ints, keyed by its ``id``, if all are
+    Fractions with denominator 1, else None: products on them skip qdot."""
+    if all(type(q) is Fraction and q.denominator == 1 for v in vectors for q in v):
+        return {id(v): [q.numerator for q in v] for v in vectors}
+
+
 def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """(g*h)(x) = sum over all decompositions x = x' + x'' of g(x')h(x'').
 
     Exact on the whole window because sizes are additive.  An operand
     that vanishes off 0 scales the other; otherwise each whole half row
-    and its middle pair are read through one :func:`reader`, in either
-    mode.  Results are deterministic.
+    and its middle pair are read through one :func:`reader`, on Python
+    ints when both operands are :func:`integral`.  Results are deterministic.
     """
     g, h = coerce_pair(g, h)
     gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
@@ -278,9 +283,11 @@ def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     dec = g.enum.decomp
     first, second = dec.first, dec.second
     rows = zip(dec.offsets, dec.offsets[1:], dec.middle)  # a list would outweigh the table
-    read = reader(gv, hv, g.exact, shape_g == 1)
-    return TruncatedFunction(g.enum, [read(first[a:b], second[a:b], d)
-                                      for a, b, d in rows], g.exact)
+    ints = g.exact and integral([gv, hv])
+    gv, hv = (ints[id(gv)], ints[id(hv)]) if ints else (gv, hv)
+    read = reader(gv, hv, g.exact and not ints, shape_g == 1)
+    values = [read(first[a:b], second[a:b], d) for a, b, d in rows]
+    return TruncatedFunction(g.enum, map(Fraction, values) if ints else values, g.exact)
 
 
 def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
@@ -306,10 +313,10 @@ def invert(g: TruncatedFunction) -> TruncatedFunction:
     gate judges the base point, so in double mode |g(0)| <= 1e-6, NaN
     and inf are refused, as :class:`NotInvertible`.
     """
-    v0 = g.values[0]
-    terms = [Monomial(-unit(g.enum, g.exact), (0,)), Monomial(g, (1,))]
+    v0, e = g.values[0], g.enum
+    terms = [Monomial(indicator(e, e[0].ident, -1, g.exact), (0,)), Monomial(g, (1,))]
     try:   # g(0) = 0 keeps h(0) = 0, which fails the root test: F = [-1]
-        return sweep(g.enum, [terms], (1 / v0 if v0 else v0,), g.exact)[0]
+        return sweep(e, [terms], (1 / v0 if v0 else v0,), g.exact)[0]
     except NotASimpleRoot as exc:
         raise NotInvertible(f"g(0) = {v0!r} has no convolution inverse: {exc}") from None
 
@@ -319,27 +326,21 @@ def invert(g: TruncatedFunction) -> TruncatedFunction:
 
 
 def prefix_tree(equations, z0, zero):
-    """Every distinct prefix of the terms' factor sequences, parents first.
-
-    Returns (index, nodes, at0, grad): ``index`` maps a prefix to its
-    node number, node 0 is the empty product and node k > 0 is
-    (parent node, last factor l), the product of its parent with g_l;
-    ``at0[k]`` is the node's value at the base point and ``grad[k][l]``
-    its partial derivative in z_l there.
-    """
+    """Every distinct prefix of the terms' factor sequences, parents first,
+    as (index, nodes, at0, grad): ``index`` maps a prefix to its node
+    number; node 0 is the empty product and node k > 0 is (parent node,
+    last factor l), the product of its parent with g_l; ``at0[k]`` is the
+    node's value at the base point and ``grad[k][l]`` its partial
+    derivative in z_l there, both in the number type of z0 and ``zero``."""
     index, nodes, at0, grad = {(): 0}, [None], [zero + 1], [[zero] * len(z0)]
-    for eq in equations:
-        for _, fs in eq:
-            for n in range(1, len(fs) + 1):
-                if fs[:n] in index:
-                    continue
-                k, l = index[fs[:n - 1]], fs[n - 1]
-                index[fs[:n]] = len(nodes)
-                nodes.append((k, l))
-                at0.append(at0[k] * z0[l])
-                dk = [d * z0[l] for d in grad[k]]
-                dk[l] = dk[l] + at0[k]
-                grad.append(dk)
+    for fs in dict.fromkeys(fs[:n] for eq in equations for _, fs in eq
+                            for n in range(1, len(fs) + 1)):
+        k, l = index[fs[:-1]], fs[-1]
+        index[fs] = len(nodes)
+        nodes.append((k, l))
+        at0.append(at0[k] * z0[l])
+        grad.append([d * z0[l] + at0[k] if i == l else d * z0[l]
+                     for i, d in enumerate(grad[k])])
     return index, nodes, at0, grad
 
 
@@ -350,17 +351,15 @@ def sweep(enum, equations, z0, exact):
     holds the values at 0, taken into the sweep's mode.  F and J are
     summed over the prefix tree and :func:`anchor_gate` judges them: the
     one gate of every sweep, so a scalar equation and its one-unknown
-    system get one verdict and one J^{-1}.  One product
-    table is kept per factor prefix: g_l itself for one factor, and a
-    longer one only where a pair product reads it.  Every pair product has
-    one :func:`reader`, so a coefficient that vanishes off 0 meets no
-    inner pair, and one constant off 0 or a table times itself reads by
-    structure.  At each element the tables and equations are evaluated
-    with the unknowns masked out, J^{-1} is applied once, and each table
-    gets the linear term the base point fixes.
+    system get one verdict and one J^{-1}.  Once it passes, if z0, J^{-1}
+    and every coefficient value are :func:`integral`, so is every g(x), and
+    the sweep runs on Python ints.  One table is kept per factor prefix that
+    a pair product reads (g_l for one factor), one :func:`reader` per pair
+    product (none for a coefficient that vanishes off 0).  At each element
+    the tables and equations are evaluated with the unknowns masked out,
+    J^{-1} is applied once, and each table gets the linear term z0 fixes.
     """
     zero = Fraction(0) if exact else 0.0
-    table = Ratios if exact else list
     z0 = tuple(map(exact_value if exact else double_value, z0))
     m, n = len(z0), len(enum)
     # each term as (coefficient values, factor sequence): (0, 0, 1) for g_1 * g_1 * g_2
@@ -372,19 +371,24 @@ def sweep(enum, equations, z0, exact):
     J = [[sum((c[0] * grad[index[fs]][l] for c, fs in eq), zero)
           for l in range(m)] for eq in equations]
     Jinv = anchor_gate(F, J, [c[0] for eq in equations for c, _ in eq], exact)
+    if ints := exact and integral([z0, *Jinv, *(c for eq in equations for c, _ in eq)]):
+        zero, z0, Jinv = 0, ints[id(z0)], [ints[id(row)] for row in Jinv]
+        equations = [[(ints[id(c)], fs) for c, fs in eq] for eq in equations]
+        index, nodes, at0, grad = prefix_tree(equations, z0, zero)
+    qs = exact and not ints     # whether products read through qdot
     dec = enum.decomp       # built before the tables below, which would add to its peak
     linear = [[(l, d) for l, d in enumerate(dk) if d] for dk in grad]
-    G = [table([z] + [zero] * (n - 1)) for z in z0]
+    G = [(Ratios if qs else list)([z] + [zero] * (n - 1)) for z in z0]
     Q = [None] + [None if p else G[l] for p, l in nodes[1:]]
 
     def tab(k):     # the table of node k, made when a product first reads it
-        Q[k] = Q[k] or table([at0[k]] + [zero] * (n - 1))
+        Q[k] = Q[k] or (Ratios if qs else list)([at0[k]] + [zero] * (n - 1))
         return Q[k]
 
-    chain = [(k, p, z0[l], reader(tab(p), G[l], exact))
+    chain = [(k, p, z0[l], reader(tab(p), G[l], qs))
              for k, (p, l) in enumerate(nodes[1:], 1) if p]
     # the sweep reads c off 0 only, so its gather asks shape about c[1:]
-    terms = [[(c, k, c[0], reader(c, tab(k), exact, shape(c[1:] or c) == 1)
+    terms = [[(c, k, c[0], reader(c, tab(k), qs, shape(c[1:] or c) == 1)
                if fs and shape(c) else None)
               for c, fs in eq for k in [index[fs]]] for eq in equations]
     kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
@@ -416,12 +420,11 @@ def sweep(enum, equations, z0, exact):
                 if part:
                     parts.append(part)
             known.append(reduce(add, parts) if parts else zero)
-        gx = [reduce(add, map(mul, row, known), *start) for row in negJinv]
-        for l in range(m):
-            G[l][x] = gx[l]
+        for l, row in enumerate(negJinv):
+            G[l][x] = reduce(add, map(mul, row, known), *start)
         for k in kept:
-            Q[k][x] = masked[k] + sum(d * gx[l] for l, d in linear[k])
-    return tuple(TruncatedFunction(enum, g, exact) for g in G)
+            Q[k][x] = masked[k] + sum(d * G[l][x] for l, d in linear[k])
+    return tuple(TruncatedFunction(enum, map(Fraction, g) if ints else g, exact) for g in G)
 
 
 # ---------------------------------------------------------------------------

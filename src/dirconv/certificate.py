@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
 
 from .algebra import TruncatedFunction, r_norm_partial, weighted_terms
@@ -66,20 +67,6 @@ class NormCertificate:
         return max(0.0, sub_up(add_up(self.abs_z0, self.t_star), window_dn))
 
 
-def _norms(T: ConvPolynomial, rho, norm_bounds):
-    """Round-up window norms ||a_j||_rho, optionally dominated by user bounds."""
-    rho_dn = frac_bounds(rho)[0]   # a smaller rate only enlarges the norms
-    norms = [r_norm_partial(c, rho_dn, include_zero=True) for c in T.coeffs]
-    if norm_bounds is not None:
-        if len(norm_bounds) != len(norms):
-            raise ValueError("need one norm bound per coefficient")
-        if not all(b >= 0 for b in norm_bounds):
-            # max(w, nan) is w: a NaN bound would be dropped unseen
-            raise ValueError(f"norm bounds must be numbers >= 0: {list(norm_bounds)}")
-        norms = [max(w, frac_bounds(b)[1]) for w, b in zip(norms, norm_bounds)]
-    return norms
-
-
 def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     """The two comparison polynomials as round-up coefficient tuples."""
     z0, fp = T.anchor(z0)
@@ -87,7 +74,17 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     fp_dn = abs_bounds(fp)[0]
     if fp_dn <= 0.0:
         raise NotASimpleRoot("|f'(z0)| is numerically zero; no certificate")
-    norms = _norms(T, rho, norm_bounds)
+    rho_dn, rho_up = frac_bounds(rho)   # a smaller rate only enlarges the norms
+    norms = [r_norm_partial(c, rho_dn, include_zero=True) for c in T.coeffs]
+    if norm_bounds is not None:   # the window norm bounds each true norm from below
+        if len(norm_bounds) != len(norms):
+            raise ValueError("need one norm bound per coefficient")
+        for j, (c, b) in enumerate(zip(T.coeffs, norm_bounds)):
+            w = reduce(add_dn, (t[1] for t in weighted_terms(c, rho_up)), 0.0)
+            if not b >= w:   # NaN fails too; max(w, nan) would drop it
+                raise ValueError("norm bounds must be numbers >= 0 that the window does "
+                                 f"not refute: a_{j} has {b}, below its window norm {w}")
+        norms = [max(w, frac_bounds(b)[1]) for w, b in zip(norms, norm_bounds)]
     if not any(norms):
         raise AllCoefficientsZero("all coefficient norms vanish; nothing to certify")
     abs_z0_up = abs_bounds(z0)[1]

@@ -137,8 +137,8 @@ def double_value(x):
 # -- lossless text forms -----------------------------------------------------
 
 def format_rational(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    n, d = q.as_integer_ratio()
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def parse_rational(text) -> Fraction:

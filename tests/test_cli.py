@@ -655,7 +655,7 @@ def test_value_beyond_the_squared_double_range_gives_a_document(tmp_path):
 LATTICE_CERTIFY_SPEC = {
     "semigroup": {"kind": "lattice", "k": 1, "size_bound": 4},
     "equation": {"coefficients": [{"const": "-1"}, {"const": 0}, {"builtin": "unit"}]},
-    "task": {"type": "certify", "root": 1, "rho": "1/2", "norm_bounds": [1, 0, 1]},
+    "task": {"type": "certify", "root": 1, "rho": "1/2", "norm_bounds": [3, 0, 1]},
 }
 
 
@@ -720,6 +720,17 @@ def test_the_spec_reader_refuses_each_value_at_its_field(tmp_path, spec, field):
     doc, code = run_spec(tmp_path, spec)
     assert code == 1
     assert doc["field"] == field
+
+
+def test_a_norm_bound_below_the_window_norm_exits_1(tmp_path):
+    """||a_0||_{1/2} of const -1 is at least its window part 2.333 on the
+    lattice to size 4, so the bound 0 is false and the certificate refused."""
+    spec = _edited(LATTICE_CERTIFY_SPEC, (("task", "norm_bounds"), [0, 0, 0]))
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["error"].startswith(
+        "ValueError: norm bounds must be numbers >= 0 that the window does not refute: "
+        "a_0 has 0.0, below its window norm 2.33")
 
 
 def test_every_spelling_of_an_element_names_one_element(tmp_path):
