@@ -1,21 +1,22 @@
 """Root finding for the anchor polynomial of a convolution equation.
 
-Exact mode peels off what exact arithmetic can represent (the root 0,
-rational roots, Gaussian-rational roots of a residual quadratic) and
-falls back to a Durand-Kerner iteration in complex doubles for the
-rest.  The solver downstream only ever divides by the derivative at a
-root, so the report flags which roots are simple and which are exact.
+Both modes read the polynomial exactly (a double is a dyadic rational),
+split it into square-free factors by exact gcds, peel off what exact
+arithmetic can represent (the root 0, rational roots, Gaussian-rational
+roots of a residual quadratic) and leave the rest to a Durand-Kerner
+iteration in complex doubles.  The solver downstream only ever divides
+by the derivative at a root, so the report flags which roots are simple
+and which are exact.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotASimpleRoot
-from .scalars import QC, exact_value
+from .scalars import QC, double_value, exact_value
 
 
 @dataclass(frozen=True)
@@ -45,23 +46,59 @@ def _trim(coeffs):
     return out
 
 
+def _monic(f):
+    return [c / f[-1] for c in f]
+
+
+def _divmod(f, g):
+    """Quotient and remainder of f by a monic g; exact on exact scalars."""
+    f, n = list(f), len(g) - 1
+    q = [0] * max(len(f) - n, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = f[k + n]
+        for i in range(n):
+            f[k + i] -= c * g[i]
+    return q, _trim(f[:n])
+
+
+def _gcd(f, g):
+    """The monic gcd of two exact polynomials, g non-zero (Euclid)."""
+    while g:
+        g = _monic(g)
+        f, g = g, _divmod(f, g)[1]
+    return f
+
+
+def square_free(f):
+    """The square-free split of an exact polynomial f of degree >= 1:
+    pairs (i, f_i), f_i monic, square-free, pairwise coprime and not
+    constant, with f = lead * prod f_i^i.  Musser's loop: w is the
+    product of the factors of multiplicity >= i, c what is left of
+    gcd(f, f') (Yun, SYMSAC 1976, gives a variant with smaller gcds)."""
+    c = _gcd(f, poly_derivative(f))
+    w, out, i = _monic(_divmod(f, c)[0]), [], 1
+    while len(w) > 1:
+        y = _gcd(w, c)
+        z = _divmod(w, y)[0]
+        if len(z) > 1:
+            out.append((i, z))
+        w, c, i = y, _divmod(c, y)[0], i + 1
+    return out
+
+
 #: Durand-Kerner's step tolerance, relative to the monic scale, and sweep cap
 DK_TOL_SCALE = 1e-14
 DK_MAX_ITER = 500
 
 
-def durand_kerner(coeffs):
-    """All complex roots of a polynomial with complex double coefficients.
+def durand_kerner(monic):
+    """All complex roots of a monic polynomial, in complex doubles.
 
     Deterministic: fixed initial configuration (powers of 0.4 + 0.9i),
     fixed sweep order, fixed iteration cap.
     """
-    coeffs = _trim([complex(c) for c in coeffs])
-    n = len(coeffs) - 1
-    if n <= 0:
-        return []
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
+    monic = [complex(c) for c in monic]
+    n = len(monic) - 1
     scale = max(abs(c) for c in monic)
     tol = DK_TOL_SCALE * max(1.0, scale)
     seed = 0.4 + 0.9j
@@ -85,20 +122,6 @@ def durand_kerner(coeffs):
     return sorted(roots, key=lambda z: (z.real, z.imag))
 
 
-def cluster(points, radius):
-    """Greedy chaining of points within ``radius``; returns (center, count)."""
-    pts = sorted(points, key=lambda z: (z.real, z.imag))
-    groups = []
-    for p in pts:
-        for g in groups:
-            if any(abs(p - q) <= radius for q in g):
-                g.append(p)
-                break
-        else:
-            groups.append([p])
-    return [(sum(g) / len(g), len(g)) for g in groups]
-
-
 def _rational_sqrt(q: Fraction):
     """Exact square root of a non-negative rational, or None."""
     n, d = q.numerator, q.denominator
@@ -119,68 +142,50 @@ def qc_sqrt(q: QC):
     return QC(x, y if b >= 0 else -y)
 
 
-def _as_qc(c) -> QC:
-    return c if isinstance(c, QC) else QC(c)
-
-
 def _divisors(n: int, cap: int = 10**12):
     n = abs(n)
     if n == 0 or n > cap:
         return None
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out += (d, n // d)
+    out, d = [1], 2
+    while n > 1:   # factor by trial division, so a power of two is cheap
+        d = d if d * d <= n else n   # what is left is prime
+        e = 0
+        while n % d == 0:
+            n, e = n // d, e + 1
+        out = [x * d ** k for x in out for k in range(e + 1)]
         d += 1
-    return sorted(set(out))
+    return sorted(out)
 
 
 def rational_roots(coeffs):
-    """Rational roots (with multiplicity) of a rational polynomial.
+    """Rational roots of a square-free rational polynomial.
 
     ``coeffs`` are Fractions, constant term first and non-zero.  Returns
     (roots, deflated) where ``deflated`` has all found roots divided
     out.  Each Durand-Kerner root is rounded onto every divisor q of the
-    integerized leading term and tested exactly, so a multiple root with
-    a large denominator may stay approximate.  Gives up (returns no
+    integerized leading term and tested exactly.  Gives up (returns no
     roots) when that term is too large to factor quickly.
     """
     lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
     qs = _divisors(ints[-1])
     # a root p/q in lowest terms has q | ints[-1] and p | ints[0]; the bounds
     # keep Durand-Kerner's doubles and each x * q finite
     fits = qs and max(map(abs, ints)) < 2 ** 1000
-    xs = [z.real for z in durand_kerner(ints) if abs(z.real) < 2 ** 900] if fits else []
+    xs = [z.real for z in durand_kerner([v / ints[-1] for v in ints])
+          if abs(z.real) < 2 ** 900] if fits else []
     candidates = sorted({Fraction(p, q) for x in xs for q in qs for p in [round(x * q)]
                          if p and not ints[0] % p})
-    work = list(coeffs)
-    found = []
+    work, found = list(coeffs), []
     for cand in candidates:
-        while len(work) > 1 and poly_eval(work, cand) == 0:
-            work = _deflate_exact(work, cand)
+        if poly_eval(work, cand) == 0:
+            work = _divmod(work, [-cand, 1])[0]
             found.append(cand)
     return found, work
 
 
-def _deflate_exact(coeffs, root):
-    """Synthetic division by (z - root); exact, assumes zero remainder."""
-    n = len(coeffs) - 1
-    out = [None] * n
-    acc = coeffs[-1]
-    for i in range(n - 1, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * root
-    return out
-
-
 def tau_root(f_coeffs) -> float:
-    """The double-mode threshold of :func:`is_root`; approximate roots
-    closer than tau_root are also merged into one."""
+    """The double-mode threshold of :func:`is_root`."""
     return 1e-8 * (1.0 + max(abs(complex(c)) for c in f_coeffs))
 
 
@@ -250,13 +255,14 @@ def _inverse(A, exact):
 def find_roots(f_coeffs, exact: bool):
     """All roots of the anchor polynomial, flagged simple/exact.
 
-    ``f_coeffs`` is the list a_0(0), ..., a_d(0) (already trimmed of
-    leading zeros by the caller).  A root of multiplicity 1 is simple
-    when J = [[f'(z)]] passes :func:`simple_inverse`, the test of
-    :func:`anchor_gate`: exactly where the root is exact and in doubles
-    otherwise.
+    ``f_coeffs`` is the list a_0(0), ..., a_d(0), finite and trimmed of
+    leading zeros.  Read exactly, it is split by :func:`square_free`, so
+    multiplicities are exact in both modes; the mode only picks the value
+    of an exact root (itself, or its double).  A root of multiplicity 1
+    is simple when J = [[f'(z)]] passes :func:`simple_inverse`, the test
+    of :func:`anchor_gate`: exactly where the value is exact and in
+    doubles otherwise.
     """
-    d = len(f_coeffs) - 1
     fprime = poly_derivative(f_coeffs)
     fprime_double = [complex(c) for c in fprime]
 
@@ -266,44 +272,34 @@ def find_roots(f_coeffs, exact: bool):
             f_coeffs, is_exact) is not None
         return Root(value, mult, simple, is_exact)
 
-    m0 = next(i for i, c in enumerate(f_coeffs) if c)   # the root 0, exactly
-    work = list(f_coeffs[m0:])
-    roots = [root(Fraction(0) if exact else 0.0, m0, exact)] if m0 else []
-
-    if exact:
-        work, exact_roots = _exact_roots(work)
-        roots += [root(val, mult, True) for val, mult in exact_roots]
-
-    if len(work) > 1:
-        roots += [root(center, mult, False)
-                  for center, mult in cluster(durand_kerner(work), tau_root(f_coeffs))]
-
-    roots.sort(key=lambda r: _value_sort_key(r.value))
-    assert sum(r.multiplicity for r in roots) == d
+    roots = []
+    for mult, factor in square_free(
+            [exact_value(c if isinstance(c, QC) else QC(c.real, c.imag)) for c in f_coeffs]):
+        rest, found = _exact_roots(factor)
+        roots += [root(v if exact else double_value(v), mult, exact) for v in found]
+        roots += [root(z, mult, False) for z in durand_kerner(rest)]
+    roots.sort(key=lambda r: (complex(r.value).real, complex(r.value).imag))
     return roots
 
 
 def _exact_roots(work):
-    """Strip every exactly representable root from ``work``: the rational
-    roots when the coefficients are real and the degree is at least 2,
-    then a linear rest, or a quadratic rest whose discriminant has a
-    Gaussian-rational square root."""
-    found = []
+    """Strip every exactly representable root from a monic square-free
+    ``work``: the root 0, the rational roots when the coefficients are
+    real and the degree is at least 2, then a linear rest, or a
+    quadratic rest whose discriminant has a Gaussian-rational square
+    root."""
+    found, work = ([], work) if work[0] else ([Fraction(0)], work[1:])
     if len(work) > 2 and all(isinstance(c, Fraction) or (isinstance(c, QC) and c.im == 0)
                              for c in work):
-        found, work = rational_roots([c if isinstance(c, Fraction) else c.re for c in work])
+        rational, work = rational_roots([c if isinstance(c, Fraction) else c.re for c in work])
+        found += rational
     if len(work) == 2:
-        found.append(exact_value(-_as_qc(work[0]) / _as_qc(work[1])))
+        found.append(exact_value(-work[0]))
         work = work[1:]
-    elif len(work) == 3:
-        a, b, c = _as_qc(work[2]), _as_qc(work[1]), _as_qc(work[0])
-        s = qc_sqrt(b * b - QC(4) * a * c)
+    elif len(work) == 3:   # z^2 + b z + c, with discriminant b^2 - 4c
+        disc = work[1] * work[1] - 4 * work[0]
+        s = qc_sqrt(disc if isinstance(disc, QC) else QC(disc))
         if s is not None:
-            found += [exact_value((-b + r) / (QC(2) * a)) for r in (s, -s)]
+            found += [exact_value((r - work[1]) / 2) for r in (s, -s)]
             work = work[2:]
-    return work, sorted(Counter(found).items(), key=lambda kv: _value_sort_key(kv[0]))
-
-
-def _value_sort_key(v):
-    z = complex(v)
-    return (z.real, z.imag)
+    return work, found

@@ -141,6 +141,9 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
         raise DegenerateConstant(
             "the anchor polynomial is a non-zero constant; the equation has "
             "no solution")
+    if not (T.exact or all(map(cmath.isfinite, trimmed))):
+        raise NoSimpleRoots("the anchor polynomial has a non-finite coefficient; "
+                            "existence is undecided")
     roots = find_roots(trimmed, T.exact)
     return RootReport(tuple(f), len(trimmed) - 1, tuple(roots), T.exact)
 
@@ -165,16 +168,17 @@ def _obstructions(T: ConvPolynomial, report: RootReport):
 
     At a minimal-size q the only decompositions are trivial, so
     (T g)(q) = f'(z0) g(q) + sum_j a_j(q) z0^j; with f'(z0) = 0 the
-    whole value is pinned independently of g(q).  The value counts as
-    non-zero only when it is finite and fails the root test of the anchor
-    gate, in doubles wherever the root is approximate.
+    whole value is pinned independently of g(q).  So only a multiple
+    root is checked (at a root of multiplicity 1, f'(z0) != 0), and the
+    value counts as non-zero only when it is finite and fails the root
+    test of the anchor gate, in doubles wherever the root is approximate.
     """
     enum = T.enum
     if len(enum.levels) < 2:
         return ()
     first_level = enum.levels[1][1]
     found = []
-    for root in report.roots:
+    for root in (r for r in report.roots if r.multiplicity > 1):
         U = T if root.exact else T.to_double()
         for q_idx in first_level:
             val = poly_eval([c.values[q_idx] for c in U.coeffs], root.value)
