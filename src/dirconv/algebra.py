@@ -27,7 +27,8 @@ from operator import add, mul
 
 from .errors import BackendMismatch, NotASimpleRoot, NotInvertible
 from .roots import anchor_gate
-from .rounding import abs_bounds, add_up, mul_dn, mul_up, weight_bounds
+from .rounding import (abs_bounds, add_up, frac_bounds, mul_dn, mul_up,
+                       weight_bounds)
 from .scalars import QC, double_value, exact_value
 from .semigroup import Enumeration
 
@@ -69,12 +70,12 @@ class TruncatedFunction:
         return TruncatedFunction(self.enum, tuple(-v for v in self.values), self.exact)
 
     def __add__(self, other):
-        g, h = coerce_pair(self, other)
+        g, h = one_mode((self, other))
         return TruncatedFunction(
             g.enum, tuple(a + b for a, b in zip(g.values, h.values)), g.exact)
 
     def __sub__(self, other):
-        g, h = coerce_pair(self, other)
+        g, h = one_mode((self, other))
         return TruncatedFunction(
             g.enum, tuple(a - b for a, b in zip(g.values, h.values)), g.exact)
 
@@ -108,20 +109,17 @@ class Monomial:
         return sum(self.exponents)
 
 
-def check_compatible(g: TruncatedFunction, h: TruncatedFunction):
-    if g.enum is not h.enum and g.enum.signature != h.enum.signature:
-        raise BackendMismatch(
-            f"windows differ: {g.enum.signature} vs {h.enum.signature}")
-
-
-def coerce_pair(g, h):
-    """Align two functions on one window and one scalar mode."""
-    check_compatible(g, h)
-    if g.exact and not h.exact:
-        g = g.to_double()
-    elif h.exact and not g.exact:
-        h = h.to_double()
-    return g, h
+def one_mode(functions) -> tuple:
+    """The functions on one window and in one mode, the one mode rule of
+    the package: unchanged when all are exact, else each in doubles (exact
+    data that meet doubles run in doubles).  Differing windows raise
+    :class:`BackendMismatch`."""
+    fs = tuple(functions)
+    for f in fs[1:]:
+        if f.enum is not fs[0].enum and f.enum.signature != fs[0].enum.signature:
+            raise BackendMismatch(
+                f"windows differ: {fs[0].enum.signature} vs {f.enum.signature}")
+    return fs if all(f.exact for f in fs) else tuple(f.to_double() for f in fs)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +273,7 @@ def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     and its middle pair are read through one :func:`reader`, on Python
     ints when both operands are :func:`integral`.  Results are deterministic.
     """
-    g, h = coerce_pair(g, h)
+    g, h = one_mode((g, h))
     gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
     shape_g = shape(gv)
     if not shape_g:
@@ -316,7 +314,7 @@ def invert(g: TruncatedFunction) -> TruncatedFunction:
     v0, e = g.values[0], g.enum
     terms = [Monomial(indicator(e, e[0].ident, -1, g.exact), (0,)), Monomial(g, (1,))]
     try:   # g(0) = 0 keeps h(0) = 0, which fails the root test: F = [-1]
-        return sweep(e, [terms], (1 / v0 if v0 else v0,), g.exact)[0]
+        return sweep([terms], (1 / v0 if v0 else v0,))[0]
     except NotASimpleRoot as exc:
         raise NotInvertible(f"g(0) = {v0!r} has no convolution inverse: {exc}") from None
 
@@ -344,11 +342,13 @@ def prefix_tree(equations, z0, zero):
     return index, nodes, at0, grad
 
 
-def sweep(enum, equations, z0, exact):
+def sweep(equations, z0):
     """The window functions g_1, ..., g_m that the equations force.
 
-    ``equations`` lists, per equation, its :class:`Monomial` terms; ``z0``
-    holds the values at 0, taken into the sweep's mode.  F and J are
+    ``equations`` lists, per equation, its :class:`Monomial` terms, whose
+    coefficients :func:`one_mode` has put on one window and in one mode:
+    the sweep's window and mode are theirs.  ``z0`` holds the values at 0,
+    taken into that mode.  F and J are
     summed over the prefix tree and :func:`anchor_gate` judges them: the
     one gate of every sweep, so a scalar equation and its one-unknown
     system get one verdict and one J^{-1}.  Once it passes, if z0, J^{-1}
@@ -359,6 +359,7 @@ def sweep(enum, equations, z0, exact):
     the tables and equations are evaluated with the unknowns masked out,
     J^{-1} is applied once, and each table gets the linear term z0 fixes.
     """
+    enum, exact = equations[0][0].coeff.enum, equations[0][0].coeff.exact
     zero = Fraction(0) if exact else 0.0
     z0 = tuple(map(exact_value if exact else double_value, z0))
     m, n = len(z0), len(enum)
@@ -431,16 +432,19 @@ def sweep(enum, equations, z0, exact):
 # norms
 
 
-def weighted_terms(g: TruncatedFunction, r: float):
+def weighted_terms(g: TruncatedFunction, r):
     """Directed bounds of |g(x)| e^(-r|x|), one element at a time.
 
     Yields (size key, round-down term, round-up term) in window order;
     every norm, partial sum and tail of the package is summed from these.
-    Zero values need no weight; a value repeated in a row is bracketed
-    once, the weight is found once per size level (the window is in key
-    order), and the term is reused while both repeat.
+    The rate r (a double or a rational) is bracketed once: round-down
+    terms take it rounded up, round-up terms rounded down.  Zero values
+    need no weight; a value repeated in a row is bracketed once, the
+    weight is found once per size level (the window is in key order),
+    and the term is reused while both repeat.
     """
     prev = level = None
+    r_lo, r_hi = frac_bounds(r)
     size_bounds = g.enum.backend.size_bounds
     for e, v in zip(g.enum.elements, g.values):
         if v is not prev:
@@ -451,23 +455,18 @@ def weighted_terms(g: TruncatedFunction, r: float):
             continue
         if e.key != level:
             level, terms = e.key, None
-            w_lo, w_hi = weight_bounds(r, *size_bounds(level))
+            w_lo, w_hi = weight_bounds(r_lo, r_hi, *size_bounds(level))
         if terms is None:
             terms = mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
         yield e.key, *terms
 
 
-def r_norm_partial(g: TruncatedFunction, r, include_zero: bool = False) -> float:
-    """Round-up sum of |g(x)| e^(-r|x|) over the window's x != 0.
-
-    ``include_zero`` adds the x = 0 term, turning the sum into the
-    window r-norm.  The result is always an upper bound of the exact sum.
-    """
-    total = 0.0
-    for i, (_, _, hi) in enumerate(weighted_terms(g, float(r))):
-        if i or include_zero:
-            total = add_up(total, hi)
-    return total
+def r_norm_partial(g: TruncatedFunction, r) -> float:
+    """Round-up sum of |g(x)| e^(-r|x|) over the window's x != 0; always
+    an upper bound of the exact sum."""
+    terms = weighted_terms(g, r)
+    next(terms)     # the x = 0 term
+    return reduce(add_up, (hi for _, _, hi in terms), 0.0)
 
 
 def damp(g: TruncatedFunction, rho) -> TruncatedFunction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import islice
 
-from .algebra import TruncatedFunction, r_norm_partial, weighted_terms
+from .algebra import TruncatedFunction, weighted_terms
 from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
                      NotASimpleRoot)
 from .rounding import (abs_bounds, add_dn, add_up, div_up, dn, exp_up,
@@ -74,17 +74,20 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     fp_dn = abs_bounds(fp)[0]
     if fp_dn <= 0.0:
         raise NotASimpleRoot("|f'(z0)| is numerically zero; no certificate")
-    rho_dn, rho_up = frac_bounds(rho)   # a smaller rate only enlarges the norms
-    norms = [r_norm_partial(c, rho_dn, include_zero=True) for c in T.coeffs]
-    if norm_bounds is not None:   # the window norm bounds each true norm from below
-        if len(norm_bounds) != len(norms):
-            raise ValueError("need one norm bound per coefficient")
-        for j, (c, b) in enumerate(zip(T.coeffs, norm_bounds)):
-            w = reduce(add_dn, (t[1] for t in weighted_terms(c, rho_up)), 0.0)
-            if not b >= w:   # NaN fails too; max(w, nan) would drop it
-                raise ValueError("norm bounds must be numbers >= 0 that the window does "
-                                 f"not refute: a_{j} has {b}, below its window norm {w}")
-        norms = [max(w, frac_bounds(b)[1]) for w, b in zip(norms, norm_bounds)]
+    if norm_bounds is not None and len(norm_bounds) != d + 1:
+        raise ValueError("need one norm bound per coefficient")
+    norms = []
+    for j, c in enumerate(T.coeffs):   # one weighted pass per coefficient
+        if norm_bounds is None:
+            norms.append(reduce(add_up, (t[2] for t in weighted_terms(c, rho)), 0.0))
+            continue
+        lo = hi = 0.0   # the window norm, which bounds the true norm from below
+        for _, t_lo, t_hi in weighted_terms(c, rho):
+            lo, hi = add_dn(lo, t_lo), add_up(hi, t_hi)
+        if not norm_bounds[j] >= lo:   # NaN fails too; max(hi, nan) would drop it
+            raise ValueError("norm bounds must be numbers >= 0 that the window does not "
+                             f"refute: a_{j} has {norm_bounds[j]}, below its window norm {lo}")
+        norms.append(max(hi, frac_bounds(norm_bounds[j])[1]))
     if not any(norms):
         raise AllCoefficientsZero("all coefficient norms vanish; nothing to certify")
     abs_z0_up = abs_bounds(z0)[1]

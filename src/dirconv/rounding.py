@@ -153,16 +153,12 @@ def abs_bounds(value) -> tuple[float, float]:
     return (lo if lo > 0.0 else 0.0), up(up(a))
 
 
-def weight_bounds(r: float, size_lo: float, size_hi: float) -> tuple[float, float]:
-    """Directed bounds of the damping factor e^(-r*size)."""
-    if r == 0.0:
-        return 1.0, 1.0
-    if r >= 0.0:
-        lo = exp_dn(-mul_up(r, size_hi))
-        hi = exp_up(-mul_dn(r, size_lo))
-    else:
-        lo = exp_dn(-mul_up(r, size_lo))
-        hi = exp_up(-mul_dn(r, size_hi))
+def weight_bounds(r_lo: float, r_hi: float, size_lo: float,
+                  size_hi: float) -> tuple[float, float]:
+    """Directed bounds of the damping factor e^(-r*size) for every rate
+    r_lo <= r <= r_hi and size_lo <= size <= size_hi (sizes are >= 0)."""
+    lo = exp_dn(-mul_up(r_hi, size_hi if r_hi >= 0.0 else size_lo))
+    hi = exp_up(-mul_dn(r_lo, size_lo if r_lo >= 0.0 else size_hi))
     return lo, hi
 
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .algebra import (Monomial, TruncatedFunction, check_compatible, convolve,
-                      sweep, unit)
+from .algebra import Monomial, TruncatedFunction, convolve, one_mode, sweep, unit
 from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
                      ZeroPolynomial)
 from .roots import (_trim, anchor_gate, find_roots, is_root, poly_derivative,
@@ -44,15 +43,11 @@ class ConvPolynomial:
     coeffs: tuple
 
     def __post_init__(self):
-        coeffs = tuple(self.coeffs)
-        if len(coeffs) < 2:
+        if len(self.coeffs) < 2:
             raise ValueError("need coefficients a_0, ..., a_d with d >= 1")
-        for c in coeffs[1:]:
-            check_compatible(coeffs[0], c)
+        coeffs = one_mode(self.coeffs)
         if coeffs[-1].is_zero():
             raise ValueError("the leading coefficient must not vanish identically")
-        if not all(c.exact for c in coeffs) and any(c.exact for c in coeffs):
-            coeffs = tuple(c.to_double() for c in coeffs)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -151,7 +146,7 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:
     """The unique solution g of T g = 0 with g(0) = z0, for a simple root
     z0: the sweep of the one-unknown system ``T.equations``."""
-    return sweep(T.enum, T.equations, (z0,), T.exact)[0]
+    return sweep(T.equations, (z0,))[0]
 
 
 def residual(T: ConvPolynomial, g: TruncatedFunction) -> TruncatedFunction:
@@ -234,7 +229,7 @@ def factorization_check(T: ConvPolynomial, solutions):
             "factorization needs deg f = d with all roots simple")
     gs = [g if isinstance(g, TruncatedFunction) else g[1] for g in solutions]
     # expand prod (g - g_i) in the indeterminate g; convolve and - put mixed
-    # modes in double through coerce_pair
+    # modes in double through one_mode
     c = [unit(T.enum)]
     for gi in gs:
         new = [-convolve(gi, c[0])]
@@ -268,24 +263,16 @@ class PolySystem:
     z0: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "equations",
-                           tuple(tuple(eq) for eq in self.equations))
+        equations = tuple(tuple(eq) for eq in self.equations)
         object.__setattr__(self, "z0", tuple(self.z0))
-        if len(self.equations) != self.m or len(self.z0) != self.m:
+        if len(equations) != self.m or len(self.z0) != self.m:
             raise ValueError("need m equations and an m-component base point")
-        for eq in self.equations:
-            for t in eq:
-                if len(t.exponents) != self.m:
-                    raise ValueError("monomial exponent vectors must have length m")
-                check_compatible(self.equations[0][0].coeff, t.coeff)
-
-    @property
-    def enum(self):
-        return self.equations[0][0].coeff.enum
-
-    @property
-    def exact(self) -> bool:
-        return all(t.coeff.exact for eq in self.equations for t in eq)
+        if any(len(t.exponents) != self.m for eq in equations for t in eq):
+            raise ValueError("monomial exponent vectors must have length m")
+        # the terms again, their coefficients on one window and in one mode
+        coeffs = iter(one_mode(t.coeff for eq in equations for t in eq))
+        object.__setattr__(self, "equations", tuple(
+            tuple(Monomial(next(coeffs), t.exponents) for t in eq) for eq in equations))
 
 
 #: limits of :func:`solve_system`: unknowns and monomial degree
@@ -309,7 +296,7 @@ def solve_system(S: PolySystem):
             if t.total_degree() > MAX_DEGREE:
                 raise PreconditionFailed(
                     f"monomial degree {t.total_degree()} exceeds limit {MAX_DEGREE}")
-    return sweep(S.enum, S.equations, S.z0, S.exact)
+    return sweep(S.equations, S.z0)
 
 
 def system_residual(S: PolySystem, gs) -> list:

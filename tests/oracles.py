@@ -348,7 +348,7 @@ def weighted_terms_per_element(g, r):
         if not a_hi:
             yield e.key, 0.0, 0.0
             continue
-        w_lo, w_hi = weight_bounds(r, *size_bounds(e.key))
+        w_lo, w_hi = weight_bounds(r, r, *size_bounds(e.key))
         yield e.key, mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
 
 

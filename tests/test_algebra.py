@@ -222,11 +222,15 @@ def test_norm_partial_monotone_in_m(od20):
     assert sums[-1] == dc.r_norm_partial(g, 0.7)
 
 
-def test_norm_partial_includes_zero_flag(od20):
-    g = dc.one(od20)
-    without = dc.r_norm_partial(g, 0.3)
-    with_zero = dc.r_norm_partial(g, 0.3, include_zero=True)
-    assert with_zero == pytest.approx(without + 1.0, rel=1e-12)
+def test_a_norm_in_Q_counts_the_zero_term(od20):
+    # Q_j = ||a_j||_rho / |f'(z0)| sums over the whole window, x = 0 too: the
+    # unit's norm is its value at 0, one's is its partial sum plus 1; f'(1) = 2
+    T = dc.ConvPolynomial((-dc.one(od20), dc.constant(od20, 0), dc.unit(od20)))
+    _, Q = dc.build_PQ(T, 1, Fraction(3, 10))
+    without = dc.r_norm_partial(dc.one(od20), Fraction(3, 10))
+    assert Q[0] == pytest.approx((without + 1.0) / 2, rel=1e-12)
+    assert Q[1] == 0.0
+    assert Q[2] >= 0.5 and Q[2] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_norm_rescaling_identity(od20):

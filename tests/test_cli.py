@@ -212,6 +212,19 @@ def test_verify_task(tmp_path, monkeypatch):
         assert entry["value"] == format_scalar(series.evaluate(g, p).value)
         assert entry["tail_bound"] == series.tail_bound(g, cert, p) >= 0
 
+    # with norm bounds (at the window norms: one is 1 on 50 elements) the
+    # round-down norm each bound is checked against comes from the same
+    # one pass per coefficient
+    spec["task"]["norm_bounds"] = [50, 0, 1]
+    passes.clear()
+    for module in (algebra, certificate):
+        monkeypatch.setattr(module, "weighted_terms", counted_terms)
+    doc, code = run_spec(tmp_path, spec)
+    monkeypatch.undo()
+    assert code == 0 and doc["scalar_equation"]["all_ok"] is True
+    cert = certificate.certify(T, 1, norm_bounds=[50, 0, 1])
+    assert passes == [(c, 0.0) for c in T.coeffs] + [(g, cert.r)]
+
 
 def test_table_rendering(tmp_path):
     doc, code = run_spec(tmp_path, MOBIUS_SPEC)

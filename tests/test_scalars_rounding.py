@@ -3,7 +3,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dirconv.rounding import (abs_bounds, add_dn, add_up, exp_dn, exp_up,
@@ -130,11 +130,18 @@ def test_directed_sums_keep_zero_exact():
     assert add_dn(1.0, -1.0) == 0.0
 
 
-@given(st.floats(min_value=-4, max_value=4),
+@given(st.floats(min_value=-4, max_value=4), st.floats(min_value=-4, max_value=4),
        st.floats(min_value=0, max_value=10))
-def test_weight_bounds_enclose(r, size):
-    lo, hi = weight_bounds(r, size, size)
+@example(-0.5, 0.0, 3.0)
+@example(-0.5, 0.25, 3.0)
+def test_weight_bounds_enclose(r, s, size):
+    # a point rate, then the bracket r_lo <= r_hi of two rates (r_lo < 0 <= r_hi
+    # among them): the bounds hold e^(-r size) at both ends
+    lo, hi = weight_bounds(r, r, size, size)
     assert lo <= math.exp(-r * size) <= hi
+    r_lo, r_hi = sorted((r, s))
+    lo, hi = weight_bounds(r_lo, r_hi, size, size)
+    assert all(lo <= math.exp(-q * size) <= hi for q in (r_lo, r_hi))
 
 
 def test_directed_ops_bracket():

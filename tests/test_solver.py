@@ -307,16 +307,30 @@ def test_system_m1_matches_solve(od20):
                        for a, b in zip(h.values, g.values))
 
 
-@pytest.mark.parametrize("exact", [True, False])
-def test_an_equation_is_its_one_unknown_system(od20, exact):
+@pytest.mark.parametrize("mode", [True, False, "QC+double", "Fraction+double"])
+def test_an_equation_is_its_one_unknown_system(od20, mode):
     # one sweep and one gate: the same values, bit for bit, in both modes
+    # (True is exact); exact coefficients that meet a double a_0 run in
+    # doubles, in a system as in an equation, so a mixed system gives the
+    # all-double system's floats
+    bits = lambda f: [repr(v) for v in f.values]   # repr tells -0.0 from 0.0
     for z0 in (Fraction(1, 2), Fraction(1, 3)):
         T = instance_with_anchor_roots(od20, [z0, 2, -1], random.Random(15))
-        T = T if exact else T.to_double()
-        S = dc.PolySystem(1, T.equations, (z0 if exact else float(z0),))
+        coeffs = [c.scale(QC(0, 1)) if mode == "QC+double" else c for c in T.coeffs]
+        if mode is not True:
+            coeffs = [c.to_double() if j == 0 or mode is False else c
+                      for j, c in enumerate(coeffs)]
+        terms = [dc.Monomial(c, (j,)) for j, c in enumerate(coeffs)]
+        S = dc.PolySystem(1, [terms], (z0 if mode is True else float(z0),))
+        T = dc.ConvPolynomial(tuple(coeffs))
         g = dc.solve(T, S.z0[0])
         assert dc.residual(T, g).values == dc.system_residual(S, [g])[0].values
-        assert dc.solve_system(S) == (g,)
+        h, = dc.solve_system(S)
+        assert bits(h) == bits(g)
+        if mode is not True:
+            doubles = [dc.Monomial(t.coeff.to_double(), t.exponents) for t in terms]
+            assert bits(dc.solve_system(dc.PolySystem(1, [doubles], S.z0))[0]) == bits(g)
+            assert mode == "QC+double" or all(type(v) is float for v in g.values)
 
 
 @pytest.mark.parametrize("exact, g0, invertible", [
