@@ -30,7 +30,7 @@ from .roots import anchor_gate
 from .rounding import (abs_bounds, add_up, frac_bounds, mul_dn, mul_up,
                        weight_bounds)
 from .scalars import QC, double_value, exact_value
-from .semigroup import Enumeration
+from .semigroup import Enumeration, step_sums
 
 
 class TruncatedFunction:
@@ -93,8 +93,8 @@ class TruncatedFunction:
             self.enum, tuple(double_value(v) for v in self.values), False)
 
     def max_abs(self) -> float:
-        """Round-up bound of max |g(x)| over the window."""
-        return max(0.0, *(abs_bounds(v)[1] for v in self.values))
+        """Round-up bound of max |g(x)| over the window; NaN if a value is NaN."""
+        return max(0.0, *(abs_bounds(v)[1] for v in self.values), key=lambda v: (v != v, v))
 
 
 @dataclass(frozen=True)
@@ -268,14 +268,16 @@ def integral(vectors):
 def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     """(g*h)(x) = sum over all decompositions x = x' + x'' of g(x')h(x'').
 
-    Exact on the whole window because sizes are additive.  An operand
-    that vanishes off 0 scales the other; otherwise each whole half row
-    and its middle pair are read through one :func:`reader`, on Python
-    ints when both operands are :func:`integral`.  Results are deterministic.
+    Exact on the whole window because sizes are additive.  An operand that
+    vanishes off 0 scales the other, one constant on a window with ``steps``
+    the other's :func:`step_sums`; else each whole half row and its middle
+    pair go through one :func:`reader`, on ints if both are :func:`integral`.
     """
     g, h = one_mode((g, h))
     gv, hv = sorted((g.values, h.values), key=shape)     # the more structured first
     shape_g = shape(gv)
+    if shape_g == 1 and g.enum.steps:
+        shape_g, hv = 0, step_sums(list(hv), g.enum.steps)
     if not shape_g:
         return TruncatedFunction(g.enum, [gv[0] * v for v in hv], g.exact)
     dec = g.enum.decomp

@@ -241,7 +241,7 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     for n in range(1, len(sums)):
         margin = sub_dn(cert.t_star, sums[n])
         sum_margin = min(sum_margin, margin)
-        if margin < 0.0:
+        if not margin >= 0.0:     # NaN fails too
             raise CertificateViolated(
                 f"partial sum {sums[n]} exceeds t* = {cert.t_star} at level "
                 f"{level_floats[n]}", level=level_floats[n])
@@ -251,7 +251,7 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
                             poly_eval_up(cert.Q, add_up(cert.abs_z0, prev))))
         rmargin = sub_up(rhs, sums[n])
         rec_margin = min(rec_margin, rmargin)
-        if rmargin < 0.0:
+        if not rmargin >= 0.0:
             raise CertificateViolated(
                 f"recursive level bound fails at level {level_floats[n]}: "
                 f"S = {sums[n]} > bound = {rhs}", level=level_floats[n])

@@ -332,7 +332,7 @@ def run_problem(problem: Problem) -> dict:
         residuals = [solver.residual(T, g) for _, g in result.solutions]
         doc["residual"] = {
             "all_exact_zero": all(res.is_zero() for res in residuals),
-            "max_abs": max((res.max_abs() for res in residuals), default=0.0),
+            "max_abs": max([0.0, *(r.max_abs() for r in residuals)], key=lambda v: (v != v, v)),
         }
         return doc
 

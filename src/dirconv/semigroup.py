@@ -24,7 +24,8 @@ owns the shared additive decomposition table x = x' + x'' used by
 convolution, a flat :class:`DecompTable` holding each unordered pair
 once, built by one integer scan over the keys and an integer code of
 each identity (see ``scan_plan``), so the scan adds or multiplies ints
-and looks them up in one int-keyed dict.
+and looks them up in one int-keyed dict; a window free on finitely many
+steps also gets a step index (``Enumeration.steps``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from operator import add, mul
+from operator import add, mul, sub
 
 from .errors import EmptyTruncation, NotEnumerated, OnlyZero, WindowTooLarge
 from .rounding import dn, frac_bounds, up
@@ -147,10 +148,8 @@ class Lattice(_Additive):
             raise ValueError("lattice dimension must be >= 1")
 
     n_steps = property(lambda self: self.k)
-
-    @property
-    def _steps(self):
-        return [tuple(int(m == i) for m in range(self.k)) for i in range(self.k)]
+    _steps = property(lambda self: [tuple(int(m == i) for m in range(self.k))
+                                    for i in range(self.k)])
 
     def _scaled(self, ident):
         return ident
@@ -269,10 +268,7 @@ class RationalGenerators(_Additive):
         return len(self.generators[0])
 
     n_steps = property(lambda self: len(self.generators))
-
-    @property
-    def _steps(self):
-        return list(map(self._scaled, self.generators))
+    _steps = property(lambda self: list(map(self._scaled, self.generators)))
 
     def _scaled(self, ident):
         q = self.q
@@ -404,11 +400,18 @@ class Enumeration:
                       itertools.chain(itertools.repeat(i, j - i), range(i, j))), maxlen=0)
         return DecompTable(buckets)
 
-    def decompositions(self, x):
-        """All ordered pairs (x', x'') of enumerated elements with x' + x'' = x."""
-        t = self.index_of(x)
-        els = self.elements
-        return [(els[i], els[j]) for i, j in self.decomp[t]]
+    @cached_property
+    def steps(self):
+        """Per step s of the backend, an ``array('i')`` of the index of e - s
+        for each element e, or -1 off the window.  None unless each element
+        is one sum of steps (:func:`step_sums` of the unit counts them) and
+        the m steps by n elements entries are at most the table's pairs."""
+        b, n = self.backend, len(self)
+        if b.n_steps and b.n_steps * n <= len(self.decomp.first):
+            index = {b._scaled(e.ident): i for i, e in enumerate(self.elements)}
+            steps = [array("i", [index.get(tuple(map(sub, v, s)), -1) for v in index])
+                     for s in b._steps]
+            return steps if step_sums([1] + [0] * (n - 1), steps) == [1] * n else None
 
     @property
     def m1(self):
@@ -416,6 +419,15 @@ class Enumeration:
         if len(self.elements) < 2:
             raise OnlyZero("window contains no non-zero element")
         return self.elements[1].key
+
+
+def step_sums(values, steps):
+    """In place, each values[x] becomes the sum of values[x - t], t a sum of steps."""
+    for back in steps:
+        for x, y in enumerate(back):
+            if y >= 0:
+                values[x] += values[y]
+    return values
 
 
 def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumeration:

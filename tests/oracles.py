@@ -176,10 +176,11 @@ def dot_fractions(a, b, pairs):
     return total
 
 
-def convolve_fractions(g, h):
-    """g * h by the plain exact loop over the reference pair scan."""
+def convolve_fractions(g, h, rows=None):
+    """g * h by the plain exact loop over the reference pair scan (or its
+    ``rows``, scanned once by the caller)."""
     return dc.from_values(g.enum, [dot_fractions(g.values, h.values, pairs)
-                                   for pairs in pair_scan(g.enum)])
+                                   for pairs in rows or pair_scan(g.enum)])
 
 
 def invert_fractions(g):
@@ -228,12 +229,12 @@ def dot_pairs(a, b, pairs):
     return acc
 
 
-def convolve_pairs(g, h):
+def convolve_pairs(g, h, rows=None):
     """g * h in complex doubles by the plain loop over the reference pair
-    scan: every pair of every row, in the scan's order."""
+    scan (or its ``rows``): every pair of every row, in the scan's order."""
     a, b = g.to_double().values, h.to_double().values
     return dc.TruncatedFunction(
-        g.enum, [dot_pairs(a, b, pairs) for pairs in pair_scan(g.enum)], False)
+        g.enum, [dot_pairs(a, b, pairs) for pairs in rows or pair_scan(g.enum)], False)
 
 
 def sweep_pairs(enum, equations, z0):

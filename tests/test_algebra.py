@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -268,3 +269,12 @@ def test_invert_one_on_two_dimensional_divisor_semigroup():
     for i, el in enumerate(e):
         n1, n2 = el.ident
         assert mu2.values[i] == mu[n1] * mu[n2]
+
+
+def test_max_abs_reports_nan_wherever_it_stands():
+    enum = dc.enumerate_semigroup(dc.Lattice(1), size_bound=3)
+    for values in ([1.0, math.nan, 2.0, 0.0], [math.nan, 5.0, 0.0, 1.0],
+                   [3.0, 1.0, 0.0, complex(0.0, math.nan)]):
+        assert math.isnan(dc.TruncatedFunction(enum, values, False).max_abs())
+    assert dc.TruncatedFunction(enum, [1.0, -4.0, math.inf, 0.0], False).max_abs() == math.inf
+    assert 4.0 <= dc.TruncatedFunction(enum, [1.0, -4.0, 2.0, 0.0], False).max_abs() < 4.0001

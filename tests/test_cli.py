@@ -769,3 +769,35 @@ def test_anchor_coefficients_beyond_the_double_range_exit_1_with_a_document(tmp_
         "task": {"type": "solve-all"}})
     assert code == 1
     assert doc["error"].startswith("OverflowError: ")
+
+
+#: -1 + 10^6 delta_1 * g + g * g = 0 in doubles: each step multiplies g by about
+#: 10^6, so g(x) overflows and is NaN from x = 55 on
+OVERFLOW_SPEC = {
+    "semigroup": {"kind": "lattice", "k": 1, "size_bound": 80},
+    "arithmetic": {"mode": "double"},
+    "equation": {"coefficients": [
+        {"const": "-1"}, {"indicator": [1], "value": "1000000"}, {"builtin": "unit"}]},
+    "task": {"type": "certify", "root": "1", "rho": 0},
+}
+
+
+@pytest.mark.parametrize("task", [{"type": "certify"}, {"type": "verify", "points": [60]}])
+def test_a_nan_partial_sum_fails_validation(tmp_path, task):
+    """margin < 0 is False for NaN: a level whose partial sum is NaN must
+    fail as an inf one does, not pass with the margins of the levels before."""
+    spec = copy.deepcopy(OVERFLOW_SPEC)
+    spec["task"].update(task)
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 1
+    assert doc["error"].startswith("partial sum nan exceeds t*")
+
+
+@pytest.mark.parametrize("task", [{"type": "solve", "root": "1"}, {"type": "solve-all"}])
+def test_a_nan_residual_reports_max_abs_nan(tmp_path, task):
+    """max(0.0, nan, ...) keeps whichever comes first; the residual's
+    max_abs and solve-all's aggregate of them must report the NaN."""
+    doc, code = run_spec(tmp_path, {**OVERFLOW_SPEC, "task": task})
+    assert code == 0
+    assert math.isnan(doc["residual"]["max_abs"])
+    assert not doc["residual"].get("exact_zero", doc["residual"].get("all_exact_zero"))

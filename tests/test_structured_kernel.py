@@ -1,4 +1,4 @@
-"""Double-mode products read by structure agree with the plain pair loop.
+"""Products read by structure agree with the plain pair loop.
 
 In double mode ``convolve`` and the sweep decide once per product how it
 reads the decomposition table, by ``algebra.shape``: an operand that
@@ -7,21 +7,28 @@ window gathers the other operand over both columns of the half row, and
 a table times itself takes each stored pair's product once.  Each rule
 must give the values of the plain pair loop over the reference scan
 (``oracles.convolve_pairs``, ``oracles.sweep_pairs``) up to rounding.
+On a window free on its steps, ``convolve`` reads no table for an
+operand constant on the whole window: it takes the other's step sums,
+in exact mode too, where they must give the exact pair loop's values.
 """
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 import dirconv as dc
+from dirconv.scalars import QC
 
-from oracles import convolve_pairs, pair_scan, sweep_pairs
+from oracles import (convolve_fractions, convolve_pairs, ident_add, pair_scan,
+                     sweep_pairs)
 from test_decomp_table import WINDOWS as TABLE_WINDOWS
 
 WINDOWS = {
     "divisor-1": (dc.OrdinaryDirichlet(1), 48),
     "divisor-2": (dc.OrdinaryDirichlet(2), 24),
+    "lattice-1": (dc.Lattice(1), 12),
     "lattice-2": (dc.Lattice(2), 5),
     "lattice-3": (dc.Lattice(3), 3),
     "generators": (dc.RationalGenerators((("1/2", "0"), ("0", "1/3"), ("1/5", "1/7"))),
@@ -270,3 +277,111 @@ def test_the_table_windows_hold_every_half_row_shape():
             shapes.add((inner > 0, dec.middle[t] >= 0))
         assert dec.middle[0] == 0 and dec.offsets[1] == 0
     assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+
+
+#: windows free on their steps, with fewer step-index entries than table
+#: pairs: a product with a constant operand is the other's step sums; the
+#: last holds the generators of perfbench's generators-solve-all workload
+STEP_WINDOWS = {
+    "lattice-1-size": (dc.Lattice(1), {"size_bound": 30}),
+    "lattice-2-size": (dc.Lattice(2), {"size_bound": 9}),
+    "lattice-3-size": (dc.Lattice(3), {"size_bound": 6}),
+    "lattice-1-max": (dc.Lattice(1), {"max_elements": 17}),
+    "lattice-2-max": (dc.Lattice(2), {"max_elements": 40}),
+    "lattice-3-max": (dc.Lattice(3), {"max_elements": 75}),
+    "generators-size-8": (dc.RationalGenerators((("1/2", "0"), ("0", "1/3"), ("1/5", "1/7"))),
+                          {"size_bound": 8}),
+}
+
+#: windows without a step index: the divisor backend has no finite step
+#: set, 1 = 1/2 + 1/2 = 1/3 + 1/3 + 1/3 and (1, 1) = (1, 0) + (0, 1) are two
+#: sums of steps, and Lattice(200) to size 2 holds 200 x 20,301 index
+#: entries against 40,200 pairs
+GATHER_WINDOWS = {
+    "divisor-1": (dc.OrdinaryDirichlet(1), {"size_bound": 48}),
+    "divisor-2": (dc.OrdinaryDirichlet(2), {"max_elements": 60}),
+    "halves-and-thirds": (dc.RationalGenerators((("1/2",), ("1/3",))), {"size_bound": 6}),
+    "unit-and-diagonal": (dc.RationalGenerators(((1, 0), (0, 1), (1, 1))), {"size_bound": 6}),
+    "lattice-200": (dc.Lattice(200), {"size_bound": 2}),
+}
+
+@functools.cache
+def _window_rows(name):
+    """The window of ``name`` and its pair rows, made once: the reference
+    scan's, or past 1000 elements, where that scan takes seconds, the
+    table's ordered rows (``test_decomp_table`` checks the table against
+    the scan on smaller windows of the same backends)."""
+    backend, truncation = {**STEP_WINDOWS, **GATHER_WINDOWS}[name]
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    return enum, pair_scan(enum) if len(enum) <= 1000 else list(enum.decomp)
+
+
+@pytest.mark.parametrize("name", sorted(STEP_WINDOWS))
+def test_the_step_index_holds_each_element_less_each_step(name):
+    """steps[s][x] is the y with e_y + s = e_x, or -1 where the window has
+    none; every element is one sum of steps, and the step index has fewer
+    entries than the table has pairs."""
+    enum, _ = _window_rows(name)
+    backend = enum.backend
+    gens = getattr(backend, "generators", None) or [
+        tuple(int(m == i) for m in range(backend.k)) for i in range(backend.k)]
+    assert len(enum.steps) == len(gens) == backend.n_steps
+    for s, back in zip(gens, enum.steps):
+        plus_s = {ident_add(backend, e.ident, s): y for y, e in enumerate(enum)}
+        assert list(back) == [plus_s.get(e.ident, -1) for e in enum]
+    assert len(gens) * len(enum) <= len(enum.decomp.first)
+
+
+def _constant_operands(enum, rng, exact):
+    """one, const and a value vector constant on the whole window, with
+    seeded operands: Gaussian rationals and integers in exact mode,
+    complex values in double mode."""
+    n = len(enum)
+    if exact:
+        c = QC(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 5), 3))
+        ops = [dc.from_values(enum, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                                     if rng.random() < density else 0 for _ in range(n)])
+               for density in (1.0, 0.3)]
+        ops.append(dc.from_values(enum, [rng.randint(-99, 99) for _ in range(n)]))
+    else:
+        c = _cplx(rng)
+        ops = [dc.TruncatedFunction(enum, [_cplx(rng) if rng.random() < density else 0j
+                                           for _ in range(n)], False)
+               for density in (1.0, 0.3)]
+    consts = [dc.one(enum, exact), dc.constant(enum, c, exact),
+              dc.TruncatedFunction(enum, [ops[0].values[-1]] * n, exact)]
+    return consts, ops + consts
+
+
+@pytest.mark.parametrize("name, exact", [
+    (name, exact) for name in sorted(STEP_WINDOWS) + sorted(GATHER_WINDOWS)
+    for exact in (True, False) if (name, exact) != ("lattice-200", True)])
+def test_constant_products_match_the_pair_loop(name, exact, monkeypatch):
+    """A product with an operand constant on the whole window gives the
+    pair loop's values, exactly in exact mode (on integers too) and to
+    1e-12 in double mode.  On a window with a step index it reads no
+    table: it takes the step sums, and no reader is made; elsewhere the
+    gather reads the table (Lattice(200)'s in double mode only, where its
+    exact pair loop would take seconds)."""
+    enum, rows = _window_rows(name)
+    assert (enum.steps is not None) == (name in STEP_WINDOWS)
+    if name in ("halves-and-thirds", "unit-and-diagonal"):   # not free, cheap enough
+        assert enum.backend.n_steps * len(enum) <= len(enum.decomp.first)
+    made, reader = [], dc.algebra.reader
+    monkeypatch.setattr(dc.algebra, "reader", lambda a, b, exact, a_const=False: (
+        made.append(a_const) or reader(a, b, exact, a_const)))
+    consts, ops = _constant_operands(enum, random.Random(len(enum)), exact)
+    combos = [(c, h) for c in consts for h in ops]
+    if len(enum) > 1000:    # the exact pair loop is slow: one operand per constant
+        combos = combos[1::len(ops) + 1]
+    for c, h in combos:
+        got = [dc.convolve(c, h), dc.convolve(h, c)]
+        if exact:
+            assert got[0] == got[1] == convolve_fractions(c, h, rows)
+        else:
+            for g in got:
+                _close(g, convolve_pairs(c, h, rows))
+    if enum.steps:
+        assert made == []
+    else:
+        assert made and all(made)
