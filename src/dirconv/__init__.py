@@ -8,9 +8,8 @@ certifies geometric decay rates for the solutions, and evaluates the
 associated generalized Dirichlet series with rigorous tail bounds.
 """
 
-from .algebra import (Monomial, TruncatedFunction, constant, convolve, damp,
-                      from_pairs, from_values, indicator, invert, one, power,
-                      r_norm_partial, unit)
+from .algebra import (Monomial, TruncatedFunction, constant, convolve,
+                      from_pairs, indicator, invert, one, unit)
 from .certificate import (NormCertificate, ValidationReport, build_PQ,
                           certify, maximize_R, validate)
 from .errors import (AllCoefficientsZero, BackendMismatch,
@@ -25,23 +24,21 @@ from .semigroup import (Element, Enumeration, Lattice, OrdinaryDirichlet,
                         RationalGenerators, enumerate_semigroup)
 from .series import (SeriesValue, VerifyReport, evaluate, tail_bound,
                      verify_scalar_equation)
-from .solver import (DEFAULT_TOLERANCE, ConvPolynomial, Obstruction,
-                     PolySystem, RootReport, SolveAllResult,
-                     factorization_check, initial_polynomial, residual, solve,
+from .solver import (ConvPolynomial, Obstruction, PolySystem, RootReport,
+                     SolveAllResult, initial_polynomial, residual, solve,
                      solve_all, solve_system, system_residual)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QC", "DEFAULT_TOLERANCE",
+    "QC",
     "Element", "Enumeration", "Lattice", "OrdinaryDirichlet",
     "RationalGenerators", "enumerate_semigroup",
-    "TruncatedFunction", "constant", "convolve", "damp", "from_pairs",
-    "from_values", "indicator", "invert", "one", "power", "r_norm_partial",
-    "unit",
+    "TruncatedFunction", "constant", "convolve", "from_pairs", "indicator",
+    "invert", "one", "unit",
     "ConvPolynomial", "Monomial", "Obstruction", "PolySystem", "RootReport",
-    "SolveAllResult", "factorization_check", "initial_polynomial", "residual",
-    "solve", "solve_all", "solve_system", "system_residual",
+    "SolveAllResult", "initial_polynomial", "residual", "solve", "solve_all",
+    "solve_system", "system_residual",
     "NormCertificate", "ValidationReport", "build_PQ", "certify",
     "maximize_R", "validate",
     "SeriesValue", "VerifyReport", "evaluate", "tail_bound",

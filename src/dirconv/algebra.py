@@ -18,6 +18,7 @@ systems and the convolution inverse all reach it that way.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,10 +26,9 @@ from fractions import Fraction
 from functools import partial, reduce
 from operator import add, mul
 
-from .errors import BackendMismatch, NotASimpleRoot, NotInvertible
+from .errors import BackendMismatch, MathematicalRefusal, NotASimpleRoot, NotInvertible
 from .roots import anchor_gate
-from .rounding import (abs_bounds, add_up, frac_bounds, mul_dn, mul_up,
-                       weight_bounds)
+from .rounding import abs_bounds, frac_bounds, mul_dn, mul_up, weight_bounds
 from .scalars import QC, double_value, exact_value
 from .semigroup import Enumeration, step_sums
 
@@ -154,11 +154,6 @@ def from_pairs(enum: Enumeration, pairs, exact: bool = True) -> TruncatedFunctio
         vals[enum.index_of(tuple(ident))] = (
             exact_value(value) if exact else double_value(value))
     return TruncatedFunction(enum, vals, exact)
-
-
-def from_values(enum: Enumeration, values, exact: bool = True) -> TruncatedFunction:
-    conv = exact_value if exact else double_value
-    return TruncatedFunction(enum, [conv(v) for v in values], exact)
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +285,6 @@ def convolve(g: TruncatedFunction, h: TruncatedFunction) -> TruncatedFunction:
     return TruncatedFunction(g.enum, map(Fraction, values) if ints else values, g.exact)
 
 
-def power(g: TruncatedFunction, j: int) -> TruncatedFunction:
-    """j-fold convolution power; power(g, 0) is the unit."""
-    if j < 0:
-        raise ValueError("power exponent must be non-negative")
-    result = unit(g.enum, g.exact)
-    base = g
-    while j:
-        if j & 1:
-            result = convolve(result, base)
-        j >>= 1
-        if j:
-            base = convolve(base, base)
-    return result
-
-
 def invert(g: TruncatedFunction) -> TruncatedFunction:
     """The convolution inverse, defined whenever g(0) != 0.
 
@@ -360,6 +340,7 @@ def sweep(equations, z0):
     product (none for a coefficient that vanishes off 0).  At each element
     the tables and equations are evaluated with the unknowns masked out,
     J^{-1} is applied once, and each table gets the linear term z0 fixes.
+    A double sweep that overflows is refused at its first non-finite value.
     """
     enum, exact = equations[0][0].coeff.enum, equations[0][0].coeff.exact
     zero = Fraction(0) if exact else 0.0
@@ -427,6 +408,12 @@ def sweep(equations, z0):
             G[l][x] = reduce(add, map(mul, row, known), *start)
         for k in kept:
             Q[k][x] = masked[k] + sum(d * G[l][x] for l, d in linear[k])
+    for l, g in enumerate(() if exact else G):
+        if not all(map(cmath.isfinite, g)):
+            x = next(x for x, v in enumerate(g) if not cmath.isfinite(v))
+            raise MathematicalRefusal(
+                f"g_{l + 1}({', '.join(map(str, enum[x].ident))}) = {g[x]} lies outside "
+                "the double range: the sweep overflows")
     return tuple(TruncatedFunction(enum, map(Fraction, g) if ints else g, exact) for g in G)
 
 
@@ -462,17 +449,3 @@ def weighted_terms(g: TruncatedFunction, r):
             terms = mul_dn(a_lo, w_lo), mul_up(a_hi, w_hi)
         yield e.key, *terms
 
-
-def r_norm_partial(g: TruncatedFunction, r) -> float:
-    """Round-up sum of |g(x)| e^(-r|x|) over the window's x != 0; always
-    an upper bound of the exact sum."""
-    terms = weighted_terms(g, r)
-    next(terms)     # the x = 0 term
-    return reduce(add_up, (hi for _, _, hi in terms), 0.0)
-
-
-def damp(g: TruncatedFunction, rho) -> TruncatedFunction:
-    """The rescaled function x -> e^(-rho|x|) g(x), in double mode."""
-    rho, size = float(rho), g.enum.backend.size
-    return TruncatedFunction(g.enum, [double_value(v) * math.exp(-rho * size(e.key))
-                                      for e, v in zip(g.enum.elements, g.values)], False)

@@ -443,7 +443,7 @@ def _render_table(rows, title):
 # entry points
 
 
-def run(spec_path: str, threads: int = 1):
+def run(spec_path: str):
     """Load, validate and execute a spec file; returns (document, exit_code)."""
     try:
         with open(spec_path) as fh:
@@ -455,8 +455,6 @@ def run(spec_path: str, threads: int = 1):
                          f"{exc.msg}"}, 1
     spec_hash = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    if threads < 1:
-        return {"error": "--threads must be >= 1"}, 1
     try:
         problem = Problem(raw)
         started = time.perf_counter()
@@ -500,11 +498,9 @@ def main(argv=None) -> int:
     runp.add_argument("spec", help="path to the problem spec (JSON)")
     runp.add_argument("--format", choices=("table", "json"), default="table")
     runp.add_argument("--out", default=None, help="write output to a file")
-    runp.add_argument("--threads", type=int, default=1,
-                      help="worker threads (results are identical for any value)")
     args = parser.parse_args(argv)
 
-    doc, code = run(args.spec, threads=args.threads)
+    doc, code = run(args.spec)
     if "error" in doc:
         sys.stderr.write(f"error: {doc['error']}\n")
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"

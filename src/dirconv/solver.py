@@ -28,7 +28,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .algebra import Monomial, TruncatedFunction, convolve, one_mode, sweep, unit
+from .algebra import Monomial, TruncatedFunction, convolve, one_mode, sweep
 from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
                      ZeroPolynomial)
 from .roots import (_trim, anchor_gate, find_roots, is_root, poly_derivative,
@@ -207,47 +207,6 @@ def solve_all(T: ConvPolynomial) -> SolveAllResult:
     solutions = tuple((r, solve(T if r.exact else T.to_double(), r.value))
                       for r in simple)
     return SolveAllResult(solutions, skipped, report)
-
-
-#: factorization_check's comparison tolerance in double mode
-DEFAULT_TOLERANCE = 1e-10
-
-
-def factorization_check(T: ConvPolynomial, solutions):
-    """Check T g = a_d * (g - g_1) * ... * (g - g_d) coefficientwise.
-
-    Requires the anchor polynomial to have degree d with d simple roots
-    and exactly d supplied solutions.  Returns (ok, max_deviation);
-    deviation is 0 in exact mode when the identity holds.
-    """
-    d = T.degree
-    if len(solutions) != d:
-        raise PreconditionFailed(f"need {d} solutions, got {len(solutions)}")
-    report = initial_polynomial(T)
-    if report.degree != d or len(report.simple_roots) != d:
-        raise PreconditionFailed(
-            "factorization needs deg f = d with all roots simple")
-    gs = [g if isinstance(g, TruncatedFunction) else g[1] for g in solutions]
-    # expand prod (g - g_i) in the indeterminate g; convolve and - put mixed
-    # modes in double through one_mode
-    c = [unit(T.enum)]
-    for gi in gs:
-        new = [-convolve(gi, c[0])]
-        for k in range(1, len(c)):
-            new.append(c[k - 1] - convolve(gi, c[k]))
-        new.append(c[-1])
-        c = new
-    worst = 0.0
-    ok = True
-    for k in range(d):
-        diff = convolve(T.coeffs[-1], c[k]) - T.coeffs[k]
-        dev = max(abs(complex(v)) for v in diff.values)
-        worst = max(worst, dev)
-        if diff.exact:
-            ok = ok and diff.is_zero()
-        elif dev > DEFAULT_TOLERANCE * max(1.0, T.coeffs[k].max_abs()):
-            ok = False
-    return ok, worst
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,27 @@ divisor scans, closed-form coefficient formulas, element-by-element
 loops.  None of it shares code with the library proper, apart from the
 directed-rounding primitives that the per-element weight loop calls: it
 checks the reuse of weights and brackets, not the primitives.
+
+The last section is the exception: helpers that no library path calls
+(a function from its value vector, damping, the partial r-norm and the
+factorization check of solve-all's solutions), kept as references on
+the library's own kernels for the tests to build inputs with and to
+compare against.
 """
 
 import heapq
 import math
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
 
 import dirconv as dc
+from dirconv.algebra import TruncatedFunction, convolve, unit, weighted_terms
+from dirconv.errors import PreconditionFailed
 from dirconv.rounding import (abs_bounds, add_dn, add_up, mul_dn, mul_up,
                               sub_up, weight_bounds)
-from dirconv.scalars import QC
+from dirconv.scalars import QC, double_value, exact_value
+from dirconv.solver import ConvPolynomial, initial_polynomial
 
 
 def sieve_mobius(n: int) -> list:
@@ -81,7 +91,7 @@ def random_exact_function(enum, rng, span=4, denom=3, density=0.85,
         if i == 0 and nonzero_at_zero and v == 0:
             v = Fraction(rng.randint(1, span))
         vals.append(v)
-    return dc.from_values(enum, vals)
+    return from_values(enum, vals)
 
 
 def instance_with_anchor_roots(enum, roots, rng, span=2, denom=2):
@@ -98,7 +108,7 @@ def instance_with_anchor_roots(enum, roots, rng, span=2, denom=2):
     fs = []
     for c0 in coeffs:
         f = random_exact_function(enum, rng, span=span, denom=denom)
-        fs.append(dc.from_values(enum, (c0,) + f.values[1:]))
+        fs.append(from_values(enum, (c0,) + f.values[1:]))
     return dc.ConvPolynomial(tuple(fs))
 
 
@@ -179,7 +189,7 @@ def dot_fractions(a, b, pairs):
 def convolve_fractions(g, h, rows=None):
     """g * h by the plain exact loop over the reference pair scan (or its
     ``rows``, scanned once by the caller)."""
-    return dc.from_values(g.enum, [dot_fractions(g.values, h.values, pairs)
+    return from_values(g.enum, [dot_fractions(g.values, h.values, pairs)
                                    for pairs in rows or pair_scan(g.enum)])
 
 
@@ -191,7 +201,7 @@ def invert_fractions(g):
     out = [inv0]
     for t, pairs in enumerate(pair_scan(g.enum)[1:], 1):
         out.append(-(inv0 * dot_fractions(v, out, [(i, j) for i, j in pairs if j != t])))
-    return dc.from_values(g.enum, out)
+    return from_values(g.enum, out)
 
 
 def residual_fractions(T, g):
@@ -411,4 +421,69 @@ def literal_solve(T, z0):
                     term = term * g[xi]
                 total = total + term
         g[t] = -(total / fprime)
-    return dc.from_values(enum, g)
+    return from_values(enum, g)
+
+
+# ---------------------------------------------------------------------------
+# references on the library's own kernels
+
+
+def from_values(enum: dc.Enumeration, values, exact: bool = True) -> TruncatedFunction:
+    conv = exact_value if exact else double_value
+    return TruncatedFunction(enum, [conv(v) for v in values], exact)
+
+
+def r_norm_partial(g: TruncatedFunction, r) -> float:
+    """Round-up sum of |g(x)| e^(-r|x|) over the window's x != 0; always
+    an upper bound of the exact sum."""
+    terms = weighted_terms(g, r)
+    next(terms)     # the x = 0 term
+    return reduce(add_up, (hi for _, _, hi in terms), 0.0)
+
+
+def damp(g: TruncatedFunction, rho) -> TruncatedFunction:
+    """The rescaled function x -> e^(-rho|x|) g(x), in double mode."""
+    rho, size = float(rho), g.enum.backend.size
+    return TruncatedFunction(g.enum, [double_value(v) * math.exp(-rho * size(e.key))
+                                      for e, v in zip(g.enum.elements, g.values)], False)
+
+
+#: factorization_check's comparison tolerance in double mode
+DEFAULT_TOLERANCE = 1e-10
+
+
+def factorization_check(T: ConvPolynomial, solutions):
+    """Check T g = a_d * (g - g_1) * ... * (g - g_d) coefficientwise.
+
+    Requires the anchor polynomial to have degree d with d simple roots
+    and exactly d supplied solutions.  Returns (ok, max_deviation);
+    deviation is 0 in exact mode when the identity holds.
+    """
+    d = T.degree
+    if len(solutions) != d:
+        raise PreconditionFailed(f"need {d} solutions, got {len(solutions)}")
+    report = initial_polynomial(T)
+    if report.degree != d or len(report.simple_roots) != d:
+        raise PreconditionFailed(
+            "factorization needs deg f = d with all roots simple")
+    gs = [g if isinstance(g, TruncatedFunction) else g[1] for g in solutions]
+    # expand prod (g - g_i) in the indeterminate g; convolve and - put mixed
+    # modes in double through one_mode
+    c = [unit(T.enum)]
+    for gi in gs:
+        new = [-convolve(gi, c[0])]
+        for k in range(1, len(c)):
+            new.append(c[k - 1] - convolve(gi, c[k]))
+        new.append(c[-1])
+        c = new
+    worst = 0.0
+    ok = True
+    for k in range(d):
+        diff = convolve(T.coeffs[-1], c[k]) - T.coeffs[k]
+        dev = max(abs(complex(v)) for v in diff.values)
+        worst = max(worst, dev)
+        if diff.exact:
+            ok = ok and diff.is_zero()
+        elif dev > DEFAULT_TOLERANCE * max(1.0, T.coeffs[k].max_abs()):
+            ok = False
+    return ok, worst

@@ -21,7 +21,7 @@ import dirconv as dc
 import dirconv.cli  # noqa: F401  (the tracer wraps cli attributes too)
 from dirconv.roots import poly_derivative, poly_eval, tau_root, tau_simple
 
-from oracles import instance_with_anchor_roots, random_exact_function
+from oracles import from_values, instance_with_anchor_roots, random_exact_function
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -66,7 +66,7 @@ def _anchor_values(d, f_units, fp_units, rng):
 
 def _equation(enum, a, rng):
     return dc.ConvPolynomial(tuple(
-        dc.from_values(enum, (c,) + random_exact_function(enum, rng, span=2).values[1:])
+        from_values(enum, (c,) + random_exact_function(enum, rng, span=2).values[1:])
         for c in a))
 
 
@@ -183,7 +183,7 @@ def test_invert_and_the_degree_one_solve_give_one_verdict(window, phase, placeme
     units, *verdicts = INVERT_PLACEMENTS[placement]
     rng = random.Random(f"{window}-{phase}-{placement}")
     g0 = dc.scalars.exact_value(PHASES[phase] * units / 10**6)
-    exact_g = dc.from_values(enum, (g0,) + random_exact_function(enum, rng).values[1:])
+    exact_g = from_values(enum, (g0,) + random_exact_function(enum, rng).values[1:])
     for exact, verdict in zip((True, False), verdicts):
         g = exact_g if exact else exact_g.to_double()
         T = dc.ConvPolynomial((-dc.unit(enum, exact), g))
@@ -204,7 +204,7 @@ def test_invert_and_the_degree_one_solve_give_one_verdict(window, phase, placeme
                                 complex(1, float("nan")), complex(float("-inf"), 1)])
 def test_invert_refuses_a_zero_or_non_finite_value_at_0(od20, g0):
     exact = isinstance(g0, Fraction)
-    g = dc.from_values(od20, [g0] + [1] * (len(od20) - 1), exact=exact)
+    g = from_values(od20, [g0] + [1] * (len(od20) - 1), exact=exact)
     with pytest.raises(dc.NotInvertible, match="no convolution inverse"):
         dc.invert(g)
 

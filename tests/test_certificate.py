@@ -8,7 +8,7 @@ import pytest
 import dirconv as dc
 from dirconv.certificate import _ratio_down
 
-from oracles import instance_with_anchor_roots, level_partial_sums
+from oracles import damp, instance_with_anchor_roots, level_partial_sums, r_norm_partial
 
 
 def linear_instance(enum):
@@ -217,7 +217,7 @@ def test_validate_partial_sums_are_r_norm_partials(window, exact, request):
     sums = dc.validate(cert, g).partial_sums
     assert len(sums) == len(enum.levels) and sums[-1] > 0.0
     assert list(sums) == level_partial_sums(g, cert.r)
-    assert sums[-1] == dc.r_norm_partial(g, cert.r)
+    assert sums[-1] == r_norm_partial(g, cert.r)
 
 
 def test_monotone_in_q_coefficients():
@@ -240,7 +240,7 @@ def test_normalization_equivariance(od20):
     rho = Fraction(1, 2)
     cert_rho = dc.certify(T, Fraction(-1), rho=rho)
 
-    damped = dc.ConvPolynomial(tuple(dc.damp(c, rho) for c in T.coeffs))
+    damped = dc.ConvPolynomial(tuple(damp(c, rho) for c in T.coeffs))
     cert_0 = dc.certify(damped, -1.0, rho=0)
     for p, q in zip(cert_rho.P, cert_0.P):
         assert p == pytest.approx(q, rel=1e-9, abs=1e-12)

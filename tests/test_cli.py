@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import dirconv as dc
 import dirconv.cli as cli
 from dirconv import algebra, certificate, series, solver
 from dirconv.scalars import format_scalar
@@ -50,8 +51,8 @@ def write_spec(tmp_path, spec, name="spec.json"):
     return str(p)
 
 
-def run_spec(tmp_path, spec, **kw):
-    return cli.run(write_spec(tmp_path, spec), **kw)
+def run_spec(tmp_path, spec):
+    return cli.run(write_spec(tmp_path, spec))
 
 
 def test_invert_matches_sieve(tmp_path):
@@ -129,16 +130,6 @@ def test_json_round_trip_and_reproducibility(tmp_path):
     d1.pop("timing")
     d2.pop("timing")
     assert cli.render(d1, "json") == cli.render(d2, "json")
-
-
-def test_output_independent_of_threads(tmp_path):
-    docs = []
-    for threads in (1, 4, 8):
-        doc, code = run_spec(tmp_path, SQRT_SPEC, threads=threads)
-        assert code == 0
-        doc.pop("timing")
-        docs.append(cli.render(doc, "json"))
-    assert docs[0] == docs[1] == docs[2]
 
 
 def test_certify_task_has_seven_field_certificate(tmp_path):
@@ -436,7 +427,6 @@ def test_malformed_specs_exit_1_at_their_field(tmp_path, spec, field):
 
 @pytest.mark.parametrize("call, message", [
     (lambda spec: cli.run(spec + ".missing"), "No such file"),
-    (lambda spec: cli.run(spec, threads=0), "--threads must be >= 1"),
     (lambda spec: cli.render(cli.run(spec)[0], "yaml"), "unknown format 'yaml'"),
 ])
 def test_calls_beside_the_spec_are_refused(tmp_path, call, message):
@@ -772,7 +762,7 @@ def test_anchor_coefficients_beyond_the_double_range_exit_1_with_a_document(tmp_
 
 
 #: -1 + 10^6 delta_1 * g + g * g = 0 in doubles: each step multiplies g by about
-#: 10^6, so g(x) overflows and is NaN from x = 55 on
+#: 10^6, so the sweep overflows and g(x) is NaN from x = 55 on
 OVERFLOW_SPEC = {
     "semigroup": {"kind": "lattice", "k": 1, "size_bound": 80},
     "arithmetic": {"mode": "double"},
@@ -781,23 +771,99 @@ OVERFLOW_SPEC = {
     "task": {"type": "certify", "root": "1", "rho": 0},
 }
 
+#: the inverse of 1 - 10^200 delta_1 is sum_n 10^(200 n) delta_n: inf from n = 2 on
+OVERFLOW_INVERT_SPEC = {
+    "semigroup": {"kind": "lattice", "k": 1, "size_bound": 400},
+    "arithmetic": {"mode": "double"},
+    "equation": {"coefficients": [{"table": [[[0], 1], [[1], -1e200]]}]},
+    "task": {"type": "invert"},
+}
+
+
+@pytest.mark.parametrize("spec, where", [
+    (OVERFLOW_SPEC, "g_1(55) = nan"),
+    ({**OVERFLOW_SPEC, "task": {"type": "solve", "root": "1"}}, "g_1(55) = nan"),
+    ({**OVERFLOW_SPEC, "task": {"type": "solve-all"}}, "g_1(55) = nan"),
+    ({**OVERFLOW_SPEC, "task": {"type": "verify", "root": "1", "points": [60]}},
+     "g_1(55) = nan"),
+    (OVERFLOW_INVERT_SPEC, "g_1(2) = inf"),
+])
+def test_a_double_sweep_that_overflows_is_refused(tmp_path, spec, where):
+    """A non-finite value is no value of the solution: the sweep refuses it
+    at the first element outside the double range, and the CLI exits 2."""
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 2
+    assert doc["diagnostic"].startswith(f"MathematicalRefusal: {where} lies outside "
+                                        "the double range")
+    assert "solution" not in doc and "solutions" not in doc
+
+
+def test_a_system_sweep_that_overflows_is_refused():
+    """solve_system runs the same sweep: with g_1 = unit + 10^200 delta_1,
+    g_2 = delta_1 * g_1 * g_1 is 10^400 at x = 3.  The identity J^{-1}
+    is applied as a matrix to both equations' values, so 0 * inf makes
+    g_1(3) NaN too, and the refusal names the first unknown it checks."""
+    enum = dc.enumerate_semigroup(dc.Lattice(1), size_bound=3)
+    unit = algebra.unit(enum, False)
+    S = dc.PolySystem(2, [
+        [dc.Monomial(-unit, (0, 0)), dc.Monomial(unit, (1, 0)),
+         dc.Monomial(algebra.indicator(enum, (1,), -1e200, False), (0, 0))],
+        [dc.Monomial(unit, (0, 1)),
+         dc.Monomial(algebra.indicator(enum, (1,), -1, False), (2, 0))]], (1, 0))
+    with pytest.raises(dc.MathematicalRefusal, match=r"^g_1\(3\) = nan lies outside"):
+        solver.solve_system(S)
+
+
+def test_a_double_solve_near_the_top_of_the_range_exits_0(tmp_path):
+    """Finite values are kept however large: g = sum_n 10^(100 n) delta_n reaches 1e300."""
+    doc, code = run_spec(tmp_path, {
+        "semigroup": {"kind": "lattice", "k": 1, "size_bound": 3},
+        "arithmetic": {"mode": "double"},
+        "equation": {"coefficients": [
+            {"indicator": [0], "value": -1}, {"table": [[[0], 1], [[1], "-1e100"]]}]},
+        "task": {"type": "solve", "root": 1}})
+    assert code == 0
+    assert [row["value"] for row in doc["solution"]] == [1.0, 1e100, 1e200, 1e300]
+    assert doc["residual"]["max_abs"] == 0.0
+
 
 @pytest.mark.parametrize("task", [{"type": "certify"}, {"type": "verify", "points": [60]}])
-def test_a_nan_partial_sum_fails_validation(tmp_path, task):
+def test_a_nan_partial_sum_fails_validation(task):
     """margin < 0 is False for NaN: a level whose partial sum is NaN must
-    fail as an inf one does, not pass with the margins of the levels before."""
-    spec = copy.deepcopy(OVERFLOW_SPEC)
-    spec["task"].update(task)
-    doc, code = run_spec(tmp_path, spec)
-    assert code == 1
-    assert doc["error"].startswith("partial sum nan exceeds t*")
+    fail as an inf one does, not pass with the margins of the levels before.
+    The sweep refuses NaN, so the g validated is built by hand: g(0) = z0,
+    0 up to x = 54, NaN from x = 55 on."""
+    problem = cli.Problem({**OVERFLOW_SPEC, "task": {**OVERFLOW_SPEC["task"], **task}})
+    T = solver.ConvPolynomial(tuple(problem.coefficients))
+    cert = certificate.certify(T, problem.root(), problem.rho())
+    n = len(problem.enum)
+    g = algebra.TruncatedFunction(problem.enum, [1.0] + [0.0] * 54 + [math.nan] * (n - 55),
+                                  False)
+    with pytest.raises(dc.CertificateViolated, match=r"^partial sum nan exceeds t\*"):
+        if task["type"] == "certify":
+            certificate.validate(cert, g)
+        else:
+            series.verify_scalar_equation(T, g, problem.points(), cert=cert)
 
 
-@pytest.mark.parametrize("task", [{"type": "solve", "root": "1"}, {"type": "solve-all"}])
+#: -10^308 delta_1 + (unit + 10^308 delta_1) * g + 2 g * g = 0 on {0, 1}, anchor
+#: polynomial z + 2 z^2: the solutions at the roots 0 and -1/2 are finite, but
+#: Horner's 2 g + a_1 overflows at 1, so the residual at root 0 reads
+#: inf * g(0) = inf * 0 = NaN there
+NAN_RESIDUAL_SPEC = {
+    "semigroup": {"kind": "lattice", "k": 1, "size_bound": 1},
+    "arithmetic": {"mode": "double"},
+    "equation": {"coefficients": [
+        {"indicator": [1], "value": "-1e308"}, {"table": [[[0], 1], [[1], "1e308"]]},
+        {"indicator": [0], "value": 2}]},
+}
+
+
+@pytest.mark.parametrize("task", [{"type": "solve", "root": "0"}, {"type": "solve-all"}])
 def test_a_nan_residual_reports_max_abs_nan(tmp_path, task):
     """max(0.0, nan, ...) keeps whichever comes first; the residual's
     max_abs and solve-all's aggregate of them must report the NaN."""
-    doc, code = run_spec(tmp_path, {**OVERFLOW_SPEC, "task": task})
+    doc, code = run_spec(tmp_path, {**NAN_RESIDUAL_SPEC, "task": task})
     assert code == 0
     assert math.isnan(doc["residual"]["max_abs"])
     assert not doc["residual"].get("exact_zero", doc["residual"].get("all_exact_zero"))

@@ -20,8 +20,9 @@ import dirconv as dc
 from dirconv.rounding import INF, MAX, abs_bounds_exact
 from dirconv.scalars import QC
 
-from oracles import (abs_bounds_fractions, convolve_fractions, invert_fractions,
-                     literal_solve, residual_fractions, system_residual_fractions)
+from oracles import (abs_bounds_fractions, convolve_fractions, from_values,
+                     invert_fractions, literal_solve, r_norm_partial,
+                     residual_fractions, system_residual_fractions)
 
 WINDOWS = (
     dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=36),
@@ -47,14 +48,14 @@ def _coefficient(enum, rng, kind, at0, gauss):
     """A coefficient of the given support pattern with value ``at0`` at 0."""
     n = len(enum)
     if kind == "const":
-        return dc.from_values(enum, [at0] * n)
+        return from_values(enum, [at0] * n)
     vals = [at0] + [Fraction(0)] * (n - 1)
     if kind == "indicator":
         vals[rng.randrange(1, n)] = _scalar(rng, gauss, nonzero=True)
     elif kind == "sparse":
         vals[1:] = [_scalar(rng, gauss) if rng.random() < 0.4 else Fraction(0)
                     for _ in range(n - 1)]
-    return dc.from_values(enum, vals)
+    return from_values(enum, vals)
 
 
 def _equation(enum, rng, gauss):
@@ -81,7 +82,7 @@ def _function(enum, rng, gauss, nonzero_at_zero=False):
     vals = [_scalar(rng, gauss) if rng.random() < 0.7 else Fraction(0) for _ in enum]
     if nonzero_at_zero:
         vals[0] = _scalar(rng, gauss, nonzero=True)
-    return dc.from_values(enum, vals)
+    return from_values(enum, vals)
 
 
 @settings(max_examples=25)
@@ -141,7 +142,7 @@ def test_system_residual_matches_the_term_by_term_loop(seed, m):
 
 def test_invert_a_gaussian_function(od100):
     rng = random.Random(7)
-    g = dc.from_values(od100, [QC(1, 2)] + [
+    g = from_values(od100, [QC(1, 2)] + [
         QC(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
            Fraction(rng.randint(-3, 3), rng.randint(1, 4))) for _ in range(99)])
     inv = dc.invert(g)
@@ -199,5 +200,5 @@ def test_abs_bounds_where_the_square_is_no_normal_double():
 
 
 def test_a_value_below_the_least_double_keeps_a_positive_upper_term(od20):
-    g = dc.from_values(od20, [Fraction(0)] * 19 + [Fraction(1, 10 ** 400)])
-    assert dc.r_norm_partial(g, 0.5) > 0.0
+    g = from_values(od20, [Fraction(0)] * 19 + [Fraction(1, 10 ** 400)])
+    assert r_norm_partial(g, 0.5) > 0.0

@@ -5,11 +5,13 @@ Each ``golden/<name>.spec.json`` is run through ``cli.run``; its
 removed, must equal ``golden/<name>.json`` byte for byte, refusal
 diagnostics included.  After an intended change of output, regenerate
 the expected documents with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+and review the diff.  Each spec run in double mode must give the same
+document up to round-off.
 """
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -72,6 +74,63 @@ def test_table_renders_every_block(spec):
     lines = cli.render(doc, "table").splitlines()
     for want in _block_lines(doc):
         assert any(line.startswith(want) or line.endswith(want) for line in lines), want
+
+
+def _number(v):
+    """A document value read as a complex number, or None: exact scalars
+    are strings ("3/8") or {"re", "im"} objects of them, doubles are
+    numbers or objects of numbers."""
+    if isinstance(v, dict) and v and set(v) <= {"re", "im"}:
+        parts = [_number(v.get(c, 0)) for c in ("re", "im")]
+        return None if None in parts else parts[0] + 1j * parts[1]
+    if isinstance(v, str):
+        try:
+            return complex(Fraction(v))
+        except ValueError:
+            return None
+    return None if isinstance(v, bool) or not isinstance(v, (int, float)) else complex(v)
+
+
+def _agree(double, exact, path=""):
+    """Assert the double twin of a document agrees with the exact one:
+    the same keys, booleans (but a double root is never ``exact``) and
+    refusal class, and every number to a relative 1e-12.  The mode and
+    the spec hash differ by construction."""
+    if (e := _number(exact)) is not None:
+        d = _number(double)
+        assert d is not None and abs(d - e) <= 1e-12 * abs(e), (path, double, exact)
+    elif isinstance(exact, dict):
+        assert set(double) == set(exact), path
+        for key in exact.keys() - {"mode", "spec_sha256"}:
+            if key == "diagnostic":
+                assert double[key].split(":")[0] == exact[key].split(":")[0], path
+            else:
+                _agree(double[key], exact[key], f"{path}.{key}")
+    elif isinstance(exact, list):
+        assert len(double) == len(exact), path
+        for i, (d, e) in enumerate(zip(double, exact)):
+            _agree(d, e, f"{path}[{i}]")
+    elif isinstance(exact, bool):
+        root_flag = path.startswith(".root_report.roots[") and path.endswith("].exact")
+        assert double is (False if root_flag else exact), path
+    else:
+        assert double == exact, path
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda p: p.name[:-len(".spec.json")])
+def test_double_twin_agrees_with_the_exact_document(spec, tmp_path):
+    """The spec run in double mode gives the exact golden document's
+    exit code and, up to round-off, its document."""
+    raw = json.loads(spec.read_text())
+    raw["arithmetic"] = {"mode": "double"}
+    twin = tmp_path / spec.name
+    twin.write_text(json.dumps(raw))
+    doc, code = cli.run(str(twin))
+    doc.pop("timing")
+    exact = json.loads(expected_path(spec).read_text())
+    assert code == (2 if "diagnostic" in exact else 0)
+    assert doc["mode"] == "double"
+    _agree(doc, exact)
 
 
 def test_every_spec_has_a_document():

@@ -19,9 +19,9 @@ import dirconv as dc
 from dirconv import algebra
 from dirconv.scalars import QC
 
-from oracles import (convolve_fractions, invert_fractions, literal_solve,
-                     residual_fractions, sieve_mobius, sweep_pairs,
-                     system_residual_fractions)
+from oracles import (convolve_fractions, from_values, invert_fractions,
+                     literal_solve, residual_fractions, sieve_mobius,
+                     sweep_pairs, system_residual_fractions)
 
 WINDOWS = {
     "divisor": dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=36),
@@ -58,7 +58,7 @@ def _fractions(g):
 
 def _ints(enum, rng, at0, density=0.6):
     """An integral function with value ``at0`` at 0 and small integers elsewhere."""
-    return dc.from_values(enum, [at0] + [rng.randint(-2, 2) if rng.random() < density else 0
+    return from_values(enum, [at0] + [rng.randint(-2, 2) if rng.random() < density else 0
                                          for _ in range(len(enum) - 1)])
 
 
@@ -148,7 +148,7 @@ def test_integral_system_matches_the_pair_loop(window, seed, qdot_calls):
 
 def _gaussian(enum, rng):
     """Gaussian integers with the unit i at 0: exact, integral, but QC."""
-    return dc.from_values(enum, [QC(0, 1)] + [QC(rng.randint(-2, 2), rng.randint(-2, 2))
+    return from_values(enum, [QC(0, 1)] + [QC(rng.randint(-2, 2), rng.randint(-2, 2))
                                               for _ in range(len(enum) - 1)])
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import dirconv as dc
 
-from oracles import instance_with_anchor_roots, random_exact_function
+from oracles import from_values, instance_with_anchor_roots, random_exact_function
 
 Q = Fraction(2, 5)
 
@@ -36,7 +36,7 @@ PAIRS = _pairs()
 
 def _transfer(f, enum, to_source):
     """f carried to ``enum``: the value at x is f at to_source(x)."""
-    return dc.from_values(enum, [f(to_source(e.ident)) for e in enum])
+    return from_values(enum, [f(to_source(e.ident)) for e in enum])
 
 
 def test_isomorphic_windows_have_equal_tables():
@@ -91,7 +91,7 @@ def test_three_smooth_divisor_support_is_the_plane_lattice(seed):
     zero = Fraction(0)
 
     def to_div(f):
-        return dc.from_values(div, [
+        return from_values(div, [
             f(ab) if (ab := _three_smooth(e.ident[0])) is not None else zero
             for e in div])
 
@@ -155,7 +155,7 @@ def test_one_axis_embedding_extends_by_zero(seed):
     zero = Fraction(0)
 
     def embed(f):
-        return dc.from_values(lat2, [f((e.ident[0],)) if e.ident[1] == 0 else zero
+        return from_values(lat2, [f((e.ident[0],)) if e.ident[1] == 0 else zero
                                      for e in lat2])
 
     roots = _random_roots(rng)

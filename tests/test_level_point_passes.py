@@ -14,8 +14,9 @@ import dirconv as dc
 from dirconv import algebra, certificate, series
 from dirconv.scalars import QC
 
-from oracles import (certified_tail, level_partial_sums, random_exact_function,
-                     series_kahan, weighted_terms_per_element)
+from oracles import (certified_tail, from_values, level_partial_sums,
+                     random_exact_function, series_kahan,
+                     weighted_terms_per_element)
 
 
 def bits(x):
@@ -48,7 +49,7 @@ def _functions(enum, rng):
     """Fraction, QC (runs of one repeated object included) and complex
     double values, with zeros inside levels."""
     real = random_exact_function(enum, rng, density=0.7)
-    gauss = dc.from_values(enum, [
+    gauss = from_values(enum, [
         QC(v, Fraction(rng.randint(-3, 3), rng.randint(1, 4))) if rng.random() < 0.5
         else v for v in real.values])
     runs, v = [], QC(Fraction(2, 3), Fraction(-1, 5))

@@ -18,7 +18,7 @@ import dirconv as dc
 from dirconv import certificate, series, solver
 from dirconv.algebra import TruncatedFunction
 
-from oracles import instance_with_anchor_roots, random_exact_function
+from oracles import from_values, instance_with_anchor_roots, random_exact_function
 
 WINDOWS = {
     "divisor": (dc.OrdinaryDirichlet(2), 40),
@@ -98,7 +98,7 @@ def test_solve_system_and_its_residual(window):
     c1, c1c = twins(dc.constant(window, -(z1 * z1 + alpha * z2)))
     a, ac = twins(dc.constant(window, alpha))
     c2 = -(z2 * z2 + exact_dense.values[0] * z1 * z2)
-    b, bc = twins(dc.from_values(window, [c2] + [0] * (len(window) - 1)))
+    b, bc = twins(from_values(window, [c2] + [0] * (len(window) - 1)))
 
     def system(u, d, k1, al, k2):
         M = dc.Monomial

@@ -9,7 +9,8 @@ from dirconv import algebra, roots, solver
 from dirconv.roots import find_roots
 from dirconv.scalars import QC, exact_value
 
-from oracles import (binom_half, instance_with_anchor_roots,
+from oracles import (DEFAULT_TOLERANCE, binom_half, factorization_check,
+                     from_values, instance_with_anchor_roots,
                      random_exact_function, residual_fractions)
 
 
@@ -195,7 +196,7 @@ def test_solve_all_cubic_with_prescribed_roots(od20):
     rng = random.Random(13)
     def with_zero_value(v):
         f = random_exact_function(od20, rng)
-        return dc.from_values(od20, (v,) + f.values[1:])
+        return from_values(od20, (v,) + f.values[1:])
     T = dc.ConvPolynomial((
         with_zero_value(Fraction(0)), with_zero_value(Fraction(2)),
         with_zero_value(Fraction(-3)), with_zero_value(Fraction(1))))
@@ -227,7 +228,7 @@ def test_residual_detects_perturbation(od20):
     k = 7
     bad_vals = list(g.values)
     bad_vals[k] = bad_vals[k] + Fraction(1, 97)
-    bad = dc.from_values(od20, bad_vals)
+    bad = from_values(od20, bad_vals)
     assert not dc.residual(T, bad).is_zero()
 
 
@@ -257,7 +258,7 @@ def test_a_degree_d_residual_makes_d_convolutions(od20, monkeypatch, exact, d):
 def test_factorization_quadratic(od20):
     T = sqrt_one_equation(od20)
     sols = [g for _, g in dc.solve_all(T)]
-    ok, dev = dc.factorization_check(T, sols)
+    ok, dev = factorization_check(T, sols)
     assert ok and dev == 0.0
 
 
@@ -269,25 +270,25 @@ def test_factorization_linear(od20):
         a0 = a0 + dc.unit(od20)
     T = dc.ConvPolynomial((a0, a1))
     sols = [g for _, g in dc.solve_all(T)]
-    ok, dev = dc.factorization_check(T, sols)
+    ok, dev = factorization_check(T, sols)
     assert ok and dev == 0.0
 
 
 def test_factorization_check_in_double_mode(od20):
     T = sqrt_one_equation(od20, exact=False)
     sols = [g for _, g in dc.solve_all(T)]
-    assert dc.factorization_check(T, sols)[0]
+    assert factorization_check(T, sols)[0]
     bad = list(sols[0].values)
     bad[3] += 1e-6
-    ok, worst = dc.factorization_check(T, [dc.from_values(od20, bad, False), sols[1]])
-    assert not ok and worst > dc.DEFAULT_TOLERANCE
+    ok, worst = factorization_check(T, [from_values(od20, bad, False), sols[1]])
+    assert not ok and worst > DEFAULT_TOLERANCE
 
 
 def test_factorization_precondition(od20):
     a = dc.from_pairs(od20, [((2,), 1)])
     T = dc.ConvPolynomial((-a, dc.constant(od20, 0), dc.unit(od20)))
     with pytest.raises(dc.PreconditionFailed):
-        dc.factorization_check(T, [dc.one(od20), dc.one(od20)])
+        factorization_check(T, [dc.one(od20), dc.one(od20)])
 
 
 # -- systems ---------------------------------------------------------------------
@@ -340,7 +341,7 @@ def test_an_equation_is_its_one_unknown_system(od20, mode):
     (False, float("nan"), False), (False, float("inf"), False)])
 def test_invert_is_the_degree_one_solve(od20, exact, g0, invertible):
     rest = random_exact_function(od20, random.Random(16)).values[1:]
-    g = dc.from_values(od20, (g0,) + rest, exact)
+    g = from_values(od20, (g0,) + rest, exact)
     T = dc.ConvPolynomial((-dc.unit(od20, exact), g))
     v0 = g.values[0]
     z0 = 1 / v0 if v0 else v0
@@ -366,7 +367,7 @@ def test_system_shared_factor_prefixes(window, request):
 
     def coeff(at_zero):
         r = random_exact_function(enum, rng)
-        return dc.from_values(enum, (Fraction(at_zero),) + r.values[1:])
+        return from_values(enum, (Fraction(at_zero),) + r.values[1:])
 
     S = dc.PolySystem(3, (
         (dc.Monomial(coeff(1), (1, 1, 1)), dc.Monomial(coeff(1), (1, 1, 0)),
@@ -397,8 +398,8 @@ def test_system_decoupled_linear(od20):
     rng = random.Random(15)
     a = random_exact_function(od20, rng)
     b = random_exact_function(od20, rng)
-    a = dc.from_values(od20, (Fraction(0),) + a.values[1:])
-    b = dc.from_values(od20, (Fraction(0),) + b.values[1:])
+    a = from_values(od20, (Fraction(0),) + a.values[1:])
+    b = from_values(od20, (Fraction(0),) + b.values[1:])
     u = dc.unit(od20)
     S = dc.PolySystem(2, (
         (dc.Monomial(u, (1, 0)), dc.Monomial(a, (0, 0))),
@@ -438,7 +439,7 @@ def _unit_system(enum, m, eqs=None):
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda enum: dc.factorization_check(sqrt_one_equation(enum), [dc.one(enum)]),
+    (lambda enum: factorization_check(sqrt_one_equation(enum), [dc.one(enum)]),
      dc.PreconditionFailed, "need 2 solutions, got 1"),
     (lambda enum: _unit_system(enum, 2, eqs=1), ValueError, "need m equations"),
     (lambda enum: dc.PolySystem(1, [[dc.Monomial(dc.unit(enum), (1, 0))]], (0,)),

@@ -21,8 +21,8 @@ import pytest
 import dirconv as dc
 from dirconv.scalars import QC
 
-from oracles import (convolve_fractions, convolve_pairs, ident_add, pair_scan,
-                     sweep_pairs)
+from oracles import (convolve_fractions, convolve_pairs, from_values, ident_add,
+                     pair_scan, sweep_pairs)
 from test_decomp_table import WINDOWS as TABLE_WINDOWS
 
 WINDOWS = {
@@ -195,7 +195,7 @@ def test_shape_tells_vanishing_constant_and_other_values_apart(window, exact):
     for name, shape in want.items():
         g = ops[name]
         if exact:
-            g = dc.from_values(window, [Fraction(v.real).limit_denominator(99)
+            g = from_values(window, [Fraction(v.real).limit_denominator(99)
                                         for v in g.values])
         assert dc.algebra.shape(g.values) == shape, name
 
@@ -339,10 +339,10 @@ def _constant_operands(enum, rng, exact):
     n = len(enum)
     if exact:
         c = QC(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.randint(1, 5), 3))
-        ops = [dc.from_values(enum, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        ops = [from_values(enum, [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                                      if rng.random() < density else 0 for _ in range(n)])
                for density in (1.0, 0.3)]
-        ops.append(dc.from_values(enum, [rng.randint(-99, 99) for _ in range(n)]))
+        ops.append(from_values(enum, [rng.randint(-99, 99) for _ in range(n)]))
     else:
         c = _cplx(rng)
         ops = [dc.TruncatedFunction(enum, [_cplx(rng) if rng.random() < density else 0j
