@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from operator import add, mul
+from operator import add, getitem, mul
 
 from .errors import BackendMismatch, MathematicalRefusal, NotASimpleRoot, NotInvertible
 from .roots import anchor_gate
@@ -337,10 +337,13 @@ def sweep(equations, z0):
     and every coefficient value are :func:`integral`, so is every g(x), and
     the sweep runs on Python ints.  One table is kept per factor prefix that
     a pair product reads (g_l for one factor), one :func:`reader` per pair
-    product (none for a coefficient that vanishes off 0).  At each element
+    product (none for a coefficient that vanishes off 0; on a window with
+    ``steps``, a coefficient constant off 0 reads running step sums of its
+    table, the online :func:`step_sums`, instead).  At each element
     the tables and equations are evaluated with the unknowns masked out,
     J^{-1} is applied once, and each table gets the linear term z0 fixes.
-    A double sweep that overflows is refused at its first non-finite value.
+    A double sweep that overflows is refused at the first element, in
+    window order, where an unknown is not finite, naming each such unknown.
     """
     enum, exact = equations[0][0].coeff.enum, equations[0][0].coeff.exact
     zero = Fraction(0) if exact else 0.0
@@ -369,11 +372,20 @@ def sweep(equations, z0):
         Q[k] = Q[k] or (Ratios if qs else list)([at0[k]] + [zero] * (n - 1))
         return Q[k]
 
+    # per table that a coefficient constant off 0 multiplies on a window with
+    # steps, its running step sums S_1..S_m over y != 0, index n kept 0 for
+    # x - s off the window: sum_i S_i(x - s_i) is sum_{0<y<x} Q(y)
+    steps, sums = enum.steps, {}
+
+    def term_reader(c, k):   # the sweep reads c off 0 only, so it asks shape about c[1:]
+        if not ((gather := shape(c[1:] or c) == 1) and steps):
+            return reader(c, tab(k), qs, gather)
+        _, S = sums[k] = sums.get(k) or (tab(k), [[zero] * (n + 1) for _ in steps])
+        return lambda us, vs, d, c=c[-1]: c * sum(map(getitem, S, xs))
+
     chain = [(k, p, z0[l], reader(tab(p), G[l], qs))
              for k, (p, l) in enumerate(nodes[1:], 1) if p]
-    # the sweep reads c off 0 only, so its gather asks shape about c[1:]
-    terms = [[(c, k, c[0], reader(c, tab(k), qs, shape(c[1:] or c) == 1)
-               if fs and shape(c) else None)
+    terms = [[(c, k, c[0], term_reader(c, k) if fs and shape(c) else None)
               for c, fs in eq for k in [index[fs]]] for eq in equations]
     kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
@@ -391,6 +403,7 @@ def sweep(equations, z0):
         for k, p, zl, read in chain:
             prod = read(us, vs, d)
             masked[k] = masked[p] * zl + prod if masked[p] else prod
+        xs = [back[x] for back in steps] if sums else None     # the elements x - s
         known = []
         for eq in terms:
             parts = []
@@ -408,12 +421,18 @@ def sweep(equations, z0):
             G[l][x] = reduce(add, map(mul, row, known), *start)
         for k in kept:
             Q[k][x] = masked[k] + sum(d * G[l][x] for l, d in linear[k])
-    for l, g in enumerate(() if exact else G):
-        if not all(map(cmath.isfinite, g)):
-            x = next(x for x, v in enumerate(g) if not cmath.isfinite(v))
-            raise MathematicalRefusal(
-                f"g_{l + 1}({', '.join(map(str, enum[x].ident))}) = {g[x]} lies outside "
-                "the double range: the sweep overflows")
+        if sums:    # S_1(x) = Q(x) + S_1(x - s_1), S_i(x) = S_i-1(x) + S_i(x - s_i)
+            for q, S in sums.values():
+                v = q[x]
+                for s, y in zip(S, xs):
+                    v = s[x] = v + s[y]
+    if not (exact or all(all(map(cmath.isfinite, g)) for g in G)):
+        x = next(x for x, row in enumerate(zip(*G)) if not all(map(cmath.isfinite, row)))
+        at = ", ".join(map(str, enum[x].ident))
+        bad = [f"g_{l + 1}({at}) = {g[x]}" for l, g in enumerate(G) if not cmath.isfinite(g[x])]
+        raise MathematicalRefusal(f"{bad[0]} lies outside the double range"
+                                  + "".join(f", as does {b}" for b in bad[1:])
+                                  + ": the sweep overflows")
     return tuple(TruncatedFunction(enum, map(Fraction, g) if ints else g, exact) for g in G)
 
 

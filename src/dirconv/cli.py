@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
 from . import algebra, certificate, series, solver
 from .algebra import TruncatedFunction
 from .errors import DirconvError, MathematicalRefusal, SpecError
+from .rounding import abs_bounds
 from .scalars import (format_rational, format_scalar, parse_rational,
                       parse_scalar)
 from .semigroup import (Lattice, OrdinaryDirichlet, RationalGenerators,
@@ -268,9 +270,21 @@ def _certificate_doc(cert: certificate.NormCertificate, backend):
     }
 
 
-def _residual_doc(T, g):
+def _residual(T, g):
+    """Whether T g is exactly 0, and its max_abs, refused when not finite
+    at the first element whose |(T g)(x)| leaves the double range."""
     res = solver.residual(T, g)
-    return {"exact_zero": res.is_zero(), "max_abs": res.max_abs()}
+    if not math.isfinite(top := res.max_abs()):
+        x = next(x for x, v in enumerate(res.values) if not math.isfinite(abs_bounds(v)[1]))
+        raise MathematicalRefusal(
+            f"(T g)({', '.join(map(str, g.enum[x].ident))}) = {res.values[x]} lies "
+            "outside the double range: the residual overflows")
+    return res.is_zero(), top
+
+
+def _residual_doc(T, g):
+    zero, top = _residual(T, g)
+    return {"exact_zero": zero, "max_abs": top}
 
 
 def _series_doc(values):
@@ -329,10 +343,10 @@ def run_problem(problem: Problem) -> dict:
         doc["skipped_roots"] = [{
             "root": format_scalar(root.value), "reason": reason,
         } for root, reason in result.skipped]
-        residuals = [solver.residual(T, g) for _, g in result.solutions]
+        residuals = [_residual(T, g) for _, g in result.solutions]
         doc["residual"] = {
-            "all_exact_zero": all(res.is_zero() for res in residuals),
-            "max_abs": max([0.0, *(r.max_abs() for r in residuals)], key=lambda v: (v != v, v)),
+            "all_exact_zero": all(zero for zero, _ in residuals),
+            "max_abs": max([0.0, *(top for _, top in residuals)]),
         }
         return doc
 

@@ -247,9 +247,10 @@ def convolve_pairs(g, h, rows=None):
         g.enum, [dot_pairs(a, b, pairs) for pairs in rows or pair_scan(g.enum)], False)
 
 
-def sweep_pairs(enum, equations, z0):
+def sweep_pairs(enum, equations, z0, exact=False, rows=None):
     """The window functions that equations in at most two unknowns force,
-    in complex doubles by plain loops over the reference pair scan.
+    in complex doubles by plain loops over the reference pair scan (or
+    its ``rows``), or with ``exact`` in Gaussian rationals.
 
     ``equations`` lists, per equation, its terms as (coefficient values,
     exponents).  Every product of unknowns has a table, recomputed at each
@@ -258,14 +259,15 @@ def sweep_pairs(enum, equations, z0):
     and once more after the base-point Jacobian J has fixed the unknowns
     as -J^(-1) F(x) (Cramer's rule).
     """
-    rows, n, m = pair_scan(enum), len(enum), len(z0)
+    rows, n, m = rows or pair_scan(enum), len(enum), len(z0)
     assert m <= 2
     terms = [[(c, tuple(l for l, e in enumerate(exps) for _ in range(e)))
               for c, exps in eq] for eq in equations]
     prefixes = sorted({fs[:k] for eq in terms for _, fs in eq
                        for k in range(1, len(fs) + 1)}, key=len)
-    G = [[complex(z)] + [0j] * (n - 1) for z in z0]
-    P = {(): [1 + 0j] + [0j] * (n - 1), **{fs: [0j] * n for fs in prefixes}}
+    num, zero = (exact_value, Fraction(0)) if exact else (complex, 0j)
+    G = [[num(z)] + [zero] * (n - 1) for z in z0]
+    P = {(): [num(1)] + [zero] * (n - 1), **{fs: [zero] * n for fs in prefixes}}
 
     def fill(x):
         for fs in prefixes:
@@ -273,7 +275,7 @@ def sweep_pairs(enum, equations, z0):
 
     def slope(fs, l):
         """d/dz_l of the product of the z0 factors fs."""
-        return sum(math.prod(complex(z0[f]) for f in fs[:i] + fs[i + 1:])
+        return sum(math.prod(num(z0[f]) for f in fs[:i] + fs[i + 1:])
                    for i in range(len(fs)) if fs[i] == l)
 
     J = [[sum(c[0] * slope(fs, l) for c, fs in eq) for l in range(m)] for eq in terms]
@@ -287,7 +289,7 @@ def sweep_pairs(enum, equations, z0):
         for l in range(m):
             G[l][x] = -sum(Jinv[l][i] * F[i] for i in range(m))
         fill(x)
-    return [dc.TruncatedFunction(enum, g, False) for g in G]
+    return [dc.TruncatedFunction(enum, g, exact) for g in G]
 
 
 def abs_bounds_fractions(q):

@@ -802,7 +802,7 @@ def test_a_system_sweep_that_overflows_is_refused():
     """solve_system runs the same sweep: with g_1 = unit + 10^200 delta_1,
     g_2 = delta_1 * g_1 * g_1 is 10^400 at x = 3.  The identity J^{-1}
     is applied as a matrix to both equations' values, so 0 * inf makes
-    g_1(3) NaN too, and the refusal names the first unknown it checks."""
+    g_1(3) NaN too, and the refusal names both unknowns at x = 3."""
     enum = dc.enumerate_semigroup(dc.Lattice(1), size_bound=3)
     unit = algebra.unit(enum, False)
     S = dc.PolySystem(2, [
@@ -810,8 +810,28 @@ def test_a_system_sweep_that_overflows_is_refused():
          dc.Monomial(algebra.indicator(enum, (1,), -1e200, False), (0, 0))],
         [dc.Monomial(unit, (0, 1)),
          dc.Monomial(algebra.indicator(enum, (1,), -1, False), (2, 0))]], (1, 0))
-    with pytest.raises(dc.MathematicalRefusal, match=r"^g_1\(3\) = nan lies outside"):
+    with pytest.raises(dc.MathematicalRefusal, match=r"^g_1\(3\) = nan lies outside") as refusal:
         solver.solve_system(S)
+    assert str(refusal.value).endswith(", as does g_2(3) = inf: the sweep overflows")
+
+
+def test_the_sweep_refusal_names_the_first_element_and_each_unknown_there():
+    """Two decoupled equations 0.1 g_l + t_l = 0 on Lattice(1) to size 6:
+    g_1 = -10 t_1 overflows at 5 and g_2 = -10 t_2 at 1, so the refusal
+    names g_2(1), the first element in window order, and only g_2."""
+    enum = dc.enumerate_semigroup(dc.Lattice(1), size_bound=6)
+    unit = algebra.unit(enum, False)
+
+    def t(at):
+        return algebra.from_pairs(enum, [((0,), -0.1), ((at,), -1e308)], False)
+
+    S = dc.PolySystem(2, [[dc.Monomial(unit.scale(0.1), (1, 0)), dc.Monomial(t(5), (0, 0))],
+                          [dc.Monomial(unit.scale(0.1), (0, 1)), dc.Monomial(t(1), (0, 0))]],
+                      (1, 1))
+    with pytest.raises(dc.MathematicalRefusal) as refusal:
+        solver.solve_system(S)
+    assert str(refusal.value) == ("g_2(1) = inf lies outside the double range: "
+                                  "the sweep overflows")
 
 
 def test_a_double_solve_near_the_top_of_the_range_exits_0(tmp_path):
@@ -861,9 +881,45 @@ NAN_RESIDUAL_SPEC = {
 
 @pytest.mark.parametrize("task", [{"type": "solve", "root": "0"}, {"type": "solve-all"}])
 def test_a_nan_residual_reports_max_abs_nan(tmp_path, task):
-    """max(0.0, nan, ...) keeps whichever comes first; the residual's
-    max_abs and solve-all's aggregate of them must report the NaN."""
+    """A residual max_abs that is not finite would print a bare NaN, which
+    is not JSON: the document is refused at the first element where T g
+    leaves the double range, and the CLI exits 2.  solve-all meets the
+    root -1/2 first, whose residual is inf there."""
     doc, code = run_spec(tmp_path, {**NAN_RESIDUAL_SPEC, "task": task})
-    assert code == 0
-    assert math.isnan(doc["residual"]["max_abs"])
-    assert not doc["residual"].get("exact_zero", doc["residual"].get("all_exact_zero"))
+    value = "inf" if task["type"] == "solve-all" else "nan"
+    assert code == 2
+    assert doc["diagnostic"] == (f"MathematicalRefusal: (T g)(1) = {value} lies outside "
+                                 "the double range: the residual overflows")
+    assert "residual" not in doc and "solution" not in doc and "solutions" not in doc
+    json.loads(cli.render(doc, "json"), parse_constant=_no_constant)
+
+
+def test_the_library_residual_reports_max_abs_nan():
+    """max(0.0, nan, ...) keeps whichever comes first; the library's
+    max_abs of the residual at root 0 must report the NaN."""
+    problem = cli.Problem({**NAN_RESIDUAL_SPEC, "task": {"type": "solve", "root": "0"}})
+    T = solver.ConvPolynomial(tuple(problem.coefficients))
+    res = solver.residual(T, solver.solve(T, 0))
+    assert math.isnan(res.max_abs())
+    assert not res.is_zero()
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("spec", [OVERFLOW_SPEC, OVERFLOW_INVERT_SPEC, NAN_RESIDUAL_SPEC,
+                                  *sorted(GOLDEN.glob("*.spec.json"))],
+                         ids=lambda s: s.name[:-len(".spec.json")] if isinstance(s, pathlib.Path)
+                         else None)
+def test_every_document_is_json(tmp_path, spec):
+    """--format json prints no NaN or Infinity token: each golden document
+    and each refusal document (the overflowing sweeps, the NaN residual)
+    parses with every such constant refused, in exact and double mode."""
+    if isinstance(spec, pathlib.Path):
+        spec = json.loads(spec.read_text())
+    spec = {"task": {"type": "solve", "root": "0"}, **spec}
+    for mode in ("exact", "double"):
+        doc, _ = run_spec(tmp_path, {**spec, "arithmetic": {"mode": mode}})
+        json.loads(cli.render(doc, "json") if "error" not in doc else json.dumps(doc),
+                   parse_constant=_no_constant)

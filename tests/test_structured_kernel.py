@@ -10,6 +10,8 @@ must give the values of the plain pair loop over the reference scan
 On a window free on its steps, ``convolve`` reads no table for an
 operand constant on the whole window: it takes the other's step sums,
 in exact mode too, where they must give the exact pair loop's values.
+The sweep reads no table there for a coefficient constant off 0: it
+keeps running step sums of the table the coefficient multiplies.
 """
 
 import functools
@@ -22,7 +24,7 @@ import dirconv as dc
 from dirconv.scalars import QC
 
 from oracles import (convolve_fractions, convolve_pairs, from_values, ident_add,
-                     pair_scan, sweep_pairs)
+                     literal_solve, pair_scan, sweep_pairs)
 from test_decomp_table import WINDOWS as TABLE_WINDOWS
 
 WINDOWS = {
@@ -385,3 +387,141 @@ def test_constant_products_match_the_pair_loop(name, exact, monkeypatch):
         assert made == []
     else:
         assert made and all(made)
+
+
+#: windows the sweep tests run on: Lattice(200)'s 20,301 elements would
+#: take the reference loops minutes
+SWEEP_WINDOWS = sorted(STEP_WINDOWS) + sorted(set(GATHER_WINDOWS) - {"lattice-200"})
+
+
+def _sweep_data(enum, mode, rng, gaussian):
+    """A maker of seeded scalars and of the coefficients the sweep tests
+    below share, in double mode, on integers or through qdot (Gaussian
+    rationals or real ones): constants on the whole window or off 0 only,
+    dense values with a chosen value at 0, and one + unit."""
+    exact = mode != "double"
+
+    def scalar():
+        if mode == "double":
+            return _cplx(rng)
+        if mode == "integral":
+            return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        re = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+        return QC(re, Fraction(rng.randint(-5, 5), 3)) if gaussian else re
+
+    def dense(at0):
+        return dc.TruncatedFunction(enum, [at0] + [scalar() for _ in range(len(enum) - 1)],
+                                    exact)
+
+    def const(c, at0=None):     # c on the whole window, or off 0 only
+        return dc.TruncatedFunction(enum, [c if at0 is None else at0] + [c] * (len(enum) - 1),
+                                    exact)
+
+    return scalar, dense, const, dc.one(enum, exact) + dc.unit(enum, exact)
+
+
+def _made_readers(monkeypatch):
+    """The (exact, a_const) arguments of every reader the sweep makes."""
+    made, reader = [], dc.algebra.reader
+    monkeypatch.setattr(dc.algebra, "reader", lambda a, b, exact, a_const=False: (
+        made.append((exact, a_const)) or reader(a, b, exact, a_const)))
+    return made
+
+
+def _check_readers(name, mode, made):
+    """Exact data that are all integers are read as ints, other exact data
+    through qdot; a coefficient constant off 0 is gathered only on a
+    window without a step index."""
+    assert made and all(exact == (mode == "qdot") for exact, _ in made)
+    assert any(gather for _, gather in made) == (name in GATHER_WINDOWS)
+
+
+def _reference_window(enum, gs, coefficients):
+    """The window an exact reference runs on, the solutions there and the
+    coefficients restricted to it: past 1000 elements (perfbench's
+    generators to size 8) the part of size <= 3/2, where the values are
+    the full window's because sizes add."""
+    if len(enum) <= 1000:
+        return enum, gs, coefficients
+    sub = dc.enumerate_semigroup(enum.backend, size_bound=Fraction(3, 2))
+
+    def cut(f):
+        return dc.TruncatedFunction(sub, [f(e.ident) for e in sub], f.exact)
+
+    return sub, [cut(g) for g in gs], [cut(f) for f in coefficients]
+
+
+@pytest.mark.parametrize("mode", ["double", "integral", "qdot"])
+@pytest.mark.parametrize("name", SWEEP_WINDOWS)
+def test_solve_reads_constants_by_step_sums(name, mode, monkeypatch):
+    """a_0 + (one + unit) g + c_2 g^2 + a_3 g^3 = 0, with c_2 constant and
+    a_3 constant off 0 only: the constant products read the tables of g,
+    g^2 and g^3, the last two with a value z0^2, z0^3 at 0 that the
+    running step sums must leave out.  Double values agree with the pair
+    loop to 1e-12, exact ones (integral or real rationals) equal the
+    literal recursion."""
+    enum, rows = _window_rows(name)
+    rng = random.Random(f"{name}-{mode}")
+    scalar, dense, const, one_unit = _sweep_data(enum, mode, rng, gaussian=False)
+    while True:     # on integers f'(z0) = +-1 keeps 1 / f'(z0) integral
+        z0, c2, c3, e = (scalar() for _ in range(4))
+        fprime = 2 + 2 * c2 * z0 + 3 * e * z0 * z0
+        if (fprime in (1, -1)) if mode == "integral" else abs(complex(fprime)) >= 0.3:
+            break
+    coeffs = (dense(-(2 * z0 + c2 * z0 ** 2 + e * z0 ** 3)), one_unit, const(c2),
+              const(c3, e))
+    made = _made_readers(monkeypatch)
+    g = dc.solve(dc.ConvPolynomial(coeffs), z0)
+    _check_readers(name, mode, made)
+    if mode == "double":
+        terms = [(c.values, (j,)) for j, c in enumerate(coeffs)]
+        _close(g, sweep_pairs(enum, [terms], [z0], rows=rows)[0])
+    else:
+        _, [g], coeffs = _reference_window(enum, [g], coeffs)
+        assert g == literal_solve(dc.ConvPolynomial(tuple(coeffs)), z0)
+
+
+@pytest.mark.parametrize("mode", ["double", "integral", "qdot"])
+@pytest.mark.parametrize("name", SWEEP_WINDOWS)
+def test_solve_system_reads_constants_by_step_sums(name, mode, monkeypatch):
+    """g1^2 + alpha g2 + (one + unit) g1 + b_1 = 0 and g2^2 + gamma g1 g2
+    + delta g2 + c g1^2 + b_2 = 0 at z1 z2 != 0: gamma reads the product
+    table g1 g2, whose value z1 z2 at 0 the step sums must leave out;
+    alpha and delta read one table, g2, whose sums are kept once; c reads
+    g1^2; one + unit is constant off 0 only.  Double values agree with
+    the pair loop to 1e-12, exact ones (integral or Gaussian rationals,
+    real ones on the largest window) equal its exact twin."""
+    enum, rows = _window_rows(name)
+    rng = random.Random(f"{name}-{mode}")
+    # Gaussian rationals through qdot take 20 s on the generators' 1838 elements
+    scalar, dense, const, one_unit = _sweep_data(enum, mode, rng, len(enum) <= 1000)
+    while True:     # on integers det J = +-1 keeps J^-1 integral
+        z1, z2, alpha, gamma, delta, c = (scalar() for _ in range(6))
+        det = ((2 * z1 + 2) * (2 * z2 + gamma * z1 + delta)
+               - alpha * (gamma * z2 + 2 * c * z1))
+        if (det in (1, -1)) if mode == "integral" else abs(complex(det)) >= 0.3:
+            break
+    coeffs = [dc.unit(enum, mode != "double"), const(alpha), one_unit,
+              dense(-(z1 * z1 + alpha * z2 + 2 * z1)), const(gamma), const(delta),
+              const(c), dense(-(z2 * z2 + gamma * z1 * z2 + delta * z2 + c * z1 * z1))]
+    exponents = [[(2, 0), (0, 1), (1, 0), (0, 0)], [(0, 2), (1, 1), (0, 1), (2, 0), (0, 0)]]
+
+    def equations(coeffs):
+        return [list(zip(coeffs[:4], exponents[0])), list(zip([coeffs[0]] + coeffs[4:],
+                                                              exponents[1]))]
+
+    S = dc.PolySystem(2, [[dc.Monomial(f, e) for f, e in eq] for eq in equations(coeffs)],
+                      (z1, z2))
+    made = _made_readers(monkeypatch)
+    gs = dc.solve_system(S)
+    _check_readers(name, mode, made)
+    if mode != "double":
+        enum, gs, coeffs = _reference_window(enum, gs, coeffs)
+        rows = None
+    want = sweep_pairs(enum, [[(f.values, e) for f, e in eq] for eq in equations(coeffs)],
+                       (z1, z2), exact=mode != "double", rows=rows)
+    for g, w in zip(gs, want):
+        if mode == "double":
+            _close(g, w)
+        else:
+            assert g == w
