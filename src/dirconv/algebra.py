@@ -87,10 +87,13 @@ class TruncatedFunction:
         return not any(self.values)
 
     def to_double(self) -> "TruncatedFunction":
+        """The values in doubles; a value past the double range is refused."""
         if not self.exact:
             return self
-        return TruncatedFunction(
-            self.enum, tuple(double_value(v) for v in self.values), False)
+        try:
+            return TruncatedFunction(self.enum, map(double_value, self.values), False)
+        except OverflowError:
+            raise MathematicalRefusal("an exact value lies outside the double range") from None
 
     def max_abs(self) -> float:
         """Round-up bound of max |g(x)| over the window; NaN if a value is NaN."""
@@ -191,12 +194,14 @@ def reader(a, b, exact, a_const=False):
     half rows it is handed (whole ones from :func:`convolve`, the sweep's
     after (0, x)) and their middle pairs, reads them; decided once.  With
     ``exact`` every pair goes through :func:`qdot`, over :class:`Ratios`
-    built here (the sweep's live tables are Ratios already).  On doubles,
+    built here (the sweep's live tables are Ratios already), one for a
+    table times itself, which qdot then reads as a square.  On doubles,
     or on the Python ints of :func:`integral` data, a table times itself
     is the :func:`square`, an ``a`` constant on the rows read (``a_const``)
     gathers b over both columns at C speed, and any other is :func:`dot`."""
     if exact:
-        return partial(qdot, *(v if type(v) is Ratios else Ratios(v) for v in (a, b)))
+        ra = a if type(a) is Ratios else Ratios(a)
+        return partial(qdot, ra, ra if a is b else b if type(b) is Ratios else Ratios(b))
     if a is b:
         return partial(square, a)
     if a_const:
@@ -232,24 +237,30 @@ class Ratios(list):
 
 
 def qdot(a: Ratios, b: Ratios, us, vs, d):
-    """Exact mode: :func:`dot` over integers, both products of each pair.
+    """Exact mode: :func:`dot` over integers, both products of each pair,
+    or for a table times itself (``a is b``) each pair's product once,
+    the half row's sum doubled before the middle pair is added.
 
     A product is skipped as soon as either numerator is 0; the others are
     summed as one numerator over a running common denominator, and one
     Fraction (or QC) is built at the end.
     """
     an, ad, bn, bd = a.nums, a.dens, b.nums, b.dens
-    num, den = 0, 1
-    for u, v in itertools.chain(zip(us, vs), zip(vs, us), [(d, d)] * (d >= 0)):
-        p = an[u]
-        if p:
-            q = bn[v]
-            if q:
-                e = ad[u] * bd[v]
-                if den % e:
-                    g = math.gcd(den, e)
-                    num, den = num * (e // g), den // g * e
-                num += p * q * (den // e)
+    num, den, twice = 0, 1, a is b
+    for pairs in (zip(us, vs) if twice else itertools.chain(zip(us, vs), zip(vs, us)),
+                  [(d, d)] * (d >= 0)):
+        for u, v in pairs:
+            p = an[u]
+            if p:
+                q = bn[v]
+                if q:
+                    e = ad[u] * bd[v]
+                    if den % e:
+                        g = math.gcd(den, e)
+                        num, den = num * (e // g), den // g * e
+                    num += p * q * (den // e)
+        if twice:
+            num, twice = num + num, False
     return Fraction(num, den) if type(num) is int else exact_value(num / den)
 
 
@@ -330,16 +341,18 @@ def sweep(equations, z0):
     ``equations`` lists, per equation, its :class:`Monomial` terms, whose
     coefficients :func:`one_mode` has put on one window and in one mode:
     the sweep's window and mode are theirs.  ``z0`` holds the values at 0,
-    taken into that mode.  F and J are
-    summed over the prefix tree and :func:`anchor_gate` judges them: the
-    one gate of every sweep, so a scalar equation and its one-unknown
-    system get one verdict and one J^{-1}.  Once it passes, if z0, J^{-1}
-    and every coefficient value are :func:`integral`, so is every g(x), and
-    the sweep runs on Python ints.  One table is kept per factor prefix that
-    a pair product reads (g_l for one factor), one :func:`reader` per pair
-    product (none for a coefficient that vanishes off 0; on a window with
-    ``steps``, a coefficient constant off 0 reads running step sums of its
-    table, the online :func:`step_sums`, instead).  At each element
+    taken into that mode.  F and J are summed over the prefix tree and
+    :func:`anchor_gate` judges them: the one gate of every sweep, so a
+    scalar equation and its one-unknown system get one verdict and one
+    J^{-1}.  Once it passes, if z0, J^{-1} and every coefficient value are
+    :func:`integral`, so is every g(x), and the sweep runs on Python ints.
+    One table is kept per factor prefix that a pair product reads (g_l for
+    one factor), one :func:`reader` per pair product: none for a
+    coefficient that vanishes off 0; on a window with ``steps``, running
+    step sums of the table (the online :func:`step_sums`) for one constant
+    off 0; the pairs (s, x - s) of its support for one whose support off 0
+    has fewer pairs than the n - 1 rows.  Each term's c(x) z0-part is
+    dropped or fixed once where c is 0 or constant off 0.  At each element
     the tables and equations are evaluated with the unknowns masked out,
     J^{-1} is applied once, and each table gets the linear term z0 fixes.
     A double sweep that overflows is refused at the first element, in
@@ -377,17 +390,39 @@ def sweep(equations, z0):
     # x - s off the window: sum_i S_i(x - s_i) is sum_{0<y<x} Q(y)
     steps, sums = enum.steps, {}
 
+    def support(c):     # x -> [(c(s), t)] over the pairs (s, t) of x with s in c's
+        at, count = {}, 0   # support off 0; None once they reach the n - 1 rows read
+        for s in filter(c.__getitem__, range(1, n)):
+            for count, (t, y) in enumerate(enum.partners(s), count + 1):
+                at.setdefault(y, []).append((c[s], t))
+            if count >= n - 1:
+                return None
+        return at
+
     def term_reader(c, k):   # the sweep reads c off 0 only, so it asks shape about c[1:]
-        if not ((gather := shape(c[1:] or c) == 1) and steps):
+        if (gather := shape(c[1:] or c) == 1) and steps:
+            _, S = sums[k] = sums.get(k) or (tab(k), [[zero] * (n + 1) for _ in steps])
+            return lambda us, vs, d, c=c[-1]: c * sum(map(getitem, S, xs))
+        if gather or (at := support(c)) is None:
             return reader(c, tab(k), qs, gather)
-        _, S = sums[k] = sums.get(k) or (tab(k), [[zero] * (n + 1) for _ in steps])
-        return lambda us, vs, d, c=c[-1]: c * sum(map(getitem, S, xs))
+        q = tab(k)
+        return lambda us, vs, d: reduce(add, [v * q[t] for v, t in at[x]]) if x in at else zero
+
+    # each term as (cx, a, k, scale, read), decided once: c(x) at0[k] is cx[x] * a,
+    # or a where c is constant off 0, or 0 (a None); scale is c(0) on a product
+    # node (True for a real 1: no product), else 0, as masked[k] is 0 there
+    def term(c, fs):
+        k, c0 = index[fs], c[0]
+        lin = (None, None) if not (shape(c) and at0[k]) else (
+            (None, c[-1] * at0[k]) if shape(c[1:] or c) == 1 else (c, at0[k]))
+        scale = k and nodes[k][0] and c0 and (c0 == 1 and type(c0) is not complex or c0)
+        return *lin, k, scale, term_reader(c, k) if fs and shape(c) else None
 
     chain = [(k, p, z0[l], reader(tab(p), G[l], qs))
              for k, (p, l) in enumerate(nodes[1:], 1) if p]
-    terms = [[(c, k, c[0], term_reader(c, k) if fs and shape(c) else None)
-              for c, fs in eq for k in [index[fs]]] for eq in equations]
-    kept = [k for k, (p, _) in enumerate(nodes[1:], 1) if p and Q[k] is not None]
+    terms = [[term(c, fs) for c, fs in eq] for eq in equations]
+    kept = [(Q[k], k, linear[k]) for k, (p, _) in enumerate(nodes[1:], 1)
+            if p and Q[k] is not None]
     negJinv = [[-v for v in row] for row in Jinv]
     # double sums start at +0.0, or -1.0 * 0.0 would leave a value 0 at -0.0
     start = () if exact else (zero,)
@@ -407,10 +442,10 @@ def sweep(equations, z0):
         known = []
         for eq in terms:
             parts = []
-            for c, k, c0, read in eq:
-                if c[x] and at0[k]:
-                    parts.append(c[x] * at0[k])
-                part = c0 * masked[k] if c0 and masked[k] else None
+            for cx, a, k, scale, read in eq:
+                if a is not None and (cx is None or cx[x]):
+                    parts.append(a if cx is None else cx[x] * a)
+                part = (m if scale is True else scale * m) if scale and (m := masked[k]) else None
                 if read:
                     prod = read(us, vs, d)
                     part = prod if part is None else part + prod
@@ -419,8 +454,8 @@ def sweep(equations, z0):
             known.append(reduce(add, parts) if parts else zero)
         for l, row in enumerate(negJinv):
             G[l][x] = reduce(add, map(mul, row, known), *start)
-        for k in kept:
-            Q[k][x] = masked[k] + sum(d * G[l][x] for l, d in linear[k])
+        for q, k, lin in kept:
+            q[x] = masked[k] + sum([dl * G[l][x] for l, dl in lin])
         if sums:    # S_1(x) = Q(x) + S_1(x - s_1), S_i(x) = S_i-1(x) + S_i(x - s_i)
             for q, S in sums.values():
                 v = q[x]

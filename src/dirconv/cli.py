@@ -246,28 +246,16 @@ def _function_table(g: TruncatedFunction):
 
 
 def _root_report_doc(report: solver.RootReport):
-    return {
-        "anchor_coefficients": [format_scalar(c) for c in report.f_coeffs],
-        "degree": report.degree,
-        "roots": [{
-            "value": format_scalar(r.value),
-            "multiplicity": r.multiplicity,
-            "simple": r.simple,
-            "exact": r.exact,
-        } for r in report.roots],
-    }
+    return {"anchor_coefficients": [format_scalar(c) for c in report.f_coeffs],
+            "degree": report.degree,
+            "roots": [{"value": format_scalar(r.value), "multiplicity": r.multiplicity,
+                       "simple": r.simple, "exact": r.exact} for r in report.roots]}
 
 
 def _certificate_doc(cert: certificate.NormCertificate, backend):
-    return {
-        "rho": format_rational(cert.rho),
-        "m1": backend.size(cert.m1),
-        "z0": format_scalar(cert.z0),
-        "t_star": cert.t_star,
-        "C": cert.C,
-        "r": cert.r,
-        "scope": cert.scope,
-    }
+    return {"rho": format_rational(cert.rho), "m1": backend.size(cert.m1),
+            "z0": format_scalar(cert.z0), "t_star": cert.t_star, "C": cert.C,
+            "r": cert.r, "scope": cert.scope}
 
 
 def _residual(T, g):
@@ -289,16 +277,8 @@ def _residual_doc(T, g):
 
 def _series_doc(values):
     """Entries for SeriesValue or PointCheck rows; ``tail`` may be None."""
-    out = []
-    for sv in values:
-        entry = {
-            "s": [format_scalar(c) for c in sv.s],
-            "value": format_scalar(sv.value),
-        }
-        if sv.tail is not None:
-            entry["tail_bound"] = sv.tail
-        out.append(entry)
-    return out
+    return [{"s": [format_scalar(c) for c in sv.s], "value": format_scalar(sv.value),
+             **({} if sv.tail is None else {"tail_bound": sv.tail})} for sv in values]
 
 
 def _header(problem: Problem) -> dict:
@@ -374,11 +354,8 @@ def run_problem(problem: Problem) -> dict:
         }
         doc["series"] = _series_doc(vr.points)
     doc["certificate"] = _certificate_doc(cert, problem.backend)
-    doc["validation"] = {
-        "ok": report.ok,
-        "sum_margin": report.sum_margin,
-        "recursive_margin": report.recursive_margin,
-    }
+    doc["validation"] = {"ok": report.ok, "sum_margin": report.sum_margin,
+                         "recursive_margin": report.recursive_margin}
     doc["residual"] = _residual_doc(T, g)
     return doc
 

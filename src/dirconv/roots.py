@@ -252,6 +252,14 @@ def _inverse(A, exact):
     return [row[n:] for row in M]
 
 
+def overflow_shift(values) -> int:
+    """The e >= 0 that brings exact values below 2^1000 once divided by
+    2^e: 0 unless a double of one, or of a product of it with a small
+    factor, could overflow.  Dividing an equation by 2^e keeps its roots."""
+    return max([0, *(p.numerator.bit_length() - p.denominator.bit_length() - 1000
+                     for v in values for p in ((v.re, v.im) if isinstance(v, QC) else (v,)))])
+
+
 def find_roots(f_coeffs, exact: bool):
     """All roots of the anchor polynomial, flagged simple/exact.
 
@@ -261,8 +269,12 @@ def find_roots(f_coeffs, exact: bool):
     of an exact root (itself, or its double).  A root of multiplicity 1
     is simple when J = [[f'(z)]] passes :func:`simple_inverse`, the test
     of :func:`anchor_gate`: exactly where the value is exact and in
-    doubles otherwise.
+    doubles otherwise.  Exact coefficients that would overflow a double
+    are divided by 2^e first (:func:`overflow_shift`).
     """
+    exact_f = [exact_value(c if isinstance(c, QC) else QC(c.real, c.imag)) for c in f_coeffs]
+    if exact and (e := overflow_shift(exact_f)):    # f / 2^e: f's roots, finite doubles
+        f_coeffs = exact_f = [c / 2 ** e for c in exact_f]
     fprime = poly_derivative(f_coeffs)
     fprime_double = [complex(c) for c in fprime]
 
@@ -273,8 +285,7 @@ def find_roots(f_coeffs, exact: bool):
         return Root(value, mult, simple, is_exact)
 
     roots = []
-    for mult, factor in square_free(
-            [exact_value(c if isinstance(c, QC) else QC(c.real, c.imag)) for c in f_coeffs]):
+    for mult, factor in square_free(exact_f):
         rest, found = _exact_roots(factor)
         roots += [root(v if exact else double_value(v), mult, exact) for v in found]
         roots += [root(z, mult, False) for z in durand_kerner(rest)]

@@ -71,9 +71,10 @@ class Element:
 # backends
 #
 # Every backend maps an identity to its integer size key with ``key``,
-# turns a key back into a size with ``size`` (a double) and ``size_bounds``
-# (directed double bounds), and gives the decomposition scan its integer
-# form with ``scan_plan(idents, keys)``: the window's identities and keys
+# adds two identities with ``plus``, turns a key back into a size with
+# ``size`` (a double) and ``size_bounds`` (directed double bounds), and
+# gives the decomposition scan its integer form with
+# ``scan_plan(idents, keys)``: the window's identities and keys
 # in window order go in; out come one integer code per identity,
 # ``limit(key)``, the largest partner key whose sum with an element of key
 # ``key`` stays in the window, and ``sums(i, jmax)``, the codes of
@@ -97,6 +98,9 @@ class _Additive:
 
     def key(self, ident):
         return sum(self._scaled(ident))
+
+    def plus(self, a, b):
+        return self._ident(tuple(map(add, self._scaled(a), self._scaled(b))))
 
     def size(self, key):
         return key / self.q
@@ -182,6 +186,9 @@ class OrdinaryDirichlet:
 
     def key(self, ident):
         return math.prod(ident)
+
+    def plus(self, a, b):
+        return tuple(map(mul, a, b))
 
     def size(self, key):
         return math.log(key)
@@ -412,6 +419,14 @@ class Enumeration:
             steps = [array("i", [index.get(tuple(map(sub, v, s)), -1) for v in index])
                      for s in b._steps]
             return steps if step_sums([1] + [0] * (n - 1), steps) == [1] * n else None
+
+    def partners(self, s):
+        """(t, x) for each t > 0 with e_s + e_t = e_x in the window: the keys
+        of the sums grow with t, so the walk stops at the first past the top."""
+        b, ident, top = self.backend, self.elements[s].ident, self.elements[-1].key
+        sums = itertools.takewhile(lambda v: b.key(v) <= top, (
+            b.plus(ident, e.ident) for e in itertools.islice(self.elements, 1, None)))
+        return [(t, self._index[v]) for t, v in enumerate(sums, 1) if v in self._index]
 
     @property
     def m1(self):

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import Monomial, TruncatedFunction, convolve, one_mode, sweep
 from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
                      ZeroPolynomial)
-from .roots import (_trim, anchor_gate, find_roots, is_root, poly_derivative,
-                    poly_eval)
+from .roots import (_trim, anchor_gate, find_roots, is_root, overflow_shift,
+                    poly_derivative, poly_eval)
 from .scalars import double_value, exact_value
 
 
@@ -63,9 +64,13 @@ class ConvPolynomial:
         return self.coeffs[0].exact
 
     def to_double(self) -> "ConvPolynomial":
+        """The equation in doubles, divided by the 2^e of :func:`overflow_shift`
+        on its anchor coefficients (the same solutions) when they would overflow."""
         if not self.exact:
             return self
-        return ConvPolynomial(tuple(c.to_double() for c in self.coeffs))
+        e = overflow_shift(self.anchor_coeffs())
+        return ConvPolynomial(tuple(c.scale(Fraction(1, 2 ** e)).to_double() if e
+                                    else c.to_double() for c in self.coeffs))
 
     @property
     def equations(self) -> tuple:

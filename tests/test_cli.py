@@ -750,15 +750,29 @@ def test_every_spelling_of_an_element_names_one_element(tmp_path):
     assert len(texts) == 1
 
 
-def test_anchor_coefficients_beyond_the_double_range_exit_1_with_a_document(tmp_path):
-    doc, code = run_spec(tmp_path, {
-        "semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
-        "arithmetic": {"mode": "exact"},
-        "equation": {"coefficients": [{"const": "1e400"}, {"const": 1},
-                                      {"const": "1e400"}]},
-        "task": {"type": "solve-all"}})
-    assert code == 1
-    assert doc["error"].startswith("OverflowError: ")
+def test_anchor_coefficients_past_the_double_range_are_scaled_or_refused(tmp_path):
+    """f = 10^400 + z + 10^400 z^2 has the simple roots near +-i, found in
+    doubles after f is divided by a power of two; the double solutions
+    follow from the scaled equation, and the residual, which needs the
+    unscaled coefficients in doubles, is refused with exit 2, not exit 1."""
+    spec = {"semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
+            "arithmetic": {"mode": "exact"},
+            "equation": {"coefficients": [{"const": "1e400"}, {"const": 1},
+                                          {"const": "1e400"}]},
+            "task": {"type": "solve-all"}}
+    doc, code = run_spec(tmp_path, spec)
+    assert code == 2
+    assert doc["diagnostic"] == ("MathematicalRefusal: an exact value lies outside "
+                                 "the double range")
+    enum = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=6)
+    T = dc.ConvPolynomial(tuple(algebra.constant(enum, c) for c in ("1e400", 1, "1e400")))
+    result = dc.solve_all(T)
+    assert len(result) == 2 and all(r.simple for r in result.report.roots)
+    for root, g in result:
+        assert abs(root.value ** 2 + 1) < 1e-12
+        assert g.values[0] == root.value and all(map(math.isfinite, map(abs, g.values)))
+    with pytest.raises(dc.MathematicalRefusal):
+        solver.residual(T, result.solutions[0][1])
 
 
 #: -1 + 10^6 delta_1 * g + g * g = 0 in doubles: each step multiplies g by about
