@@ -421,8 +421,7 @@ def sweep(equations, z0):
     chain = [(k, p, z0[l], reader(tab(p), G[l], qs))
              for k, (p, l) in enumerate(nodes[1:], 1) if p]
     terms = [[term(c, fs) for c, fs in eq] for eq in equations]
-    kept = [(Q[k], k, linear[k]) for k, (p, _) in enumerate(nodes[1:], 1)
-            if p and Q[k] is not None]
+    kept = [(Q[k], k, linear[k]) for k in range(1, len(nodes)) if nodes[k][0] and Q[k]]
     negJinv = [[-v for v in row] for row in Jinv]
     # double sums start at +0.0, or -1.0 * 0.0 would leave a value 0 at -0.0
     start = () if exact else (zero,)

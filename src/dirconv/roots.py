@@ -253,9 +253,8 @@ def _inverse(A, exact):
 
 
 def overflow_shift(values) -> int:
-    """The e >= 0 that brings exact values below 2^1000 once divided by
-    2^e: 0 unless a double of one, or of a product of it with a small
-    factor, could overflow.  Dividing an equation by 2^e keeps its roots."""
+    """The e >= 0 that brings exact values below 2^1000 divided by 2^e (0 when
+    they are): it keeps an equation's roots and its doubles finite."""
     return max([0, *(p.numerator.bit_length() - p.denominator.bit_length() - 1000
                      for v in values for p in ((v.re, v.im) if isinstance(v, QC) else (v,)))])
 
@@ -269,8 +268,8 @@ def find_roots(f_coeffs, exact: bool):
     of an exact root (itself, or its double).  A root of multiplicity 1
     is simple when J = [[f'(z)]] passes :func:`simple_inverse`, the test
     of :func:`anchor_gate`: exactly where the value is exact and in
-    doubles otherwise.  Exact coefficients that would overflow a double
-    are divided by 2^e first (:func:`overflow_shift`).
+    doubles otherwise.  Exact coefficients are divided by the 2^e of
+    :func:`overflow_shift` first.
     """
     exact_f = [exact_value(c if isinstance(c, QC) else QC(c.real, c.imag)) for c in f_coeffs]
     if exact and (e := overflow_shift(exact_f)):    # f / 2^e: f's roots, finite doubles

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Monomial, TruncatedFunction, convolve, one_mode, sweep
-from .errors import (DegenerateConstant, NoSimpleRoots, PreconditionFailed,
-                     ZeroPolynomial)
+from .errors import (DegenerateConstant, MathematicalRefusal, NoSimpleRoots,
+                     PreconditionFailed, ZeroPolynomial)
 from .roots import (_trim, anchor_gate, find_roots, is_root, overflow_shift,
                     poly_derivative, poly_eval)
 from .scalars import double_value, exact_value
@@ -64,8 +64,7 @@ class ConvPolynomial:
         return self.coeffs[0].exact
 
     def to_double(self) -> "ConvPolynomial":
-        """The equation in doubles, divided by the 2^e of :func:`overflow_shift`
-        on its anchor coefficients (the same solutions) when they would overflow."""
+        """The equation in doubles, divided by :func:`overflow_shift`'s 2^e."""
         if not self.exact:
             return self
         e = overflow_shift(self.anchor_coeffs())
@@ -144,7 +143,10 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
     if not (T.exact or all(map(cmath.isfinite, trimmed))):
         raise NoSimpleRoots("the anchor polynomial has a non-finite coefficient; "
                             "existence is undecided")
-    roots = find_roots(trimmed, T.exact)
+    try:
+        roots = find_roots(trimmed, T.exact)
+    except OverflowError:
+        raise MathematicalRefusal("an anchor root lies outside the double range") from None
     return RootReport(tuple(f), len(trimmed) - 1, tuple(roots), T.exact)
 
 

@@ -754,7 +754,8 @@ def test_anchor_coefficients_past_the_double_range_are_scaled_or_refused(tmp_pat
     """f = 10^400 + z + 10^400 z^2 has the simple roots near +-i, found in
     doubles after f is divided by a power of two; the double solutions
     follow from the scaled equation, and the residual, which needs the
-    unscaled coefficients in doubles, is refused with exit 2, not exit 1."""
+    unscaled coefficients in doubles, is refused with exit 2, not exit 1.
+    An anchor root past the double range is refused the same way."""
     spec = {"semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
             "arithmetic": {"mode": "exact"},
             "equation": {"coefficients": [{"const": "1e400"}, {"const": 1},
@@ -773,6 +774,11 @@ def test_anchor_coefficients_past_the_double_range_are_scaled_or_refused(tmp_pat
         assert g.values[0] == root.value and all(map(math.isfinite, map(abs, g.values)))
     with pytest.raises(dc.MathematicalRefusal):
         solver.residual(T, result.solutions[0][1])
+    # 1 + 3 z + 10^-400 z^2 has a root near -3 * 10^400, which no double holds
+    spec["equation"]["coefficients"] = [{"const": 1}, {"const": 3}, {"const": "1e-400"}]
+    doc, code = run_spec(tmp_path, spec)
+    assert (code, doc["diagnostic"]) == (2, "MathematicalRefusal: an anchor root lies "
+                                            "outside the double range")
 
 
 #: -1 + 10^6 delta_1 * g + g * g = 0 in doubles: each step multiplies g by about

@@ -525,3 +525,125 @@ def test_solve_system_reads_constants_by_step_sums(name, mode, monkeypatch):
             _close(g, w)
         else:
             assert g == w
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_WINDOWS))
+def test_qdot_reads_a_square_once_per_pair(name):
+    """qdot of a table with itself, which takes each stored pair's product
+    once and doubles the half row's sum before the middle pair, equals
+    qdot of the table with an equal copy, which takes both products of
+    each pair: on every row, whole and inner, over real rationals,
+    Gaussian rationals and data that are mostly 0.  ``reader`` hands a
+    table times itself to qdot as one Ratios, so squares take the branch."""
+    backend, truncation = TABLE_WINDOWS[name]
+    enum = dc.enumerate_semigroup(backend, **truncation)
+    dec, n = enum.decomp, len(enum)
+    rng = random.Random(sum(map(ord, name)))
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    data = [[rational() for _ in range(n)],
+            [QC(rational(), rational()) if rng.random() < 0.5 else rational()
+             for _ in range(n)],
+            [rational() if rng.random() < 0.1 else Fraction(0) for _ in range(n)]]
+    for values in data:
+        a, b = dc.algebra.Ratios(values), dc.algebra.Ratios(values)
+        for t in range(n):
+            lo, hi, d = dec.offsets[t], dec.offsets[t + 1], dec.middle[t]
+            for skip in (0, 1) if t else (0,):
+                us, vs = dec.first[lo + skip:hi], dec.second[lo + skip:hi]
+                assert dc.algebra.qdot(a, a, us, vs, d) == dc.algebra.qdot(a, b, us, vs, d)
+        read = dc.algebra.reader(values, values, True)
+        assert read.args[0] is read.args[1]
+
+
+def _sparse(enum, at0, support, scalar, exact):
+    """at0 at 0 and a seeded scalar at each index of ``support``, 0 elsewhere."""
+    values = [at0] + [0 * at0] * (len(enum) - 1)
+    for s in support:
+        values[s] = scalar()
+    return dc.TruncatedFunction(enum, values, exact)
+
+
+@pytest.mark.parametrize("mode", ["double", "integral", "qdot"])
+@pytest.mark.parametrize("name", SWEEP_WINDOWS)
+def test_solve_reads_a_small_support_by_its_pairs(name, mode, monkeypatch):
+    """a_0 + a_1 g + a_2 g^2 = 0 with a_1 and a_2 supported off 0 on the
+    middle element and the last, whose sums leave the window: both read
+    their pairs (s, x - s) only, a_1 from the table of g, a_2 from that
+    of g^2 with its value z0^2 at 0, and no reader is made for either.
+    Double values agree with the pair loop to 1e-12, exact ones equal the
+    literal recursion."""
+    enum, rows = _window_rows(name)
+    n, exact = len(enum), mode != "double"
+    rng = random.Random(f"support-{name}-{mode}")
+    scalar, dense, _, _ = _sweep_data(enum, mode, rng, gaussian=False)
+    while True:     # on integers f'(z0) = +-1 keeps 1 / f'(z0) integral
+        z0, c1, c2 = (scalar() for _ in range(3))
+        fprime = c1 + 2 * c2 * z0
+        if (fprime in (1, -1)) if mode == "integral" else abs(complex(fprime)) >= 0.3:
+            break
+    support = [n // 2, n - 1]
+    coeffs = (dense(-(c1 * z0 + c2 * z0 * z0)), _sparse(enum, c1, support, scalar, exact),
+              _sparse(enum, c2, support, scalar, exact))
+    assert sum(len(enum.partners(s)) for s in support) < n - 1
+    made = _made_readers(monkeypatch)
+    g = dc.solve(dc.ConvPolynomial(coeffs), z0)
+    assert made == [(mode == "qdot", False)]     # g * g's only
+    if mode == "double":
+        terms = [(c.values, (j,)) for j, c in enumerate(coeffs)]
+        _close(g, sweep_pairs(enum, [terms], [z0], rows=rows)[0])
+    else:
+        _, [g], coeffs = _reference_window(enum, [g], coeffs)
+        assert g == literal_solve(dc.ConvPolynomial(tuple(coeffs)), z0)
+
+
+def _shaped(enum, shape, at0, scalar, exact):
+    """A coefficient of one shape off 0, with ``at0`` at 0 (``const`` and
+    ``unit`` fix their own)."""
+    n, v = len(enum), scalar()
+    off = {"vanishes off 0": [0 * v] * (n - 1),
+           "at 1 only": [v] + [0 * v] * (n - 2),
+           "at top only": [0 * v] * (n - 2) + [v],
+           "const off 0": [v] * (n - 1),
+           "const": [v] * (n - 1),
+           "unit": [0 * v] * (n - 1),
+           "dense": [scalar() for _ in range(n - 1)]}[shape]
+    first = {"const": v, "unit": 1 + 0 * v.real}.get(shape, at0)
+    return dc.TruncatedFunction(enum, [first] + off, exact)
+
+
+SHAPES = ["vanishes off 0", "at 1 only", "at top only", "const off 0", "const", "unit",
+          "dense"]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("z0_is_0", [False, True])
+def test_fixed_parts_hold_for_every_coefficient_shape(window, exact, z0_is_0):
+    """Each term's c(x) z0-part is dropped where c vanishes off 0 or the
+    node's value at 0 is 0 (z0 = 0), fixed once where c is constant off
+    0, and read per element otherwise, c(1) != 0 = c(x > 1) included,
+    whose c[1:] ``shape`` reads as vanishing; c(0) times the masked
+    product table is formed on product nodes only, without a product for
+    a real 1.  Degree 3 equations with every shape in every place give
+    the literal recursion's values exactly, the pair loop's in doubles."""
+    rng = random.Random(f"{len(window)}-{exact}-{z0_is_0}")
+    scalar, dense, _, _ = _sweep_data(window, "qdot" if exact else "double", rng, False)
+    for i in range(len(SHAPES)):
+        shapes = [SHAPES[(i + j) % len(SHAPES)] for j in range(3)]
+        while True:
+            z0 = 0 * scalar() if z0_is_0 else scalar()
+            cs = [_shaped(window, s, scalar(), scalar, exact) for s in shapes]
+            at0 = [c.values[0] for c in cs]
+            fprime = at0[0] + 2 * at0[1] * z0 + 3 * at0[2] * z0 * z0
+            if abs(complex(fprime)) >= 0.3 and not cs[-1].is_zero():
+                break
+        a0 = dense(-(at0[0] * z0 + at0[1] * z0 ** 2 + at0[2] * z0 ** 3))
+        T = dc.ConvPolynomial((a0, *cs))
+        g = dc.solve(T, z0)
+        if exact:
+            assert g == literal_solve(T, z0)
+        else:
+            terms = [(c.values, (j,)) for j, c in enumerate(T.coeffs)]
+            _close(g, sweep_pairs(window, [terms], [z0])[0])
