@@ -84,10 +84,13 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
         lo = hi = 0.0   # the window norm, which bounds the true norm from below
         for _, t_lo, t_hi in weighted_terms(c, rho):
             lo, hi = add_dn(lo, t_lo), add_up(hi, t_hi)
-        if not norm_bounds[j] >= lo:   # NaN fails too; max(hi, nan) would drop it
+        bound = frac_bounds(norm_bounds[j])[1]   # bounds a_j; T holds 2^-shift a_j
+        if T.shift and bound < math.inf:
+            bound = frac_bounds(Fraction(bound) / 2 ** T.shift)[1]
+        if not bound >= lo:   # NaN fails too; max(hi, nan) would drop it
             raise ValueError("norm bounds must be numbers >= 0 that the window does not "
-                             f"refute: a_{j} has {norm_bounds[j]}, below its window norm {lo}")
-        norms.append(max(hi, frac_bounds(norm_bounds[j])[1]))
+                             f"refute: a_{j} has {bound}, below its window norm {lo}")
+        norms.append(max(hi, bound))
     if not any(norms):
         raise AllCoefficientsZero("all coefficient norms vanish; nothing to certify")
     abs_z0_up = abs_bounds(z0)[1]
@@ -108,9 +111,8 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
 def _ratio_down(P, Q, abs_z0_up, t: float) -> float:
     num = sub_dn(t, poly_eval_up(P, up(t)))
     den = poly_eval_up(Q, add_up(abs_z0_up, t))
-    if den <= 0.0:
-        return -math.inf
-    return dn(num / den)
+    ratio = num / den if den > 0.0 else -math.inf
+    return -math.inf if math.isnan(ratio) else dn(ratio)   # NaN is no ratio
 
 
 GRID_POINTS = 2048
@@ -256,8 +258,7 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
                 f"recursive level bound fails at level {level_floats[n]}: "
                 f"S = {sums[n]} > bound = {rhs}", level=level_floats[n])
     if math.isinf(sum_margin):
-        sum_margin = cert.t_star  # window has no positive level; margins trivial
-        rec_margin = cert.t_star
+        sum_margin = rec_margin = cert.t_star   # no positive level: trivial margins
     return ValidationReport(levels=level_floats, partial_sums=tuple(sums),
                             sum_margin=sum_margin, recursive_margin=rec_margin,
                             ok=True, tail=cert.tail(window))

@@ -306,6 +306,8 @@ def run_problem(problem: Problem) -> dict:
         return doc
 
     T = solver.ConvPolynomial(tuple(problem.coefficients))
+    if T.shift:   # the anchor coefficients and residuals below are those of 2^-shift T
+        doc["equation_scale"] = f"2^-{T.shift}"
     if ttype == "solve":
         g = solver.solve(T, problem.root())
         doc["root_report"] = _root_report_doc(solver.initial_polynomial(T))

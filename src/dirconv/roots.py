@@ -252,13 +252,6 @@ def _inverse(A, exact):
     return [row[n:] for row in M]
 
 
-def overflow_shift(values) -> int:
-    """The e >= 0 that brings exact values below 2^1000 divided by 2^e (0 when
-    they are): it keeps an equation's roots and its doubles finite."""
-    return max([0, *(p.numerator.bit_length() - p.denominator.bit_length() - 1000
-                     for v in values for p in ((v.re, v.im) if isinstance(v, QC) else (v,)))])
-
-
 def find_roots(f_coeffs, exact: bool):
     """All roots of the anchor polynomial, flagged simple/exact.
 
@@ -268,12 +261,8 @@ def find_roots(f_coeffs, exact: bool):
     of an exact root (itself, or its double).  A root of multiplicity 1
     is simple when J = [[f'(z)]] passes :func:`simple_inverse`, the test
     of :func:`anchor_gate`: exactly where the value is exact and in
-    doubles otherwise.  Exact coefficients are divided by the 2^e of
-    :func:`overflow_shift` first.
-    """
+    doubles otherwise."""
     exact_f = [exact_value(c if isinstance(c, QC) else QC(c.real, c.imag)) for c in f_coeffs]
-    if exact and (e := overflow_shift(exact_f)):    # f / 2^e: f's roots, finite doubles
-        f_coeffs = exact_f = [c / 2 ** e for c in exact_f]
     fprime = poly_derivative(f_coeffs)
     fprime_double = [complex(c) for c in fprime]
 

@@ -26,22 +26,31 @@ convolutions; it is an independent check of the sweep.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Monomial, TruncatedFunction, convolve, one_mode, sweep
 from .errors import (DegenerateConstant, MathematicalRefusal, NoSimpleRoots,
                      PreconditionFailed, ZeroPolynomial)
-from .roots import (_trim, anchor_gate, find_roots, is_root, overflow_shift,
-                    poly_derivative, poly_eval)
-from .scalars import double_value, exact_value
+from .roots import _trim, anchor_gate, find_roots, is_root, poly_derivative, poly_eval
+from .scalars import QC, double_value, exact_value
+
+
+def overflow_shift(values) -> int:
+    """The e >= 0 that brings exact values below 2^1000 divided by 2^e."""
+    return max([0, *(p.numerator.bit_length() - p.denominator.bit_length() - 1000
+                     for v in values for p in ((v.re, v.im) if isinstance(v, QC) else (v,)))])
 
 
 @dataclass(frozen=True)
 class ConvPolynomial:
-    """The equation data: coefficient functions a_0, ..., a_d with d >= 1."""
+    """The equation data: coefficient functions a_0, ..., a_d with d >= 1.
+    Exact ones are held divided by 2^shift (:func:`overflow_shift`; 0 unless
+    an anchor value reaches 2^1000): the roots, solutions and certificates
+    are T's own, the anchor coefficients and residuals those of 2^-shift T."""
 
     coeffs: tuple
+    shift: int = field(default=0, init=False)
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
@@ -49,6 +58,9 @@ class ConvPolynomial:
         coeffs = one_mode(self.coeffs)
         if coeffs[-1].is_zero():
             raise ValueError("the leading coefficient must not vanish identically")
+        if coeffs[0].exact and (e := overflow_shift(c.values[0] for c in coeffs)):
+            coeffs = tuple(c.scale(Fraction(1, 2 ** e)) for c in coeffs)
+            object.__setattr__(self, "shift", e)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property
@@ -64,12 +76,8 @@ class ConvPolynomial:
         return self.coeffs[0].exact
 
     def to_double(self) -> "ConvPolynomial":
-        """The equation in doubles, divided by :func:`overflow_shift`'s 2^e."""
-        if not self.exact:
-            return self
-        e = overflow_shift(self.anchor_coeffs())
-        return ConvPolynomial(tuple(c.scale(Fraction(1, 2 ** e)).to_double() if e
-                                    else c.to_double() for c in self.coeffs))
+        """The held equation, 2^-shift T, in doubles."""
+        return ConvPolynomial(tuple(c.to_double() for c in self.coeffs))
 
     @property
     def equations(self) -> tuple:

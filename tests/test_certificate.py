@@ -143,6 +143,9 @@ def test_maximize_r_plateau():
 def test_maximize_r_no_positive():
     with pytest.raises(dc.NoPositiveR):
         dc.maximize_R((0.0, 0.0, 1e7), (1.0,), 0.0)
+    # every sample is -inf / inf = NaN, which is no ratio, not a certified one
+    with pytest.raises(dc.NoPositiveR):
+        dc.maximize_R((0.0, 0.0, math.inf), (math.inf,), 1.0)
 
 
 def test_ratio_rounding_is_downward():

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -751,34 +752,51 @@ def test_every_spelling_of_an_element_names_one_element(tmp_path):
 
 
 def test_anchor_coefficients_past_the_double_range_are_scaled_or_refused(tmp_path):
-    """f = 10^400 + z + 10^400 z^2 has the simple roots near +-i, found in
-    doubles after f is divided by a power of two; the double solutions
-    follow from the scaled equation, and the residual, which needs the
-    unscaled coefficients in doubles, is refused with exit 2, not exit 1.
-    An anchor root past the double range is refused the same way."""
+    """f = 10^400 + z + 10^400 z^2 has the simple roots near +-i.  The
+    equation is held divided by 2^328, which changes neither its roots nor
+    its solutions, so solve-all prints both, with a finite residual of the
+    scaled equation and its scale.  An anchor root past the double range
+    is refused with exit 2, not exit 1."""
     spec = {"semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
             "arithmetic": {"mode": "exact"},
             "equation": {"coefficients": [{"const": "1e400"}, {"const": 1},
                                           {"const": "1e400"}]},
             "task": {"type": "solve-all"}}
     doc, code = run_spec(tmp_path, spec)
-    assert code == 2
-    assert doc["diagnostic"] == ("MathematicalRefusal: an exact value lies outside "
-                                 "the double range")
+    assert code == 0 and doc["equation_scale"] == "2^-328"
+    roots = [complex(r["re"], r["im"]) for r in (s["root"] for s in doc["solutions"])]
+    assert len(roots) == 2 and all(abs(z * z + 1) < 1e-12 for z in roots)
+    assert 0 < doc["residual"]["max_abs"] < 1e-90
     enum = dc.enumerate_semigroup(dc.OrdinaryDirichlet(1), size_bound=6)
     T = dc.ConvPolynomial(tuple(algebra.constant(enum, c) for c in ("1e400", 1, "1e400")))
+    assert T.shift == 328
     result = dc.solve_all(T)
     assert len(result) == 2 and all(r.simple for r in result.report.roots)
     for root, g in result:
         assert abs(root.value ** 2 + 1) < 1e-12
         assert g.values[0] == root.value and all(map(math.isfinite, map(abs, g.values)))
-    with pytest.raises(dc.MathematicalRefusal):
-        solver.residual(T, result.solutions[0][1])
+        assert all(map(math.isfinite, map(abs, solver.residual(T, g).values)))
     # 1 + 3 z + 10^-400 z^2 has a root near -3 * 10^400, which no double holds
     spec["equation"]["coefficients"] = [{"const": 1}, {"const": 3}, {"const": "1e-400"}]
     doc, code = run_spec(tmp_path, spec)
     assert (code, doc["diagnostic"]) == (2, "MathematicalRefusal: an anchor root lies "
                                             "outside the double range")
+
+
+@pytest.mark.parametrize("c", ["1", "1e400"])
+def test_double_roots_past_the_double_range_leave_existence_undecided(tmp_path, c):
+    """c (z^2 - 2)^2 has the double roots +-sqrt 2 whatever c is: the
+    obstruction test reads the scaled equation, so 10^400 gives the
+    refusal of 1, not an OverflowError."""
+    spec = {"semigroup": {"kind": "ordinary-dirichlet", "k": 1, "max_product": 6},
+            "arithmetic": {"mode": "exact"},
+            "equation": {"coefficients": [{"const": f"{4 * Fraction(c)}"}, {"const": 0},
+                                          {"const": f"{-4 * Fraction(c)}"}, {"const": 0},
+                                          {"const": c}]},
+            "task": {"type": "solve-all"}}
+    doc, code = run_spec(tmp_path, spec)
+    assert (code, doc["diagnostic"]) == (2, "NoSimpleRoots: the anchor polynomial has no "
+                                            "simple roots; existence is undecided")
 
 
 #: -1 + 10^6 delta_1 * g + g * g = 0 in doubles: each step multiplies g by about

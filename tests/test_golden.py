@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import dirconv.cli as cli
+from dirconv.scalars import format_scalar, parse_scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SPECS = sorted(GOLDEN.glob("*.spec.json"))
@@ -131,6 +132,67 @@ def test_double_twin_agrees_with_the_exact_document(spec, tmp_path):
     assert code == (2 if "diagnostic" in exact else 0)
     assert doc["mode"] == "double"
     _agree(doc, exact)
+
+
+def _scaled_spec(raw, power):
+    """The spec with every coefficient value, and every norm bound, times
+    2^power: ``unit`` as a table at the zero element, ``one`` as a const."""
+    raw, factor = json.loads(json.dumps(raw)), 2 ** power
+    kind, k = raw["semigroup"]["kind"], raw["semigroup"].get("k")
+    zero = ([1] * k if kind == "ordinary-dirichlet"
+            else [0] * (k or len(raw["semigroup"]["generators"][0])))
+
+    def times(v):
+        return format_scalar(parse_scalar(v, True) * factor)
+
+    def scaled(c):
+        if c.get("builtin") == "unit":
+            return {"table": [[zero, times(1)]]}
+        if "builtin" in c:
+            return {"const": times(1)}
+        if "const" in c:
+            return {"const": times(c["const"])}
+        if "indicator" in c:
+            return {**c, "value": times(c.get("value", 1))}
+        return {"table": [[e, times(v)] for e, v in c["table"]]}
+
+    eq = raw["equation"]
+    eq["coefficients"] = [scaled(c) for c in eq["coefficients"]]
+    if "norm_bounds" in raw["task"]:
+        raw["task"]["norm_bounds"] = [b * 2.0 ** power for b in raw["task"]["norm_bounds"]]
+    return raw
+
+
+#: the exact equation goldens; bounds times 2^1100 would leave the double range
+EQUATIONS = [s for s in SPECS if json.loads(s.read_text())["task"]["type"]
+             not in ("eval", "invert")]
+SCALE_TWINS = [pytest.param(s, p, id=f"{s.name[:-len('.spec.json')]}-2^{p}")
+               for p in (1010, 1100) for s in EQUATIONS
+               if p < 1024 or "norm_bounds" not in json.loads(s.read_text())["task"]]
+
+
+@pytest.mark.parametrize("spec, power", SCALE_TWINS)
+def test_scale_twin_agrees_with_the_golden(spec, power, tmp_path):
+    """2^power T g = 0 is the equation T g = 0: its twin with every value
+    times 2^power, past the double range or near its end, runs scaled back
+    and gives the golden's exit code, diagnostic class, roots, solutions,
+    certificate, validation, series and scalar-equation verdict."""
+    twin = tmp_path / spec.name
+    twin.write_text(json.dumps(_scaled_spec(json.loads(spec.read_text()), power)))
+    doc, code = cli.run(str(twin))
+    golden = json.loads(expected_path(spec).read_text())
+    assert code == (2 if "diagnostic" in golden else 0)
+    if code:
+        assert doc["diagnostic"].split(":")[0] == golden["diagnostic"].split(":")[0]
+        return
+    doc = json.loads(cli.render(doc, "json"))
+    for key in ("solution", "solutions", "skipped_roots", "certificate", "validation",
+                "series"):
+        assert doc.get(key) == golden.get(key), key
+    assert doc.get("root_report", {}).get("roots") == golden.get("root_report", {}).get("roots")
+    for key in ("all_ok", "worst_ratio"):
+        assert doc.get("scalar_equation", {}).get(key) == \
+            golden.get("scalar_equation", {}).get(key), key
 
 
 def test_every_spec_has_a_document():
