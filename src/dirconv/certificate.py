@@ -61,11 +61,6 @@ class NormCertificate:
     scope: str
     abs_z0: float              # round-up |z0|
 
-    def tail(self, window_dn: float) -> float:
-        """Round-up bound of the r-weighted sum of |g| beyond the window:
-        the certified norm |z0| + t_star minus a round-down window sum."""
-        return max(0.0, sub_up(add_up(self.abs_z0, self.t_star), window_dn))
-
 
 def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
     """The two comparison polynomials as round-up coefficient tuples."""
@@ -84,8 +79,8 @@ def build_PQ(T: ConvPolynomial, z0, rho=0, norm_bounds=None):
         lo = hi = 0.0   # the window norm, which bounds the true norm from below
         for _, t_lo, t_hi in weighted_terms(c, rho):
             lo, hi = add_dn(lo, t_lo), add_up(hi, t_hi)
-        bound = frac_bounds(norm_bounds[j])[1]   # bounds a_j; T holds 2^-shift a_j
-        if T.shift and bound < math.inf:
+        bound = norm_bounds[j]   # bounds a_j; T holds 2^-shift a_j, divided exactly
+        if bound - bound == 0:   # not a NaN or infinite float, which pass as they are
             bound = frac_bounds(Fraction(bound) / 2 ** T.shift)[1]
         if not bound >= lo:   # NaN fails too; max(hi, nan) would drop it
             raise ValueError("norm bounds must be numbers >= 0 that the window does not "
@@ -214,7 +209,8 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     A violation raises :class:`CertificateViolated`: it means a bug or
     an under-reported norm, never a sound certificate; so does a g whose
     g(0), compared in g's mode, is not the certified anchor z0.  The same
-    pass sums the window part rounded down, for the tail bound of g.
+    pass sums the window part rounded down: the round-up tail bound of g
+    is the certified norm |z0| + t_star minus that window sum.
     """
     if g.values[0] != (cert.z0 if g.exact else double_value(cert.z0)):
         raise CertificateViolated(
@@ -261,4 +257,5 @@ def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
         sum_margin = rec_margin = cert.t_star   # no positive level: trivial margins
     return ValidationReport(levels=level_floats, partial_sums=tuple(sums),
                             sum_margin=sum_margin, recursive_margin=rec_margin,
-                            ok=True, tail=cert.tail(window))
+                            ok=True,
+                            tail=max(0.0, sub_up(add_up(cert.abs_z0, cert.t_star), window)))

@@ -101,11 +101,10 @@ def _choice(raw, names):
 
 
 def _norm_bounds(raw):
-    """The caller's claimed norm levels as doubles, or None."""
-    if raw is not None and (not isinstance(raw, list)
-                            or any(isinstance(v, bool) for v in raw)):
+    """The caller's claimed norm levels as rationals, read like ``rho``, or None."""
+    if raw is not None and not isinstance(raw, list):
         raise TypeError("norm_bounds must be a list of numbers")
-    return None if raw is None else [float(v) for v in raw]
+    return None if raw is None else list(map(parse_rational, raw))
 
 
 def _element(raw, enum):
@@ -275,10 +274,9 @@ def _residual_doc(T, g):
     return {"exact_zero": zero, "max_abs": top}
 
 
-def _series_doc(values):
-    """Entries for SeriesValue or PointCheck rows; ``tail`` may be None."""
-    return [{"s": [format_scalar(c) for c in sv.s], "value": format_scalar(sv.value),
-             **({} if sv.tail is None else {"tail_bound": sv.tail})} for sv in values]
+def _series_row(sv):
+    """The point and window value of a SeriesValue or PointCheck row."""
+    return {"s": [format_scalar(c) for c in sv.s], "value": format_scalar(sv.value)}
 
 
 def _header(problem: Problem) -> dict:
@@ -301,8 +299,7 @@ def run_problem(problem: Problem) -> dict:
 
     if ttype == "eval":
         g = problem.coefficients[0]
-        values = [series.evaluate(g, p) for p in problem.points()]
-        doc["series"] = _series_doc(values)
+        doc["series"] = [_series_row(series.evaluate(g, p)) for p in problem.points()]
         return doc
 
     T = solver.ConvPolynomial(tuple(problem.coefficients))
@@ -354,7 +351,7 @@ def run_problem(problem: Problem) -> dict:
                 "ok": pc.ok,
             } for pc in vr.points],
         }
-        doc["series"] = _series_doc(vr.points)
+        doc["series"] = [{**_series_row(pc), "tail_bound": pc.tail} for pc in vr.points]
     doc["certificate"] = _certificate_doc(cert, problem.backend)
     doc["validation"] = {"ok": report.ok, "sum_margin": report.sum_margin,
                          "recursive_margin": report.recursive_margin}

@@ -474,12 +474,9 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
             raise EmptyTruncation("max_elements must be >= 1")
         bound = backend.initial_bound()
         idents = walk(bound)
-        while len(idents) < min(n, cap + 1):
+        while len(idents) < min(n, cap + 1):   # each doubling adds elements
             bound *= 2
-            new = walk(bound)
-            if len(new) == len(idents):  # semigroup exhausted below any bound?
-                break
-            idents = new
+            idents = walk(bound)
         truncation = ("max_elements", n)
     if len(idents) > cap:
         raise WindowTooLarge(f"the walk passes the limit of {MAX_ELEMENTS} elements"

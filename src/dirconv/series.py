@@ -28,7 +28,6 @@ from .solver import ConvPolynomial
 class SeriesValue:
     value: complex
     s: tuple
-    tail: object = None        # float bound or None when no certificate applies
 
 
 def _normalize_point(enum, s) -> tuple:
@@ -86,20 +85,24 @@ def evaluate(g: TruncatedFunction, s) -> SeriesValue:
     return SeriesValue(value=_window_sum(g.values, characters(g.enum, pt)), s=pt)
 
 
+def _in_half_plane(pt: tuple, cert: certificate.NormCertificate) -> None:
+    """Refuse a normalized point below the half-plane min Re(s) >= r on
+    which the certificate bounds the tail."""
+    if min(c.real for c in pt) < cert.r:
+        raise OutOfHalfPlane(f"point {pt} below the certified half-plane r = {cert.r}")
+
+
 def tail_bound(g: TruncatedFunction, cert: certificate.NormCertificate, s) -> float:
     """Upper bound for the absolute series tail beyond the window.
 
-    Valid when min_i Re(s_i) >= cert.r: then |e^{-x.s}| <= e^{-r|x|}
-    pointwise, so the tail is at most the certified norm |z0| + t* minus
-    the round-down window part of the r-weighted sum.  That bound does not
-    depend on s; it is ``certificate.validate(cert, g).tail``, so a g the
-    certificate does not hold for raises ``CertificateViolated``.
+    Valid on the half-plane min_i Re(s_i) >= cert.r, checked first: there
+    |e^{-x.s}| <= e^{-r|x|} pointwise, so the tail is at most the certified
+    norm |z0| + t* minus the round-down window part of the r-weighted sum.
+    That bound does not depend on s; it is ``certificate.validate(cert,
+    g).tail``, so a g the certificate does not hold for raises
+    ``CertificateViolated``.
     """
-    pt = _normalize_point(g.enum, s)
-    sigma = min(c.real for c in pt)
-    if sigma < cert.r:
-        raise OutOfHalfPlane(
-            f"min Re(s) = {sigma} lies below the certified rate r = {cert.r}")
+    _in_half_plane(_normalize_point(g.enum, s), cert)
     return certificate.validate(cert, g).tail
 
 
@@ -151,9 +154,8 @@ def verify_scalar_equation(T: ConvPolynomial, g: TruncatedFunction, points,
     for s in points:
         pt = _normalize_point(T.enum, s)
         arg = pt if len(pt) > 1 else pt[0]
-        if validation is not None and min(c.real for c in pt) < cert.r:
-            raise OutOfHalfPlane(
-                f"point {pt} below the certified half-plane r = {cert.r}")
+        if validation is not None:
+            _in_half_plane(pt, cert)
         tg = float(g_tail(arg)) if validation is None else validation.tail
         chars = characters(T.enum, pt)
         gval = _window_sum(g.values, chars)

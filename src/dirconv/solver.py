@@ -106,7 +106,6 @@ class RootReport:
     f_coeffs: tuple
     degree: int
     roots: tuple
-    exact: bool
 
     @property
     def simple_roots(self):
@@ -155,7 +154,7 @@ def initial_polynomial(T: ConvPolynomial) -> RootReport:
         roots = find_roots(trimmed, T.exact)
     except OverflowError:
         raise MathematicalRefusal("an anchor root lies outside the double range") from None
-    return RootReport(tuple(f), len(trimmed) - 1, tuple(roots), T.exact)
+    return RootReport(tuple(f), len(trimmed) - 1, tuple(roots))
 
 
 def solve(T: ConvPolynomial, z0) -> TruncatedFunction:

@@ -454,14 +454,21 @@ def test_a_max_elements_window_gives_the_size_bound_document(tmp_path):
     assert len(json.loads(docs[0])["solution"]) == 10
 
 
-@pytest.mark.parametrize("bound", ["nan", -1.0])
+@pytest.mark.parametrize("bound", ["nan", math.nan, math.inf, -1.0],
+                         ids=["nan", "NaN", "Infinity", "-1.0"])
 def test_nan_or_negative_norm_bound_exits_1(tmp_path, bound):
+    """A bound is a rational read like ``rho``: NaN and Infinity (as JSON
+    constants or strings) are unreadable at their field; a negative one is
+    a number that ``build_PQ`` refuses."""
     with open(GOLDEN / "verify-two-points.spec.json") as fh:
         spec = json.load(fh)
     spec["task"]["norm_bounds"] = [bound, 0, 1]
     doc, code = run_spec(tmp_path, spec)
     assert code == 1
-    assert doc["error"].startswith("ValueError: norm bounds must be numbers >= 0")
+    if bound == -1.0:
+        assert doc["error"].startswith("ValueError: norm bounds must be numbers >= 0")
+    else:
+        assert doc["field"] == "task.norm_bounds"
 
 
 def test_point_parts_take_rational_strings(tmp_path):

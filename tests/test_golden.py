@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 import dirconv.cli as cli
-from dirconv.scalars import format_scalar, parse_scalar
+from dirconv.scalars import format_rational, format_scalar, parse_rational, parse_scalar
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SPECS = sorted(GOLDEN.glob("*.spec.json"))
@@ -136,7 +136,8 @@ def test_double_twin_agrees_with_the_exact_document(spec, tmp_path):
 
 def _scaled_spec(raw, power):
     """The spec with every coefficient value, and every norm bound, times
-    2^power: ``unit`` as a table at the zero element, ``one`` as a const."""
+    2^power: ``unit`` as a table at the zero element, ``one`` as a const,
+    a bound as an exact rational string."""
     raw, factor = json.loads(json.dumps(raw)), 2 ** power
     kind, k = raw["semigroup"]["kind"], raw["semigroup"].get("k")
     zero = ([1] * k if kind == "ordinary-dirichlet"
@@ -159,16 +160,16 @@ def _scaled_spec(raw, power):
     eq = raw["equation"]
     eq["coefficients"] = [scaled(c) for c in eq["coefficients"]]
     if "norm_bounds" in raw["task"]:
-        raw["task"]["norm_bounds"] = [b * 2.0 ** power for b in raw["task"]["norm_bounds"]]
+        raw["task"]["norm_bounds"] = [format_rational(parse_rational(b) * factor)
+                                      for b in raw["task"]["norm_bounds"]]
     return raw
 
 
-#: the exact equation goldens; bounds times 2^1100 would leave the double range
+#: the exact equation goldens
 EQUATIONS = [s for s in SPECS if json.loads(s.read_text())["task"]["type"]
              not in ("eval", "invert")]
 SCALE_TWINS = [pytest.param(s, p, id=f"{s.name[:-len('.spec.json')]}-2^{p}")
-               for p in (1010, 1100) for s in EQUATIONS
-               if p < 1024 or "norm_bounds" not in json.loads(s.read_text())["task"]]
+               for p in (1010, 1100) for s in EQUATIONS]
 
 
 @pytest.mark.parametrize("spec, power", SCALE_TWINS)

@@ -64,6 +64,22 @@ def test_tail_bound_requires_half_plane(od20):
     assert dc.tail_bound(g, cert, cert.r + 0.1) >= 0.0
 
 
+def test_tail_bound_and_verify_refuse_a_point_with_one_message(od20):
+    """One half-plane check serves both: the same point below r gets the
+    same OutOfHalfPlane text from tail_bound and from verify."""
+    T = sqrt_one(od20)
+    cert = dc.certify(T, 1)
+    g = dc.solve(T, 1)
+    s = complex(cert.r - 0.5, 2)
+    messages = []
+    for refuse in (lambda: dc.tail_bound(g, cert, s),
+                   lambda: dc.verify_scalar_equation(T, g, [s], cert=cert)):
+        with pytest.raises(dc.OutOfHalfPlane) as info:
+            refuse()
+        messages.append(str(info.value))
+    assert messages == [f"point ({s},) below the certified half-plane r = {cert.r}"] * 2
+
+
 @pytest.mark.parametrize("part", [math.nan, math.inf, -math.inf])
 def test_non_finite_points_are_refused(od20, part):
     """min Re(s) < r is False for NaN, so the half-plane test alone would
