@@ -30,7 +30,7 @@ from .errors import (AllCoefficientsZero, CertificateViolated, NoPositiveR,
 from .rounding import (abs_bounds, add_dn, add_up, div_up, dn, exp_up,
                        frac_bounds, log_dn, mul_dn, mul_up, poly_eval_up,
                        pow_up, sub_dn, sub_up, up)
-from .scalars import double_value
+from .scalars import double_value, exact_value
 from .solver import ConvPolynomial
 
 #: scope markers for the coefficient norms entering Q
@@ -167,8 +167,8 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
     if math.isinf(rho_hi):
         raise ValueError("rho lies beyond the double range; "
                          "the certified rate would not be finite")
-    z0 = T.anchor(z0)[0]
-    P, Q = build_PQ(T, z0, rho, norm_bounds)
+    P, Q = build_PQ(T, z0, rho, norm_bounds)   # its T.anchor is the one gate
+    z0 = exact_value(z0) if T.exact else double_value(z0)
     scope = WINDOW_EXACT if norm_bounds is None else USER_BOUND
     abs_z0_up = abs_bounds(z0)[1]
     t_star, C_raw = maximize_R(P, Q, abs_z0_up)
@@ -192,7 +192,6 @@ def certify(T: ConvPolynomial, z0, rho=0, norm_bounds=None) -> NormCertificate:
 class ValidationReport:
     """Observed margins of a certificate against a solved function."""
 
-    levels: tuple              # float sizes of the checked levels (level 0 first)
     partial_sums: tuple        # round-up S_r(m) per level
     sum_margin: float          # min over levels of t_star - S_r(m)
     recursive_margin: float    # min over levels of RHS - LHS in the level bound
@@ -203,59 +202,53 @@ class ValidationReport:
 def validate(cert: NormCertificate, g: TruncatedFunction) -> ValidationReport:
     """Recheck both certified inequalities against the solved values.
 
-    Recomputes every partial sum S_r(m) with round-up arithmetic,
-    requires S_r(m) <= t_star, and checks the level-to-level bound
+    One pass over the size levels adds each level's terms to S_r(m),
+    rounded up, and to the window sum, rounded down, then checks
+    S_r(m) <= t_star and the level-to-level bound
     S(m_n) <= P(S(m_{n-1})) + e^{-(r-rho) m1} Q(|z0| + S(m_{n-1})).
-    A violation raises :class:`CertificateViolated`: it means a bug or
-    an under-reported norm, never a sound certificate; so does a g whose
-    g(0), compared in g's mode, is not the certified anchor z0.  The same
-    pass sums the window part rounded down: the round-up tail bound of g
-    is the certified norm |z0| + t_star minus that window sum.
+    A violation raises :class:`CertificateViolated` at the failing level's
+    float size, the only size computed: it means a bug or an under-reported
+    norm, never a sound certificate; so does a g whose g(0), compared in
+    g's mode, is not the certified anchor z0.  The round-up tail bound of
+    g is the certified norm |z0| + t_star minus the window sum.
     """
     if g.values[0] != (cert.z0 if g.exact else double_value(cert.z0)):
         raise CertificateViolated(
             f"g(0) = {g.values[0]} is not the certified anchor z0 = {cert.z0}", level=0.0)
-    r, levels = cert.r, g.enum.levels
+    r, backend = cert.r, g.enum.backend
     terms = weighted_terms(g, r)
     # S_r(m) leaves out x = 0, the window sum includes it; clamping keeps
     # that lower bound monotone when terms fall below one ulp of it
     window = max(0.0, add_dn(0.0, next(terms)[1]))
-    sums = [0.0]
-    acc = 0.0
-    for _, idxs in levels[1:]:
+    s_rate = max(0.0, sub_dn(r, frac_bounds(cert.rho)[1]))
+    damp_up = exp_up(-mul_dn(s_rate, backend.size_bounds(cert.m1)[0]))
+
+    sums, acc = [0.0], 0.0
+    sum_margin = rec_margin = math.inf
+    for key, idxs in g.enum.levels[1:]:   # level n: S(m_n) from S(m_{n-1}) = prev
+        prev = acc
         for _, lo, hi in islice(terms, len(idxs)):
             acc = add_up(acc, hi)
             window = max(window, add_dn(window, lo))
         sums.append(acc)
-
-    rho_hi = frac_bounds(cert.rho)[1]
-    s_rate = max(0.0, sub_dn(r, rho_hi))
-    backend = g.enum.backend
-    m1_lo = backend.size_bounds(cert.m1)[0]
-    damp_up = exp_up(-mul_dn(s_rate, m1_lo))
-
-    sum_margin = rec_margin = math.inf
-    level_floats = tuple(backend.size(key) for key, _ in levels)
-    for n in range(1, len(sums)):
-        margin = sub_dn(cert.t_star, sums[n])
+        margin = sub_dn(cert.t_star, acc)
         sum_margin = min(sum_margin, margin)
         if not margin >= 0.0:     # NaN fails too
             raise CertificateViolated(
-                f"partial sum {sums[n]} exceeds t* = {cert.t_star} at level "
-                f"{level_floats[n]}", level=level_floats[n])
-        prev = sums[n - 1]
+                f"partial sum {acc} exceeds t* = {cert.t_star} at level "
+                f"{backend.size(key)}", level=backend.size(key))
         rhs = add_up(poly_eval_up(cert.P, prev),
                      mul_up(damp_up,
                             poly_eval_up(cert.Q, add_up(cert.abs_z0, prev))))
-        rmargin = sub_up(rhs, sums[n])
+        rmargin = sub_up(rhs, acc)
         rec_margin = min(rec_margin, rmargin)
         if not rmargin >= 0.0:
             raise CertificateViolated(
-                f"recursive level bound fails at level {level_floats[n]}: "
-                f"S = {sums[n]} > bound = {rhs}", level=level_floats[n])
+                f"recursive level bound fails at level {backend.size(key)}: "
+                f"S = {acc} > bound = {rhs}", level=backend.size(key))
     if math.isinf(sum_margin):
         sum_margin = rec_margin = cert.t_star   # no positive level: trivial margins
-    return ValidationReport(levels=level_floats, partial_sums=tuple(sums),
+    return ValidationReport(partial_sums=tuple(sums),
                             sum_margin=sum_margin, recursive_margin=rec_margin,
                             ok=True,
                             tail=max(0.0, sub_up(add_up(cert.abs_z0, cert.t_star), window)))

@@ -21,8 +21,8 @@ from . import algebra, certificate, series, solver
 from .algebra import TruncatedFunction
 from .errors import DirconvError, MathematicalRefusal, SpecError
 from .rounding import abs_bounds
-from .scalars import (format_rational, format_scalar, parse_rational,
-                      parse_scalar)
+from .scalars import (format_rational, format_scalar, parse_count,
+                      parse_rational, parse_scalar)
 from .semigroup import (Lattice, OrdinaryDirichlet, RationalGenerators,
                         enumerate_semigroup)
 
@@ -86,14 +86,6 @@ class _Spec:
         return range(len(self.raw))
 
 
-def _count(raw):
-    """A count: a rational whose denominator is 1."""
-    q = parse_rational(raw)
-    if q.denominator != 1:
-        raise ValueError(f"{raw!r} is not an integer")
-    return q.numerator
-
-
 def _choice(raw, names):
     if not (isinstance(raw, str) and raw in names):
         raise ValueError(f"{raw!r} is not one of {', '.join(names)}")
@@ -128,8 +120,8 @@ def _point(raw, k):
 
 #: each semigroup kind's parameter field and its reading
 BACKENDS = {
-    "lattice": ("k", lambda k: Lattice(_count(k))),
-    "ordinary-dirichlet": ("k", lambda k: OrdinaryDirichlet(_count(k))),
+    "lattice": ("k", lambda k: Lattice(parse_count(k))),
+    "ordinary-dirichlet": ("k", lambda k: OrdinaryDirichlet(parse_count(k))),
     "rational-generators": ("generators",
                             lambda gens: RationalGenerators(tuple(map(tuple, gens)))),
 }
@@ -143,12 +135,12 @@ def _truncation(sg, backend):
             "give exactly one of size_bound / max_product / max_elements", sg.path)
     field = given[0]
     if field == "max_elements":
-        return {field: sg.read(field, _count)}
+        return {field: sg.read(field, parse_count)}
     if (field == "max_product") != (backend.kind == "ordinary-dirichlet"):
         raise SpecError("ordinary-dirichlet windows are truncated by max_product (the "
                         "size bound is then log(max_product)), the others by size_bound",
                         sg.path)
-    return {"size_bound": sg.read(field, _count if field == "max_product"
+    return {"size_bound": sg.read(field, parse_count if field == "max_product"
                                   else parse_rational)}
 
 

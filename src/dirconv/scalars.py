@@ -149,6 +149,14 @@ def parse_rational(text) -> Fraction:
     return Fraction(str(text))
 
 
+def parse_count(raw) -> int:
+    """A count: a rational whose denominator is 1."""
+    q = parse_rational(raw)
+    if q.denominator != 1:
+        raise ValueError(f"{raw!r} is not an integer")
+    return q.numerator
+
+
 def format_scalar(x):
     """JSON-safe form: exact values as "p/q" strings or {"re","im"} dicts."""
     if isinstance(x, QC):

@@ -42,7 +42,7 @@ from operator import add, mul, sub
 
 from .errors import EmptyTruncation, NotEnumerated, OnlyZero, WindowTooLarge
 from .rounding import dn, frac_bounds, up
-from .scalars import parse_rational
+from .scalars import parse_count, parse_rational
 
 #: windows are refused past these: identities a walk lists, pairs i <= j of a
 #: table, and entries a walk holds (k per identity and per step vector)
@@ -148,6 +148,8 @@ class Lattice(_Additive):
     q = 1
 
     def __post_init__(self):
+        if type(self.k) is not int:   # a bool is refused too
+            raise TypeError(f"lattice dimension must be an int, not {self.k!r}")
         if self.k < 1:
             raise ValueError("lattice dimension must be >= 1")
 
@@ -178,6 +180,8 @@ class OrdinaryDirichlet:
     n_steps = 0
 
     def __post_init__(self):
+        if type(self.k) is not int:   # a bool is refused too
+            raise TypeError(f"dimension must be an int, not {self.k!r}")
         if not 1 <= self.k <= MAX_ELEMENTS:
             raise ValueError(f"dimension must be from 1 to {MAX_ELEMENTS}")
 
@@ -450,7 +454,8 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
 
     Exactly one truncation must be given.  ``size_bound`` keeps every
     element of size <= B (for the ordinary-Dirichlet backend the bound
-    is the maximal index product, i.e. B = log(bound)).  ``max_elements``
+    is the maximal index product, i.e. B = log(bound)).  ``max_elements``,
+    read as a count (an integer rational, not a bool) before any walk,
     keeps the N smallest elements in the total order; the window is then
     size-complete below its top size level, which is all convolution
     ever needs.  A walk past ``MAX_ELEMENTS`` identities or ``MAX_ENTRIES``
@@ -458,18 +463,18 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
     """
     if (size_bound is None) == (max_elements is None):
         raise ValueError("specify exactly one of size_bound, max_elements")
+    n = None if max_elements is None else parse_count(max_elements)
     cap = min(MAX_ELEMENTS, MAX_ENTRIES // backend.k - backend.n_steps)
 
     def walk(bound):
         return list(itertools.islice(backend.idents_up_to(bound), max(0, cap + 1)))
 
-    if size_bound is not None:
+    if n is None:
         if size_bound < 0:
             raise EmptyTruncation(f"size bound {size_bound} is negative")
         idents = walk(size_bound)
         truncation = ("size_bound", size_bound)
     else:
-        n = int(max_elements)
         if n < 1:
             raise EmptyTruncation("max_elements must be >= 1")
         bound = backend.initial_bound()
@@ -483,9 +488,7 @@ def enumerate_semigroup(backend, size_bound=None, max_elements=None) -> Enumerat
                              if cap == MAX_ELEMENTS else
                              f"the walk passes {MAX_ENTRIES} identity entries")
 
-    order = sorted(zip(map(backend.key, idents), idents))
-    if max_elements is not None:
-        order = order[:max_elements]
+    order = sorted(zip(map(backend.key, idents), idents))[:n]
     if not order:
         raise EmptyTruncation("window is empty")
     return Enumeration(backend, [Element(i, key) for key, i in order], truncation)

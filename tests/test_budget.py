@@ -1,4 +1,4 @@
-"""The package's design budget: src/dirconv stays under 3086 lines, and
+"""The package's design budget: src/dirconv stays under 3082 lines, and
 every public name is used by the program itself.
 
 New code is paid for by folds elsewhere, so the library does not grow
@@ -12,7 +12,7 @@ import dirconv
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "dirconv"
-BUDGET = 3086
+BUDGET = 3082
 
 
 def test_source_stays_within_the_line_budget():

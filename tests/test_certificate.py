@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,56 @@ def test_validate_rejects_corrupted_certificate(od100):
     bad = dataclasses.replace(cert, t_star=observed / 2)
     with pytest.raises(dc.CertificateViolated):
         dc.validate(bad, g)
+
+
+def _first_level(enum, sums, fails):
+    """The float size of the first positive level n with fails(n)."""
+    return enum.backend.size(enum.levels[next(n for n in range(1, len(sums)) if fails(n))][0])
+
+
+@pytest.mark.parametrize("window", ["od100", "lat2"])
+def test_violations_keep_their_text_and_level(window, request):
+    enum = request.getfixturevalue(window)
+    T = sqrt_one(enum)
+    cert, g = dc.certify(T, 1), dc.solve(T, 1)
+    sums = dc.validate(cert, g).partial_sums
+    t_star = max(sums) / 2
+    text = rf"partial sum .* exceeds t\* = {re.escape(str(t_star))} at level"
+    with pytest.raises(dc.CertificateViolated, match=text) as exc:
+        dc.validate(dataclasses.replace(cert, t_star=t_star), g)
+    assert exc.value.level == _first_level(enum, sums, lambda n: sums[n] > t_star)
+    assert str(exc.value).endswith(f"at level {exc.value.level}")
+    # with Q = 0 the bound at a level after S = 0 is P(0) = 0
+    with pytest.raises(dc.CertificateViolated,
+                       match="recursive level bound fails at level") as exc:
+        dc.validate(dataclasses.replace(cert, Q=(0.0,) * len(cert.Q)), g)
+    assert exc.value.level == _first_level(enum, sums, lambda n: sums[n] > 0.0)
+    assert f"fails at level {exc.value.level}: S = " in str(exc.value)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "double"])
+def test_a_passing_validate_computes_no_level_size(od100, exact, monkeypatch):
+    T = sqrt_one(od100) if exact else sqrt_one(od100).to_double()
+    cert, g = dc.certify(T, 1), dc.solve(T, 1)
+    calls = []
+    size = type(od100.backend).size
+    monkeypatch.setattr(type(od100.backend), "size",
+                        lambda self, key: calls.append(key) or size(self, key))
+    assert dc.validate(cert, g).ok
+    assert calls == []
+
+
+def test_certify_gates_its_base_point_once(od20, monkeypatch):
+    calls = []
+    gate = dc.solver.anchor_gate
+    monkeypatch.setattr(dc.solver, "anchor_gate", lambda *a: calls.append(a) or gate(*a))
+    dc.certify(sqrt_one(od20), 1)
+    assert len(calls) == 1
+    # f(z) = (z - 1)^2: z0 = 1 is a root, but not a simple one
+    T = dc.ConvPolynomial((dc.one(od20), dc.constant(od20, -2), dc.unit(od20)))
+    with pytest.raises(dc.NotASimpleRoot,
+                       match=r"^the base-point Jacobian is singular; the root is not simple$"):
+        dc.certify(T, 1)
 
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "double"])

@@ -123,10 +123,32 @@ def test_max_elements_is_a_prefix_of_a_size_bound_window(backend, size_bound):
      ValueError, "exactly one of"),
     (lambda: dc.enumerate_semigroup(dc.Lattice(1), max_elements=0),
      dc.EmptyTruncation, "max_elements must be >= 1"),
+    (lambda: dc.enumerate_semigroup(dc.Lattice(1), max_elements=2.5),
+     ValueError, "not an integer"),
+    (lambda: dc.enumerate_semigroup(dc.Lattice(1), max_elements=Fraction(5, 2)),
+     ValueError, "not an integer"),
+    (lambda: dc.enumerate_semigroup(dc.Lattice(1), max_elements=True),
+     TypeError, "not rationals"),
+    (lambda: dc.Lattice(2.0), TypeError, "must be an int"),
+    (lambda: dc.Lattice(True), TypeError, "must be an int"),
+    (lambda: dc.OrdinaryDirichlet(2.0), TypeError, "must be an int"),
+    (lambda: dc.OrdinaryDirichlet(True), TypeError, "must be an int"),
 ])
-def test_malformed_semigroups_and_windows_are_refused(call, error, match):
+def test_malformed_semigroups_and_windows_are_refused(monkeypatch, call, error, match):
+    def no_walk(self, bound):
+        raise AssertionError("a malformed window must be refused before any walk")
+
+    monkeypatch.setattr(dc.Lattice, "idents_up_to", no_walk)
+    monkeypatch.setattr(dc.OrdinaryDirichlet, "idents_up_to", no_walk)
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("count", [6, Fraction(6), "6", 6.0])
+def test_an_integer_count_cuts_the_window(count):
+    window = dc.enumerate_semigroup(dc.Lattice(2), max_elements=count)
+    assert window.truncation == ("max_elements", 6)
+    assert list(window) == list(dc.enumerate_semigroup(dc.Lattice(2), max_elements=6))
 
 
 def test_empty_truncation_rejected():
